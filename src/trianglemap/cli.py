@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhaustedError,
     TriangleMapError,
 )
-from .numeric import MIN_PRECISION, BigFloat, SequenceStatus
+from .numeric import MIN_PRECISION, SequenceStatus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,8 +74,27 @@ def _check_bits(bits: int) -> None:
         raise DegenerateInputError(f"--bits must be at least {MIN_PRECISION}")
 
 
-def _status_payload(status: SequenceStatus) -> str:
-    return status.value
+def _run_sequence(coords, max_len: int, cap_bits: int | None):
+    """Run the engine for the point's dimension.
+
+    Returns the record, its matrix rows and the d-values ``--d-values``
+    prints: the whole history in the plane, the last row otherwise.  Either
+    way the last ``len(rows)`` d-values are the final remainders.
+    """
+    if len(coords) == 2:
+        rec = triangle.sequence(triangle.Point2(*coords), max_len, cap_bits=cap_bits)
+        return rec, rec.matrix.rows, rec.d_history
+    rec = simplex.sequence_nd(simplex.PointN(coords), max_len, cap_bits=cap_bits)
+    return rec, rec.matrix, rec.d_history[-1]
+
+
+def _exhausted(rec) -> int:
+    """Explain on stderr a run that ran out of precision; returns its exit code."""
+    detail = (f"{len(rec.symbols)} symbol(s) certified; the next branch is undecidable"
+              f" at {rec.precision_bits} working bits")
+    print(json.dumps({"error": "precision-exhausted", "detail": detail}, sort_keys=True),
+          file=sys.stderr)
+    return EXIT_PRECISION
 
 
 # seq -------------------------------------------------------------------------
@@ -84,35 +103,26 @@ def _status_payload(status: SequenceStatus) -> str:
 def _cmd_seq(args) -> int:
     _check_bits(args.bits)
     coords = io_formats._parse_coordinates(args.point, args.bits)
+    rec, rows, d_values = _run_sequence(coords, args.max, args.cap_bits)
+    symbols = [str(s) for s in rec.symbols]
     records: list[dict] = []
-    if len(coords) == 2:
-        rec = triangle.sequence(triangle.Point2(*coords), args.max, cap_bits=args.cap_bits)
-        symbols = [str(k) for k in rec.symbols]
-        d_values = [io_formats.format_exact(d) for d in rec.d_history]
-        matrix = io_formats.format_matrix(rec.matrix.rows)
-    else:
-        recn = simplex.sequence_nd(simplex.PointN(coords), args.max, cap_bits=args.cap_bits)
-        rec = recn
-        symbols = [str(s) for s in recn.symbols]
-        d_values = [io_formats.format_exact(d) for row in recn.d_history[-1:] for d in row]
-        matrix = io_formats.format_matrix(recn.matrix)
     if args.trace:
-        for idx, sym in enumerate(rec.symbols):
-            records.append({"index": idx + 1, "symbol": sym if isinstance(sym, str) else str(sym)})
+        for idx, sym in enumerate(symbols):
+            records.append({"index": idx + 1, "symbol": sym})
     summary: dict = {
         "symbols": ",".join(symbols),
-        "status": _status_payload(rec.status),
+        "status": rec.status.value,
         "length": len(symbols),
         "refinements": rec.refinements,
         "bits": rec.precision_bits,
-        "matrix": matrix,
+        "matrix": io_formats.format_matrix(rows),
     }
     if args.d_values:
-        summary["d_values"] = d_values
+        summary["d_values"] = [io_formats.format_exact(d) for d in d_values]
     records.append(summary)
     _emit(records, args.format)
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
-        return EXIT_PRECISION
+        return _exhausted(rec)
     return EXIT_OK
 
 
@@ -136,51 +146,27 @@ def _cmd_classify(args) -> int:
 def _cmd_recover(args) -> int:
     _check_bits(args.bits)
     coords = io_formats._parse_coordinates(args.point, args.bits)
-    out: dict = {"steps": args.steps}
-    if len(coords) == 2:
-        point = triangle.Point2(*coords)
-        rec = triangle.sequence(point, args.steps, cap_bits=args.cap_bits)
-        out["status"] = _status_payload(rec.status)
-        if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
-            _emit([out], args.format)
-            return EXIT_PRECISION
-        d_tail = rec.d_history[-3:-1]
-        if rec.terminated and all(isinstance(d, Fraction) for d in d_tail):
-            alpha, beta = matrices.recover_terminated(rec.matrix, *d_tail)
-            out["method"] = "terminated-exact"
-            estimates = (alpha, beta)
-        else:
-            try:
-                estimates = matrices.recover_pair(rec.matrix)
-            except NotYetConvergedError:
-                out["method"] = "estimate"
-                out["converged"] = False
-                _emit([out], args.format)
-                return EXIT_VERIFY if args.strict else EXIT_OK
-            out["method"] = "estimate"
-        out["estimates"] = [str(v) for v in estimates]
-        if all(isinstance(c, Fraction) for c in coords):
-            residual = max(abs(e - c) for e, c in zip(estimates, coords))
-            out["residual"] = str(residual)
+    rec, rows, d_values = _run_sequence(coords, args.steps, args.cap_bits)
+    out: dict = {"steps": args.steps, "status": rec.status.value}
+    if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
+        _emit([out], args.format)
+        return _exhausted(rec)
+    leading = d_values[-len(rows):-1]
+    if rec.terminated and all(isinstance(d, Fraction) for d in leading):
+        out["method"] = "terminated-exact"
+        estimates = matrices.recover_terminated(rows, *leading)
     else:
-        pointn = simplex.PointN(coords)
-        recn = simplex.sequence_nd(pointn, args.steps, cap_bits=args.cap_bits)
-        out["status"] = _status_payload(recn.status)
-        if recn.status is SequenceStatus.PRECISION_EXHAUSTED:
-            _emit([out], args.format)
-            return EXIT_PRECISION
+        out["method"] = "estimate"
         try:
-            estimates = simplex.recover_nd(recn.matrix)
+            estimates = matrices.recover_nd(rows)
         except NotYetConvergedError:
-            out["method"] = "estimate"
             out["converged"] = False
             _emit([out], args.format)
             return EXIT_VERIFY if args.strict else EXIT_OK
-        out["method"] = "estimate"
-        out["estimates"] = [str(v) for v in estimates]
-        if all(isinstance(c, Fraction) for c in coords):
-            residual = max(abs(e - c) for e, c in zip(estimates, coords))
-            out["residual"] = str(residual)
+    out["estimates"] = [str(v) for v in estimates]
+    if all(isinstance(c, Fraction) for c in coords):
+        residual = max(abs(e - c) for e, c in zip(estimates, coords))
+        out["residual"] = str(residual)
     _emit([out], args.format)
     return EXIT_OK
 
@@ -277,7 +263,22 @@ def _verify_identity(args, records: list[dict]) -> int:
     return failures
 
 
+def _fraction_expansion(x: Fraction) -> tuple[int, ...]:
+    """Continued-fraction quotients of x in (0, 1] by plain Fraction arithmetic."""
+    quotients = []
+    while x:
+        x = 1 / x
+        quotients.append(x.numerator // x.denominator)
+        x -= quotients[-1]
+    return tuple(quotients)
+
+
 def _verify_reduction(args, records: list[dict]) -> int:
+    """The n = 2 and n = 1 runs against references that share no code with
+    the engine: the integer remainder recursion and the Fraction expansion.
+    With denominators up to 300 no reference is longer than 13 symbols, so
+    the 60-symbol cap never cuts a run short."""
+    terminated = SequenceStatus.TERMINATED
     rng = random.Random(args.seed)
     failures = 0
     for case in range(args.cases):
@@ -285,17 +286,19 @@ def _verify_reduction(args, records: list[dict]) -> int:
         b = rng.randint(1, den - 1)
         a = rng.randint(b, den - 1)
         alpha, beta = Fraction(a, den), Fraction(b, den)
+        expected = periodicity.rational_termination_check(den, a, b).symbols
         rec2 = triangle.sequence(triangle.Point2(alpha, beta), 60)
         recn = simplex.sequence_nd(simplex.PointN((alpha, beta)), 60)
-        got = tuple(s.k if isinstance(s, simplex.NonNegSymbol) else None for s in recn.symbols)
-        ok = got == rec2.symbols and recn.status is rec2.status
+        ok = (rec2.symbols == tuple(s.k for s in recn.symbols) == expected
+              and rec2.status is recn.status is terminated)
         failures += 0 if ok else 1
         records.append({"suite": "reduction", "case": f"{alpha},{beta}", "ok": ok})
         x = Fraction(rng.randint(1, den - 1), den)
+        expected1 = _fraction_expansion(x)
         g = triangle.gauss_sequence(x, 60)
         r1 = simplex.sequence_nd(simplex.PointN((x,)), 60)
-        got1 = tuple(s.k if isinstance(s, simplex.NonNegSymbol) else None for s in r1.symbols)
-        ok1 = got1 == g.quotients and r1.status is g.status
+        ok1 = (g.quotients == tuple(s.k for s in r1.symbols) == expected1
+               and g.status is r1.status is terminated)
         failures += 0 if ok1 else 1
         records.append({"suite": "reduction", "case": f"gauss {x}", "ok": ok1})
     return failures

@@ -1,6 +1,9 @@
-"""3x3 integer matrices tracking the 2D subdivision sequence.
+"""Integer matrices of the subdivision sequences in every dimension.
 
-The matrix for symbol k is
+A matrix is a tuple of integer rows; the ``mat_*`` helpers do the exact
+arithmetic (products, Bareiss determinants, unimodular inverses, row action)
+for any size.  The step matrix of the nonnegative symbol k in dimension n
+shifts the columns left and appends (1, -1, ..., -1, -k); at n = 2 that is
 
     [ 0  0   1 ]
     [ 1  0  -1 ]
@@ -9,7 +12,8 @@ The matrix for symbol k is
 with determinant one.  The running product after k steps has columns
 (C_{k-2}, C_{k-1}, C_k) satisfying the same three-term recursion as the
 remainders: row-vector times matrix sends (1, alpha, beta) to
-(d_{k-2}, d_{k-1}, d_k).
+(d_{k-2}, d_{k-1}, d_k).  ``IntMatrix`` is the 3x3 view of the planar map
+used by its records.
 """
 
 from __future__ import annotations
@@ -21,7 +25,95 @@ from typing import Iterable, Sequence
 from .errors import InconsistentInputError, NotYetConvergedError
 from .numeric import BigFloat, ExactNumber
 
+Column = tuple[int, ...]
+Matrix = tuple[tuple[int, ...], ...]
 Row = tuple[int, int, int]
+
+
+# helpers for integer matrices of any size ------------------------------------
+
+
+def mat_identity(size: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    size = len(a)
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def mat_from_columns(cols: Sequence[Column]) -> Matrix:
+    size = len(cols[0])
+    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(size))
+
+
+def mat_det(m: Matrix) -> int:
+    """Bareiss fraction-free elimination; exact for integer matrices."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def mat_minor_det(m: Matrix, drop_row: int, drop_col: int) -> int:
+    sub = tuple(
+        tuple(x for j, x in enumerate(row) if j != drop_col)
+        for i, row in enumerate(m)
+        if i != drop_row
+    )
+    if not sub:
+        return 1
+    return mat_det(sub)
+
+
+def mat_inverse_unimodular(m: Matrix) -> Matrix:
+    d = mat_det(m)
+    if d not in (1, -1):
+        raise InconsistentInputError(f"matrix determinant {d} is not a unit")
+    size = len(m)
+    return tuple(
+        tuple(d * (-1) ** (i + j) * mat_minor_det(m, j, i) for j in range(size))
+        for i in range(size)
+    )
+
+
+def mat_apply_row(vec: Sequence, m: Matrix) -> tuple:
+    """Row vector times matrix; entries may be any exact number kind."""
+    size = len(m)
+    return tuple(sum(vec[i] * m[i][j] for i in range(size)) for j in range(size))
+
+
+def mat_step_nonneg(k: int, n: int) -> Matrix:
+    """The (n+1)x(n+1) step matrix of the nonnegative symbol k."""
+    if k < 0:
+        raise ValueError("nonnegative symbol index must be >= 0")
+    size = n + 1
+    last = (1,) + (-1,) * (n - 1) + (-k,)
+    return tuple(
+        tuple(1 if j == i - 1 else 0 for j in range(n)) + (last[i],)
+        for i in range(size)
+    )
+
+
+# the 3x3 view of the planar map ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -30,64 +122,41 @@ class IntMatrix:
 
     @classmethod
     def identity(cls) -> "IntMatrix":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(mat_identity(3))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(cols[j][i] for j in range(3)) for i in range(3)))
+        return cls(mat_from_columns(cols))
 
-    def column(self, j: int) -> tuple[int, int, int]:
+    def column(self, j: int) -> Row:
         return tuple(self.rows[i][j] for i in range(3))
 
-    def columns(self) -> tuple[tuple[int, int, int], ...]:
+    def columns(self) -> tuple[Row, ...]:
         return tuple(self.column(j) for j in range(3))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        a, b = self.rows, other.rows
-        return IntMatrix(tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3))
-            for i in range(3)
-        ))
+        return IntMatrix(mat_mul(self.rows, other.rows))
 
     def det(self) -> int:
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return mat_det(self.rows)
 
     def inverse(self) -> "IntMatrix":
         """Exact integer inverse; requires determinant +-1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise InconsistentInputError(f"matrix determinant {d} is not a unit")
-        (a, b, c), (e, f, g), (h, i, j) = self.rows
-        adj = (
-            (f * j - g * i, c * i - b * j, b * g - c * f),
-            (g * h - e * j, a * j - c * h, c * e - a * g),
-            (e * i - f * h, b * h - a * i, a * f - b * e),
-        )
-        return IntMatrix(tuple(tuple(x * d for x in row) for row in adj))
+        return IntMatrix(mat_inverse_unimodular(self.rows))
 
     def apply_row(self, vec: Sequence) -> tuple:
         """Row vector times matrix; entries may be any exact number kind."""
-        return tuple(
-            sum(vec[i] * self.rows[i][j] for i in range(3))
-            for j in range(3)
-        )
+        return mat_apply_row(vec, self.rows)
 
 
 def step_matrix(k: int) -> IntMatrix:
-    if k < 0:
-        raise ValueError("symbols are nonnegative")
-    return IntMatrix(((0, 0, 1), (1, 0, -1), (0, 1, -k)))
-
-
-def accumulate(m: IntMatrix, k: int) -> IntMatrix:
-    return m @ step_matrix(k)
+    return IntMatrix(mat_step_nonneg(k, 2))
 
 
 def product_matrix(symbols: Iterable[int]) -> IntMatrix:
     m = IntMatrix.identity()
     for k in symbols:
-        m = accumulate(m, k)
+        m = m @ step_matrix(k)
     return m
 
 
@@ -118,7 +187,7 @@ def fundamental_identity_check(alpha: ExactNumber, beta: ExactNumber,
     for k in symbols:
         new = d[-3] - d[-2] - d[-1] * k
         d.append(new)
-        m = accumulate(m, k)
+        m = m @ step_matrix(k)
         if m.det() != 1:
             return False
         route = column_distances(m, alpha, beta)
@@ -128,30 +197,40 @@ def fundamental_identity_check(alpha: ExactNumber, beta: ExactNumber,
     return True
 
 
-def recover_pair(m: IntMatrix) -> tuple[Fraction, Fraction]:
-    """Estimate the starting pair from the last two columns.
+# recovering the start of a run -----------------------------------------------
 
-    The cross product of columns C_{k-1} and C_k is orthogonal to both
-    remainder constraints; normalising its first entry gives the estimate.
-    A zero first entry means the columns do not yet pin down a direction.
+
+def recover_nd(matrix: Matrix) -> tuple[Fraction, ...]:
+    """Estimate the starting coordinates from an accumulated matrix.
+
+    The direction orthogonal to all but the leading column is the vector of
+    signed first-column minors; normalising by the top entry gives estimates
+    for (x_1, ..., x_n).  A zero top minor means not enough contraction yet.
     """
-    u = m.column(1)
-    v = m.column(2)
-    w = (u[1] * v[2] - u[2] * v[1],
-         u[2] * v[0] - u[0] * v[2],
-         u[0] * v[1] - u[1] * v[0])
-    if w[0] == 0:
-        raise NotYetConvergedError("cross product has zero leading entry")
-    return Fraction(w[1], w[0]), Fraction(w[2], w[0])
+    size = len(matrix)
+    minors = [(-1) ** r * mat_minor_det(matrix, r, 0) for r in range(size)]
+    if minors[0] == 0:
+        raise NotYetConvergedError("leading minor is zero")
+    return tuple(Fraction(minors[r], minors[0]) for r in range(1, size))
 
 
-def recover_terminated(m: IntMatrix, d_km2: Fraction, d_km1: Fraction) -> tuple[Fraction, Fraction]:
+def recover_pair(m: IntMatrix) -> tuple[Fraction, Fraction]:
+    """Estimate the starting pair of a planar run; ``recover_nd`` at n = 2."""
+    return recover_nd(m.rows)
+
+
+def recover_terminated(m: IntMatrix | Matrix, *leading: Fraction) -> tuple[Fraction, ...]:
     """Exact recovery for a terminated run from its final matrix and remainders.
 
-    With d_k = 0 the remainder row is (d_{k-2}, d_{k-1}, 0); multiplying by
-    the integer inverse of the accumulated matrix returns (1, alpha, beta).
+    ``leading`` holds the final remainders of every column but the last, which
+    is zero on termination (d_{k-2}, d_{k-1} for the planar map).  The row
+    (leading..., 0) times the integer inverse of the accumulated matrix
+    returns (1, x_1, ..., x_n).
     """
-    row = m.inverse().apply_row((Fraction(d_km2), Fraction(d_km1), Fraction(0)))
+    rows = m.rows if isinstance(m, IntMatrix) else m
+    if len(leading) != len(rows) - 1:
+        raise ValueError(f"need {len(rows) - 1} remainders for a {len(rows)}x{len(rows)} matrix")
+    row = mat_apply_row((*map(Fraction, leading), Fraction(0)), mat_inverse_unimodular(rows))
     if row[0] != 1:
         raise InconsistentInputError("remainders are inconsistent with the matrix")
-    return row[1], row[2]
+    return row[1:]

@@ -55,11 +55,6 @@ class SequenceStatus(str, enum.Enum):
     PRECISION_EXHAUSTED = "precision-exhausted"
 
 
-def _floor_div(num: int, den: int) -> int:
-    # Python's // already floors for negative numerators.
-    return num // den
-
-
 def _round_out(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
     """Outward-round a rational interval to the 2**-prec grid."""
     scale = 1 << prec

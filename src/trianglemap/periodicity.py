@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import matrices, polynomials, simplex
+from . import polynomials, simplex
 from .elimination import eliminant_from_portion, fixed_direction_polynomials
 from .errors import DegenerateInputError
+from .matrices import mat_inverse_unimodular, mat_mul
 from .numeric import BigFloat, ExactNumber, RootSpec, refine_root
 from .polynomials import IntPolynomial
 from .triangle import Point2
@@ -50,10 +51,11 @@ def detect_period(symbols: Sequence, min_repetitions: int = 2) -> PeriodReport |
 
 
 def period_one_poly(k: int) -> IntPolynomial:
-    """x**3 + k*x**2 + x - 1, whose (0,1) root drives the constant-k stream."""
-    if k < 0:
-        raise ValueError("symbols are nonnegative")
-    return IntPolynomial((-1, 1, k, 1))
+    """x**3 + k*x**2 + x - 1, whose (0,1) root drives the constant-k stream.
+
+    This is ``fixed_point_poly`` at n = 2.
+    """
+    return fixed_point_poly(2, k)
 
 
 def fixed_point_poly(n: int, k: int) -> IntPolynomial:
@@ -125,35 +127,29 @@ def rational_termination_check(p: int, q: int, r: int) -> TerminationRecord:
     return TerminationRecord(tuple(symbols), tuple(d))
 
 
-def portion_2d(symbols: Sequence[int], later: int, earlier: int) -> matrices.IntMatrix:
-    """M_later * M_earlier**-1 as an exact integer matrix."""
-    if not 0 <= earlier < later <= len(symbols):
-        raise ValueError("need 0 <= earlier < later <= len(symbols)")
-    m_later = matrices.product_matrix(symbols[:later])
-    m_earlier = matrices.product_matrix(symbols[:earlier])
-    return m_later @ m_earlier.inverse()
-
-
 def derive_cubic(symbols: Sequence[int], later: int, earlier: int) -> IntPolynomial:
     """Integer polynomial annihilating the first coordinate of a periodic start.
 
-    Interprets the stream as repeating between positions earlier and later,
-    forms the matrix portion between them, and eliminates the second
-    coordinate from the fixed-direction system.  Constant-k streams give
-    exactly the constant-k cubic.
+    Interprets the planar stream as repeating between positions earlier and
+    later and eliminates the second coordinate: ``eliminant_nd`` at n = 2.
+    Constant-k streams give exactly the constant-k cubic.
     """
-    q = portion_2d(symbols, later, earlier)
-    return eliminant_from_portion(q.rows, 2)
+    return eliminant_nd([simplex.NonNegSymbol(k) for k in symbols], 2, later, earlier)
 
 
 def eliminant_nd(symbols: Sequence[simplex.SymbolND], n: int,
                  later: int, earlier: int) -> IntPolynomial:
-    """Dimension-n analogue of derive_cubic via iterated resultants."""
+    """Eliminant of a stream repeating between positions earlier and later.
+
+    Forms the matrix portion between the two positions and eliminates all
+    coordinates but the first from its fixed-direction system by iterated
+    resultants.
+    """
     if not 0 <= earlier < later <= len(symbols):
         raise ValueError("need 0 <= earlier < later <= len(symbols)")
     m_later = simplex.product_matrix_nd(symbols[:later], n)
     m_earlier = simplex.product_matrix_nd(symbols[:earlier], n)
-    q = simplex.mat_mul(m_later, simplex.mat_inverse_unimodular(m_earlier))
+    q = mat_mul(m_later, mat_inverse_unimodular(m_earlier))
     return eliminant_from_portion(q, n)
 
 
@@ -177,11 +173,8 @@ def power_basis_evidence(n: int, k: int) -> dict:
     fixed_point_poly(n, k) annihilates it: the gcd with the squarefree part
     must change sign across (0, 1).  Also records outright divisibility.
     """
-    sym = simplex.NonNegSymbol(k)
-    m1 = simplex.product_matrix_nd([sym], n)
-    m2 = simplex.product_matrix_nd([sym, sym], n)
-    q = simplex.mat_mul(m2, simplex.mat_inverse_unimodular(m1))
-    eqs = fixed_direction_polynomials(q, n)
+    # the one-step portion M_2 * M_1**-1 of a constant stream is its step matrix
+    eqs = fixed_direction_polynomials(simplex.step_matrix_nd(simplex.NonNegSymbol(k), n), n)
     target = fixed_point_poly(n, k)
     reduced = polynomials.squarefree_part(target)
     hits: list[bool] = []

@@ -15,8 +15,10 @@ nonnegative family fires and the scheme reduces to the 2D wedges; at n = 1 it
 reduces to the classical continued-fraction step.  The engine keeps n+1 exact
 integer columns whose dot products with (1, x_1, ..., x_n) are the remainder
 values; every branch is a certified sign or floor query on those forms, with
-on-demand refinement for root-backed inputs, exactly as in the 2D module (the
-two engines are deliberately independent implementations).
+on-demand refinement for root-backed inputs.  This is the package's only
+sequence loop: the planar ``triangle.sequence`` (n = 2) and the continued
+fraction ``triangle.gauss_sequence`` (n = 1) run it too and only keep their
+own domain checks and records.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DegenerateInputError,
-    InconsistentInputError,
-    NotYetConvergedError,
-    PrecisionExhaustedError,
-)
+from .errors import DegenerateInputError, PrecisionExhaustedError
+# the mat_* helpers and recover_nd stay importable from this module
+from .matrices import (Column, Matrix, mat_apply_row, mat_det, mat_from_columns,
+                       mat_identity, mat_inverse_unimodular, mat_minor_det, mat_mul,
+                       mat_step_nonneg, recover_nd)
 from .numeric import (
-    BigFloat,
     ExactNumber,
     FormEvaluator,
     RootSpec,
@@ -41,9 +41,6 @@ from .numeric import (
     Sign,
     root_powers,
 )
-
-Column = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
 
 
 # symbols ------------------------------------------------------------------
@@ -94,110 +91,31 @@ class PointN:
         return cls(root_powers(spec, n, precision))
 
 
-# integer matrix helpers (kept local: the 2D module is a separate route) -----
-
-
-def mat_identity(size: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size))
-        for i in range(size)
-    )
-
-
-def mat_from_columns(cols: Sequence[Column]) -> Matrix:
-    size = len(cols[0])
-    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(size))
-
-
-def mat_det(m: Matrix) -> int:
-    """Bareiss fraction-free elimination; exact for integer matrices."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def mat_minor_det(m: Matrix, drop_row: int, drop_col: int) -> int:
-    sub = tuple(
-        tuple(x for j, x in enumerate(row) if j != drop_col)
-        for i, row in enumerate(m)
-        if i != drop_row
-    )
-    if not sub:
-        return 1
-    return mat_det(sub)
-
-
-def mat_inverse_unimodular(m: Matrix) -> Matrix:
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise InconsistentInputError(f"matrix determinant {d} is not a unit")
-    size = len(m)
-    return tuple(
-        tuple(d * (-1) ** (i + j) * mat_minor_det(m, j, i) for j in range(size))
-        for i in range(size)
-    )
-
-
-def mat_apply_row(vec: Sequence, m: Matrix) -> tuple:
-    size = len(m)
-    return tuple(sum(vec[i] * m[i][j] for i in range(size)) for j in range(size))
+# step matrices -------------------------------------------------------------
 
 
 def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
     """The (n+1)x(n+1) integer matrix whose row action performs one d-update."""
+    if isinstance(symbol, NonNegSymbol):
+        return mat_step_nonneg(symbol.k, n)
+    i, j = symbol.i, symbol.j
+    if not (1 <= i < j <= n):
+        raise ValueError(f"bad pair symbol ({i},{j})")
     size = n + 1
     cols: list[list[int]] = []
-    if isinstance(symbol, NonNegSymbol):
-        if symbol.k < 0:
-            raise ValueError("nonnegative symbol index must be >= 0")
-        for c in range(n):
-            col = [0] * size
-            col[c + 1] = 1
-            cols.append(col)
-        last = [0] * size
-        last[0] = 1
-        for u in range(1, n):
-            last[u] = -1
-        last[n] = -symbol.k
-        cols.append(last)
-    else:
-        i, j = symbol.i, symbol.j
-        if not (1 <= i < j <= n):
-            raise ValueError(f"bad pair symbol ({i},{j})")
-        for c in range(j):
-            col = [0] * size
-            col[c + 1] = 1
-            cols.append(col)
-        mid = [0] * size
-        mid[0] = 1
-        for u in range(1, i + 1):
-            mid[u] = -1
-        cols.append(mid)
-        for c in range(j + 1, size):
-            col = [0] * size
-            col[c] = 1
-            cols.append(col)
+    for c in range(j):
+        col = [0] * size
+        col[c + 1] = 1
+        cols.append(col)
+    mid = [0] * size
+    mid[0] = 1
+    for u in range(1, i + 1):
+        mid[u] = -1
+    cols.append(mid)
+    for c in range(j + 1, size):
+        col = [0] * size
+        col[c] = 1
+        cols.append(col)
     return mat_from_columns(cols)
 
 
@@ -245,7 +163,7 @@ def _require_domain_nd(ev: FormEvaluator, n: int) -> None:
 
 
 class _Engine:
-    """Shared branch logic over a set of integer columns."""
+    """The certified sequence loop over a set of integer columns, for every n."""
 
     def __init__(self, ev: FormEvaluator, n: int):
         self.ev = ev
@@ -254,6 +172,7 @@ class _Engine:
         self.cols: list[Column] = [
             tuple(1 if i == j else 0 for i in range(size)) for j in range(size)
         ]
+        self.status: SequenceStatus | None = None
 
     def slack_col(self, i: int) -> Column:
         """Column form of q_i scaled by the leading remainder (i coords subtracted)."""
@@ -272,7 +191,9 @@ class _Engine:
         """One certified branch decision: the symbol and the inserted column."""
         ev, n = self.ev, self.n
         s0_col = self.slack_col(n - 1)
-        s0 = ev.certified_sign(s0_col)
+        # pair regions exist only from n = 3; below that the slack is
+        # nonnegative on the whole domain, so its sign needs no query
+        s0 = ev.certified_sign(s0_col) if n >= 3 else Sign.POSITIVE
         if s0 is Sign.AMBIGUOUS:
             raise PrecisionExhaustedError("slack sign is ambiguous")
         if s0 in (Sign.POSITIVE, Sign.ZERO):
@@ -341,6 +262,44 @@ class _Engine:
             j = symbol.j
             self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
 
+    def run(self, max_len: int) -> Iterator[SymbolND]:
+        """Yield up to max_len certified symbols, each once its column is pushed.
+
+        Callers read what their records keep from ``cols`` between symbols, at
+        the precision of that step.  When the run stops, ``status`` says why:
+        an exact zero last remainder, max_len, or a branch that could not be
+        certified.
+        """
+        ev, n = self.ev, self.n
+        for _ in range(max_len):
+            # below n = 3 the leading remainder is the seed 1 or an earlier
+            # last remainder, which was certified positive then
+            if n >= 3:
+                s_lead = ev.certified_sign(self.cols[0])
+                if s_lead is Sign.AMBIGUOUS:
+                    self.status = SequenceStatus.PRECISION_EXHAUSTED
+                    return
+                if s_lead is not Sign.POSITIVE:
+                    raise AssertionError("leading remainder lost positivity")
+            s_last = ev.certified_sign(self.cols[n])
+            if s_last is Sign.ZERO:
+                self.status = SequenceStatus.TERMINATED
+                return
+            if s_last is Sign.AMBIGUOUS:
+                self.status = SequenceStatus.PRECISION_EXHAUSTED
+                return
+            if s_last is Sign.NEGATIVE:
+                raise AssertionError("smallest remainder certified negative")
+            try:
+                symbol, inserted = self.classify_once()
+            except PrecisionExhaustedError:
+                self.status = SequenceStatus.PRECISION_EXHAUSTED
+                return
+            self.push(symbol, inserted)
+            yield symbol
+        s_last = ev.certified_sign(self.cols[n])
+        self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
+
 
 @dataclass(frozen=True)
 class SequenceRecordN:
@@ -374,59 +333,17 @@ def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> 
     eng = _Engine(ev, n)
     symbols: list[SymbolND] = []
     d_hist: list[tuple[ExactNumber, ...]] = [tuple(ev.materialize(c) for c in eng.cols)]
-    status = None
-
-    while len(symbols) < max_len:
-        s_lead = ev.certified_sign(eng.cols[0])
-        if s_lead is Sign.AMBIGUOUS:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        if s_lead is not Sign.POSITIVE:
-            raise AssertionError("leading remainder lost positivity")
-        s_last = ev.certified_sign(eng.cols[n])
-        if s_last is Sign.ZERO:
-            status = SequenceStatus.TERMINATED
-            break
-        if s_last is Sign.AMBIGUOUS:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        if s_last is Sign.NEGATIVE:
-            raise AssertionError("smallest remainder certified negative")
-        try:
-            symbol, inserted = eng.classify_once()
-        except PrecisionExhaustedError:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        eng.push(symbol, inserted)
+    for symbol in eng.run(max_len):
         symbols.append(symbol)
         d_hist.append(tuple(ev.materialize(c) for c in eng.cols))
-
-    if status is None:
-        s_last = ev.certified_sign(eng.cols[n])
-        status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
-
     return SequenceRecordN(
         symbols=tuple(symbols),
         d_history=tuple(d_hist),
-        status=status,
+        status=eng.status,
         matrix=mat_from_columns(eng.cols),
         refinements=ev.refinements,
         precision_bits=ev.bits,
     )
-
-
-def recover_nd(matrix: Matrix) -> tuple[Fraction, ...]:
-    """Estimate the starting coordinates from an accumulated matrix.
-
-    The direction orthogonal to all but the leading column is the vector of
-    signed first-column minors; normalising by the top entry gives estimates
-    for (x_1, ..., x_n).  A zero top minor means not enough contraction yet.
-    """
-    size = len(matrix)
-    minors = [(-1) ** r * mat_minor_det(matrix, r, 0) for r in range(size)]
-    if minors[0] == 0:
-        raise NotYetConvergedError("leading minor is zero")
-    return tuple(Fraction(minors[r], minors[0]) for r in range(1, size))
 
 
 # regions, membership, decomposition audit -----------------------------------

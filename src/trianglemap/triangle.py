@@ -5,24 +5,24 @@ beta = 0 is tolerated by ``sequence``, which then terminates immediately).
 The map splits the triangle into wedges indexed by k = floor((1-alpha)/beta)
 and sends a point of wedge k to (beta/alpha, (1-alpha-k*beta)/alpha).
 
-Sequences are computed without iterating the map itself: the engine maintains
-three integer lattice columns whose dot products with (1, alpha, beta) are the
-current remainders.  All branch decisions are certified sign and floor queries
-on those integer forms, so the only rounding error in play is the width of
-the input enclosures times an integer norm; root-backed inputs refine
-themselves on demand when a decision would otherwise be ambiguous.
+Sequences are computed without iterating the map itself: they run the
+simplex engine at n = 2 (``sequence``) and n = 1 (``gauss_sequence``), which
+keeps integer lattice columns whose dot products with (1, alpha, beta) are
+the current remainders.  All branch decisions are certified sign and floor
+queries on those integer forms, so the only rounding error in play is the
+width of the input enclosures times an integer norm; root-backed inputs
+refine themselves on demand when a decision would otherwise be ambiguous.
+This module keeps the planar domain checks and records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence as SequenceType
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import IntMatrix
 from .numeric import (
-    BigFloat,
     ExactNumber,
     FormEvaluator,
     RootSpec,
@@ -30,8 +30,7 @@ from .numeric import (
     Sign,
     root_powers,
 )
-
-Column = tuple[int, int, int]
+from .simplex import _Engine
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,6 @@ class SequenceRecord:
         return self.status is SequenceStatus.TERMINATED
 
 
-def _col_sub(a: Column, b: Column) -> Column:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _col_addmul(a: Column, c: int, b: Column) -> Column:
-    return (a[0] + c * b[0], a[1] + c * b[1], a[2] + c * b[2])
-
-
-def _form(col: Column) -> tuple[int, int, int]:
-    # a column is already the coefficient vector of c0 + c1*alpha + c2*beta
-    return col
-
-
 def _require_domain(ev: FormEvaluator, *, strict_beta: bool) -> None:
     checks = [
         ((1, -1, 0), "alpha exceeds 1"),
@@ -99,15 +85,7 @@ def _require_domain(ev: FormEvaluator, *, strict_beta: bool) -> None:
 
 def _classify(ev: FormEvaluator) -> int:
     _require_domain(ev, strict_beta=True)
-    k = ev.certified_floor((1, -1, 0), (0, 0, 1))
-    # verify both boundary tests rather than trusting the floor alone
-    s_in = ev.certified_sign((1, -1, -k))
-    s_out = ev.certified_sign((1, -1, -(k + 1)))
-    if s_in is Sign.AMBIGUOUS or s_out is Sign.AMBIGUOUS:
-        raise PrecisionExhaustedError("wedge boundary test is ambiguous")
-    if s_in is Sign.NEGATIVE or s_out is not Sign.NEGATIVE:
-        raise AssertionError("certified floor contradicts boundary signs")
-    return k
+    return _Engine(ev, 2).classify_once()[0].k
 
 
 def classify(point: Point2, *, cap_bits: int | None = None) -> int:
@@ -141,50 +119,17 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
         raise ValueError("max_len must be nonnegative")
     ev = FormEvaluator([point.alpha, point.beta], cap_bits=cap_bits)
     _require_domain(ev, strict_beta=False)
-
-    cols: list[Column] = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    eng = _Engine(ev, 2)
     symbols: list[int] = []
-    d_hist: list[ExactNumber] = [ev.materialize(c) for c in cols]
-    status = None
-
-    while len(symbols) < max_len:
-        s_last = ev.certified_sign(_form(cols[2]))
-        if s_last is Sign.ZERO:
-            status = SequenceStatus.TERMINATED
-            break
-        if s_last is Sign.AMBIGUOUS:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        if s_last is Sign.NEGATIVE:
-            raise AssertionError("remainder certified negative")
-        t = _col_sub(cols[0], cols[1])
-        try:
-            a = ev.certified_floor(t, cols[2])
-        except PrecisionExhaustedError:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        g1 = _col_addmul(t, -a, cols[2])
-        g2 = _col_sub(g1, cols[2])
-        s1 = ev.certified_sign(_form(g1))
-        s2 = ev.certified_sign(_form(g2))
-        if s1 is Sign.AMBIGUOUS or s2 is Sign.AMBIGUOUS:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        if s1 is Sign.NEGATIVE or s2 is not Sign.NEGATIVE:
-            raise AssertionError("certified floor contradicts boundary signs")
-        symbols.append(a)
-        d_hist.append(ev.materialize(g1))
-        cols = [cols[1], cols[2], g1]
-
-    if status is None:
-        s_last = ev.certified_sign(_form(cols[2]))
-        status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
-
+    d_hist: list[ExactNumber] = [ev.materialize(c) for c in eng.cols]
+    for symbol in eng.run(max_len):
+        symbols.append(symbol.k)
+        d_hist.append(ev.materialize(eng.cols[2]))
     return SequenceRecord(
         symbols=tuple(symbols),
         d_history=tuple(d_hist),
-        status=status,
-        matrix=IntMatrix.from_columns(cols),
+        status=eng.status,
+        matrix=IntMatrix.from_columns(eng.cols),
         refinements=ev.refinements,
         precision_bits=ev.bits,
     )
@@ -200,9 +145,10 @@ class GaussRecord:
 def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None) -> GaussRecord:
     """Classical continued fraction of x in (0, 1], for comparison runs.
 
-    The state is a linear-fractional form with integer coefficients, so the
-    certified machinery (and on-demand refinement for root-backed input)
-    applies exactly as in the 2D engine.
+    This is the simplex engine at n = 1: its two columns are the integer
+    forms of the previous and the current remainder, so the certified
+    machinery (and on-demand refinement for root-backed input) applies
+    exactly as in the 2D map.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -218,31 +164,10 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     if s is Sign.AMBIGUOUS:
         raise PrecisionExhaustedError("cannot certify x <= 1")
 
-    num = (0, 1)   # coefficients of the current remainder value
-    den = (1, 0)   # coefficients of its reciprocal partner
+    eng = _Engine(ev, 1)
     quotients: list[int] = []
-    remainders: list[ExactNumber] = [ev.materialize(num)]
-    status = None
-
-    while len(quotients) < max_len:
-        s_num = ev.certified_sign(num)
-        if s_num is Sign.ZERO:
-            status = SequenceStatus.TERMINATED
-            break
-        if s_num is Sign.AMBIGUOUS:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        try:
-            a = ev.certified_floor(den, num)
-        except PrecisionExhaustedError:
-            status = SequenceStatus.PRECISION_EXHAUSTED
-            break
-        quotients.append(a)
-        num, den = (den[0] - a * num[0], den[1] - a * num[1]), num
-        remainders.append(ev.materialize(num))
-
-    if status is None:
-        s_num = ev.certified_sign(num)
-        status = SequenceStatus.TERMINATED if s_num is Sign.ZERO else SequenceStatus.TRUNCATED
-
-    return GaussRecord(tuple(quotients), tuple(remainders), status)
+    remainders: list[ExactNumber] = [ev.materialize(eng.cols[1])]
+    for symbol in eng.run(max_len):
+        quotients.append(symbol.k)
+        remainders.append(ev.materialize(eng.cols[1]))
+    return GaussRecord(tuple(quotients), tuple(remainders), eng.status)

@@ -22,6 +22,7 @@ from trianglemap.periodicity import (
     period_one_point,
     period_one_poly,
     period_one_root,
+    rational_termination_check,
 )
 from trianglemap.polynomials import divides
 from trianglemap.realization import realize
@@ -35,6 +36,16 @@ from trianglemap.simplex import (
     step_matrix_nd,
 )
 from trianglemap.triangle import Point2, gauss_sequence, sequence
+
+
+def _fraction_expansion(x):
+    """Continued-fraction quotients of x in (0, 1] by stdlib Fraction arithmetic."""
+    quotients = []
+    while x:
+        x = 1 / x
+        quotients.append(x.numerator // x.denominator)
+        x -= quotients[-1]
+    return tuple(quotients)
 
 
 def _random_domain_pair(rng, max_den):
@@ -150,22 +161,31 @@ def test_criterion_07_subdivision_audit():
 
 
 def test_criterion_08_reductions():
+    # both entry points of each dimension against references that share no
+    # code with the engine
     rng = random.Random(1008)
     for _ in range(100):
         den = rng.randint(2, 10 ** 3)
         x = Fraction(rng.randint(1, den - 1), den)
+        expected = _fraction_expansion(x)
         g = gauss_sequence(x, 10 ** 6)
         r = sequence_nd(PointN((x,)), 10 ** 6)
-        assert tuple(s.k for s in r.symbols) == g.quotients, x
-        assert r.status is g.status
+        assert g.quotients == expected, x
+        assert tuple(s.k for s in r.symbols) == expected, x
+        assert g.status is r.status is SequenceStatus.TERMINATED
     for _ in range(1000):
         alpha, beta = _random_domain_pair(rng, 10 ** 3)
+        scale = math.lcm(alpha.denominator, beta.denominator)
+        trace = rational_termination_check(scale, int(alpha * scale), int(beta * scale))
         rec2 = sequence(Point2(alpha, beta), 10 ** 6)
         recn = sequence_nd(PointN((alpha, beta)), 10 ** 6)
-        assert tuple(s.k for s in recn.symbols) == rec2.symbols, (alpha, beta)
-        assert recn.status is rec2.status
-    print("PASS 8: dimension-1 runs equal continued fractions (100 cases);"
-          " dimension-2 engine matches the planar one (1000 cases)")
+        assert rec2.symbols == trace.symbols, (alpha, beta)
+        assert tuple(s.k for s in recn.symbols) == trace.symbols, (alpha, beta)
+        assert tuple(d * scale for d in rec2.d_history) == trace.d_values
+        assert rec2.status is recn.status is SequenceStatus.TERMINATED
+    print("PASS 8: dimension-1 runs equal the Fraction continued-fraction"
+          " expansion (100 cases); dimension-2 runs equal the integer"
+          " remainder recursion (1000 cases)")
 
 
 def test_criterion_09_fixed_direction_evidence():

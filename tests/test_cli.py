@@ -65,6 +65,31 @@ def test_recover_terminated_exact(capsys):
     assert rec["residual"] == "0"
 
 
+def test_recover_terminated_exact_nd(capsys):
+    # a terminated run in any dimension recovers its start exactly
+    code, lines, _ = run(capsys, "recover", "--point", "1/2,1/3,1/5", "--steps", "50")
+    assert code == 0
+    rec = lines[-1]
+    assert rec["status"] == "terminated"
+    assert rec["method"] == "terminated-exact"
+    assert rec["estimates"] == ["1/2", "1/3", "1/5"]
+    assert rec["residual"] == "0"
+
+
+def test_precision_exhausted_is_explained(capsys):
+    # (1 - 0.6)/0.4 is exactly 1, but decimal input has no exact-zero route
+    for argv in (("seq", "--point", "dec:0.5,0.3:64"),
+                 ("recover", "--point", "dec:0.5,0.3:64")):
+        code, lines, err = run(capsys, *argv)
+        assert code == 2
+        assert lines[-1]["status"] == "precision-exhausted"
+        assert json.loads(err) == {
+            "error": "precision-exhausted",
+            "detail": "1 symbol(s) certified; the next branch is undecidable"
+                      " at 64 working bits",
+        }
+
+
 def test_recover_estimate(capsys):
     code, lines, _ = run(capsys, "recover", "--point", "root:-1,1,1,1:0,1:pow2",
                          "--steps", "40")

@@ -103,6 +103,17 @@ def test_recover_terminated_round_trip(pair):
     assert got == (alpha, beta)
 
 
+def test_recover_terminated_any_size():
+    from trianglemap.simplex import PointN, sequence_nd
+    for coords in ((Fraction(7, 16),), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+                   (Fraction(9, 10), Fraction(7, 10), Fraction(1, 2), Fraction(1, 5))):
+        rec = sequence_nd(PointN(coords), 100)
+        assert rec.terminated
+        assert recover_terminated(rec.matrix, *rec.d_history[-1][:-1]) == coords
+    with pytest.raises(ValueError):
+        recover_terminated(product_matrix((1,)), Fraction(1))
+
+
 def test_apply_row_duck_typed():
     m = product_matrix((2,))
     row = m.apply_row((1, Fraction(1, 2), Fraction(1, 3)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.numeric import SequenceStatus
-from trianglemap.periodicity import fixed_point_nd
+from trianglemap.periodicity import fixed_point_nd, rational_termination_check
 from trianglemap.simplex import (
     NonNegSymbol,
     PairSymbol,
@@ -109,23 +109,51 @@ domain_pairs = st.integers(2, 200).flatmap(
         lambda ab: (Fraction(max(ab), den), Fraction(min(ab), den))))
 
 
+def _fraction_expansion(x):
+    """Continued-fraction quotients of x in (0, 1] by stdlib Fraction arithmetic."""
+    quotients = []
+    while x:
+        x = 1 / x
+        quotients.append(x.numerator // x.denominator)
+        x -= quotients[-1]
+    return tuple(quotients)
+
+
 @given(domain_pairs)
 @settings(max_examples=40)
 def test_n2_reduction(pair):
+    # both n = 2 entry points against the integer remainder recursion; with
+    # denominators up to 300 it never needs more than 13 symbols
+    scale = pair[0].denominator * pair[1].denominator
+    trace = rational_termination_check(scale, int(pair[0] * scale), int(pair[1] * scale))
     rec2 = sequence(Point2(*pair), 80)
     recn = sequence_nd(PointN(pair), 80)
-    assert tuple(s.k for s in recn.symbols) == rec2.symbols
-    assert recn.status is rec2.status
+    assert rec2.symbols == trace.symbols
+    assert tuple(s.k for s in recn.symbols) == trace.symbols
+    assert rec2.status is recn.status is SequenceStatus.TERMINATED
+    d = [Fraction(v, scale) for v in trace.d_values]
+    assert rec2.d_history == tuple(d)
+    assert recn.d_history == tuple(tuple(d[t:t + 3]) for t in range(len(d) - 2))
 
 
 @given(st.integers(2, 300).flatmap(
     lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den))))
 @settings(max_examples=40)
 def test_n1_reduction_to_gauss(x):
+    # both n = 1 entry points against the stdlib Fraction expansion
+    expected = _fraction_expansion(x)
     g = gauss_sequence(x, 80)
     rec = sequence_nd(PointN((x,)), 80)
-    assert tuple(s.k for s in rec.symbols) == g.quotients
-    assert rec.status is g.status
+    assert g.quotients == expected
+    assert tuple(s.k for s in rec.symbols) == expected
+    assert g.status is rec.status is SequenceStatus.TERMINATED
+    # Gauss keeps x and then each Euclidean remainder, over the denominator
+    a, b = x.denominator, x.numerator
+    rems = [b]
+    while b:
+        a, b = b, a % b
+        rems.append(b)
+    assert g.remainders == tuple(Fraction(r, x.denominator) for r in rems)
 
 
 def test_recover_nd_estimates():

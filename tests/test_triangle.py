@@ -69,6 +69,14 @@ def test_sequence_corner():
     assert rec.d_history == (1, 1, 1, 0)
 
 
+def test_sequence_lower_edge_terminates_at_once():
+    # beta = 0 is outside the open simplex but inside the planar domain
+    rec = sequence(Point2(Fraction(1, 2), Fraction(0)), 10)
+    assert rec.symbols == ()
+    assert rec.status is SequenceStatus.TERMINATED
+    assert rec.d_history == (1, Fraction(1, 2), 0)
+
+
 def test_sequence_truncates():
     spec_pt = Point2.from_root(CUBIC1, 256)
     rec = sequence(spec_pt, 12)
