@@ -7,6 +7,12 @@ Two value kinds flow through the package:
   integer multiples of ``2**-prec``, certified to contain the real number it
   stands for.  Operations are pure and round outward, so enclosures never lie.
 
+Those are the kinds of inputs and results.  Certified evaluation itself is
+integer arithmetic: ``FormEvaluator`` puts every coordinate of a point on one
+shared integer scale, so a sign is an integer comparison and a floor an
+integer division, and root bisection evaluates its polynomial on integer
+numerators over a power-of-two scale.
+
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
 bisection that produced it.  Certified queries made through ``FormEvaluator``
@@ -29,6 +35,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from . import polynomials
@@ -61,6 +68,11 @@ def _round_out(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
     lo_num = (lo.numerator * scale) // lo.denominator
     hi_num = -((-hi.numerator * scale) // hi.denominator)
     return lo_num, hi_num
+
+
+def _round_out_scaled(lo: int, hi: int, scale: int, prec: int) -> tuple[int, int]:
+    """Outward-round the interval [lo, hi] / scale to the 2**-prec grid."""
+    return (lo << prec) // scale, -((-hi << prec) // scale)
 
 
 @dataclass(frozen=True)
@@ -264,8 +276,9 @@ def sign_of(x) -> Sign:
 class RootSpec:
     """A real algebraic number: polynomial plus open isolating interval.
 
-    The interval endpoints must not be roots and the polynomial must change
-    sign across them; the caller asserts the root inside is unique.
+    The interval endpoints must not be roots, the polynomial must change sign
+    across them, and the open interval must hold exactly one distinct root
+    (counted with a Sturm sequence).
     """
 
     poly: IntPolynomial
@@ -283,23 +296,48 @@ class RootSpec:
             raise DegenerateInputError("isolating interval endpoint is a root")
         if (flo < 0) == (fhi < 0):
             raise DegenerateInputError("polynomial does not change sign across the interval")
+        roots = polynomials.count_roots(self.poly, self.low, self.high)
+        if roots != 1:
+            raise DegenerateInputError(f"isolating interval holds {roots} distinct roots, not one")
 
 
 class _RootEnclosure:
     """Mutable bisection state shared by every power of one root.
 
+    The interval is ``[lo_num, hi_num] / scale`` with ``scale = den << shift``,
+    ``den`` the lcm of the spec's endpoint denominators: each bisection step
+    adds one bit to ``shift``, so midpoints are plain integer sums and the
+    polynomial's sign at one comes from homogenised Horner on integers.
+
     Tightening is caching, not mutation of the value: the root is fixed, the
     interval around it only ever shrinks.  Not thread-safe.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_neg_low", "_squarefree")
+    __slots__ = ("poly", "den", "shift", "lo_num", "hi_num", "_homog", "_neg_low", "_squarefree")
 
     def __init__(self, spec: RootSpec):
         self.poly = spec.poly
-        self.lo = spec.low
-        self.hi = spec.high
+        self.den = math.lcm(spec.low.denominator, spec.high.denominator)
+        self.shift = 0
+        self.lo_num = spec.low.numerator * (self.den // spec.low.denominator)
+        self.hi_num = spec.high.numerator * (self.den // spec.high.denominator)
+        d = spec.poly.degree
+        # c_i * den**(d - i), constant first: Q**d * p(m / Q) at Q = den
+        self._homog = tuple(c * self.den ** (d - i) for i, c in enumerate(spec.poly.coeffs))
         self._neg_low = spec.poly.evaluate(spec.low) < 0
         self._squarefree: IntPolynomial | None = None
+
+    @property
+    def scale(self) -> int:
+        return self.den << self.shift
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.scale)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.scale)
 
     @property
     def squarefree(self) -> IntPolynomial:
@@ -307,18 +345,32 @@ class _RootEnclosure:
             self._squarefree = polynomials.squarefree_part(self.poly)
         return self._squarefree
 
+    def _scaled_value(self, m: int, shift: int) -> int:
+        """(den << shift)**d * p(m / (den << shift)): same sign as p there."""
+        h = self._homog
+        d = len(h) - 1
+        acc = h[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * m + (h[i] << (shift * (d - i)))
+        return acc
+
     def refine_below(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            v = self.poly.evaluate(mid)
+        lo, hi, shift = self.lo_num, self.hi_num, self.shift
+        # hi - lo > width, with both sides over den << shift
+        wd, wn = width.denominator, width.numerator * self.den
+        while (hi - lo) * wd > wn << shift:
+            mid = lo + hi
+            shift += 1
+            v = self._scaled_value(mid, shift)
             if v == 0:
                 # landed exactly on the root: enclosure collapses to a rational
-                self.lo = self.hi = mid
-                return
+                lo = hi = mid
+                break
             if (v < 0) == self._neg_low:
-                self.lo = mid
+                lo, hi = mid, hi << 1
             else:
-                self.hi = mid
+                lo, hi = lo << 1, mid
+        self.lo_num, self.hi_num, self.shift = lo, hi, shift
 
 
 class _RootPower:
@@ -332,29 +384,27 @@ class _RootPower:
         self.enclosure = enclosure
         self.power = power
 
-    def _powered(self) -> tuple[Fraction, Fraction]:
-        lo, hi = self.enclosure.lo, self.enclosure.hi
-        a, b = lo ** self.power, hi ** self.power
-        m, big = min(a, b), max(a, b)
-        if self.power % 2 == 0 and lo < 0 < hi:
-            m = Fraction(0)
-        return m, big
-
-    def bounds_at(self, bits: int) -> tuple[Fraction, Fraction]:
-        target = Fraction(1, 1 << (bits + 2))
-        width = target
-        while True:
-            self.enclosure.refine_below(width)
-            m, big = self._powered()
-            if big - m <= target or self.enclosure.lo == self.enclosure.hi:
-                return m, big
-            width /= 2
+    def _powered(self) -> tuple[int, int, int]:
+        """Integer bounds ``(low, high, scale)`` of root**power, over ``scale``."""
+        enc, p = self.enclosure, self.power
+        lo, hi = enc.lo_num, enc.hi_num
+        a, b = lo ** p, hi ** p
+        m, big = (a, b) if a <= b else (b, a)
+        if p % 2 == 0 and lo < 0 < hi:
+            m = 0
+        return m, big, enc.den ** p << (enc.shift * p)
 
     def as_bigfloat(self, bits: int) -> BigFloat:
-        m, big = self.bounds_at(bits)
         prec = bits + 2
-        lo_num, hi_num = _round_out(m, big, prec)
-        return BigFloat(lo_num, hi_num, prec, source=self)
+        enc = self.enclosure
+        width = Fraction(1, 1 << prec)
+        while True:
+            enc.refine_below(width)
+            m, big, scale = self._powered()
+            if (big - m) << prec <= scale or enc.lo_num == enc.hi_num:
+                break
+            width /= 2
+        return BigFloat(*_round_out_scaled(m, big, scale, prec), prec, source=self)
 
 
 def refine_root(spec: RootSpec, precision: int) -> BigFloat:
@@ -386,11 +436,15 @@ class FormEvaluator:
     """Certified sign and floor queries for integer linear forms.
 
     Holds the coordinates of one point; a form ``(c0, c1, ..., cn)`` denotes
-    ``c0 + c1*v1 + ... + cn*vn``.  Evaluation is exact rational interval
-    arithmetic over the current enclosures.  When a query cannot be decided,
-    root-backed coordinates are refined (doubling the working bits up to a
-    cap) and the query retried; a true zero is recognised exactly when all
-    irrational coordinates are powers of one shared root.
+    ``c0 + c1*v1 + ... + cn*vn``.  Every coordinate's enclosure is kept as an
+    integer pair ``(lo, hi)`` over one shared scale ``S``, the lcm of the
+    rational denominators shifted left by the largest enclosure precision, so
+    a form's bounds are an integer dot product.  Signs compare those integers
+    with 0 and floors divide them, as ``S`` cancels; ``Fraction``s are built
+    only for ``eval_bounds`` and ``materialize``.  When a query cannot be
+    decided, root-backed coordinates are refined (doubling the working bits up
+    to a cap) and the query retried; a true zero is recognised exactly when
+    all irrational coordinates are powers of one shared root.
     """
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
@@ -405,31 +459,55 @@ class FormEvaluator:
         else:
             self.cap = self.bits
         self.refinements = 0
+        self._rescale()
 
-    def _bounds(self, v) -> tuple[Fraction, Fraction]:
-        if isinstance(v, BigFloat):
-            return v.bounds()
-        return v, v
-
-    def eval_bounds(self, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(coeffs[0])
-        for c, v in zip(coeffs[1:], self.values):
-            if c == 0:
-                continue
-            vl, vh = self._bounds(v)
-            if c > 0:
-                lo += c * vl
-                hi += c * vh
+    def _rescale(self) -> None:
+        """Rebuild the integer enclosures; index 0 holds the constant 1 as S."""
+        vals = self.values
+        p = max((v.prec for v in vals if isinstance(v, BigFloat)), default=0)
+        den = math.lcm(*(v.denominator for v in vals if not isinstance(v, BigFloat)))
+        scale = den << p
+        lo, hi = [scale], [scale]
+        for v in vals:
+            if isinstance(v, BigFloat):
+                f = den << (p - v.prec)
+                lo.append(v.lo_num * f)
+                hi.append(v.hi_num * f)
             else:
-                lo += c * vh
-                hi += c * vl
+                x = v.numerator * (den // v.denominator) << p
+                lo.append(x)
+                hi.append(x)
+        self._scale = scale
+        self._lo = lo
+        # an exact point shares one list, which selects the single dot product
+        self._hi = lo if lo == hi else hi
+
+    def _int_bounds(self, coeffs: Sequence[int]) -> tuple[int, int]:
+        """Bounds of the form times S."""
+        los, his = self._lo, self._hi
+        if los is his:
+            v = sum(map(mul, coeffs, los))
+            return v, v
+        lo = hi = 0
+        for c, a, b in zip(coeffs, los, his):
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            elif c:
+                lo += c * b
+                hi += c * a
         return lo, hi
 
+    def eval_bounds(self, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
+        lo, hi = self._int_bounds(coeffs)
+        return Fraction(lo, self._scale), Fraction(hi, self._scale)
+
     def materialize(self, coeffs: Sequence[int]) -> ExactNumber:
-        lo, hi = self.eval_bounds(coeffs)
+        lo, hi = self._int_bounds(coeffs)
+        scale = self._scale
         if lo == hi:
-            return lo
-        return BigFloat.from_bounds(lo, hi, self.bits)
+            return Fraction(lo, scale)
+        return BigFloat(*_round_out_scaled(lo, hi, scale, self.bits), self.bits)
 
     def refine(self) -> bool:
         if self.bits >= self.cap:
@@ -444,6 +522,7 @@ class FormEvaluator:
             return False
         self.bits = new_bits
         self.refinements += 1
+        self._rescale()
         return True
 
     def exact_zero(self, coeffs: Sequence[int]) -> bool | None:
@@ -488,7 +567,7 @@ class FormEvaluator:
         """Sign of the form, refining as needed; AMBIGUOUS only when exhausted."""
         zero_checked = False
         while True:
-            lo, hi = self.eval_bounds(coeffs)
+            lo, hi = self._int_bounds(coeffs)
             if lo > 0:
                 return Sign.POSITIVE
             if hi < 0:
@@ -508,12 +587,11 @@ class FormEvaluator:
             raise PrecisionExhaustedError("denominator form is not certainly positive")
         tested: set[int] = set()
         while True:
-            nlo, nhi = self.eval_bounds(num)
-            dlo, dhi = self.eval_bounds(den)
-            lo_r = nlo / dhi if nlo >= 0 else nlo / dlo
-            hi_r = nhi / dlo if nhi >= 0 else nhi / dhi
-            fl = lo_r.numerator // lo_r.denominator
-            fh = hi_r.numerator // hi_r.denominator
+            # both bounds carry the factor S, which cancels in the ratios
+            nlo, nhi = self._int_bounds(num)
+            dlo, dhi = self._int_bounds(den)
+            fl = nlo // dhi if nlo >= 0 else nlo // dlo
+            fh = nhi // dlo if nhi >= 0 else nhi // dhi
             if fl == fh:
                 return fl
             # a ratio exactly equal to an integer m keeps the enclosure

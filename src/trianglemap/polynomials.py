@@ -140,34 +140,63 @@ def exact_quotient(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(int(c * scale) for c in quo)).primitive()
 
 
+def _trim(v: list) -> list:
+    while len(v) > 1 and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _remainder(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
+    """Remainder of x by a trimmed nonzero y, both constant first."""
+    dd = len(y) - 1
+    lead = y[-1]
+    r = x[:]
+    for i in range(len(r) - 1, dd - 1, -1):
+        q = r[i] / lead
+        if q:
+            for j in range(dd + 1):
+                r[i - dd + j] -= q * y[j]
+    return _trim(r)
+
+
 def gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Polynomial gcd over the rationals, returned primitive with positive lead."""
     if a.is_zero:
         return b.primitive()
     if b.is_zero:
         return a.primitive()
-    x = [Fraction(c) for c in a.coeffs]
-    y = [Fraction(c) for c in b.coeffs]
-
-    def trim(v):
-        while len(v) > 1 and v[-1] == 0:
-            v.pop()
-        return v
-
-    x, y = trim(x), trim(y)
+    x = _trim([Fraction(c) for c in a.coeffs])
+    y = _trim([Fraction(c) for c in b.coeffs])
     while not (len(y) == 1 and y[0] == 0):
-        # remainder of x by y
-        dd = len(y) - 1
-        lead = y[-1]
-        r = x[:]
-        for i in range(len(r) - 1, dd - 1, -1):
-            q = r[i] / lead
-            if q:
-                for j in range(dd + 1):
-                    r[i - dd + j] -= q * y[j]
-        x, y = y, trim(r)
+        x, y = y, _remainder(x, y)
     scale = math.lcm(*(c.denominator for c in x))
     return IntPolynomial(tuple(int(c * scale) for c in x)).primitive()
+
+
+def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
+    """Distinct real roots of p in the open interval (low, high), by Sturm's theorem.
+
+    Neither endpoint may be a root of p.  The chain p, p', -rem(p, p'), ...
+    ends at gcd(p, p'), which does not vanish at the endpoints either, so the
+    drop in sign changes from low to high counts distinct roots even when p
+    has repeated factors.
+    """
+    chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(x: Fraction) -> int:
+        signs = []
+        for f in chain:
+            acc = Fraction(0)
+            for c in reversed(f):
+                acc = acc * x + c
+            if acc:
+                signs.append(acc > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(low) - changes(high)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

@@ -132,6 +132,17 @@ def test_domain_error_exit_code(capsys):
     assert "degenerate-input" in err
 
 
+def test_root_interval_must_isolate_one_root(capsys):
+    # (0, 1) holds three roots of 15x^3 - 20x^2 + 8x - 1: 0.276, 1/3 and 0.724
+    code, out, err = run(capsys, "seq", "--point", "root:-1,8,-20,15:0,1:pow2", "--max", "10")
+    assert code == 1
+    assert out == []
+    assert json.loads(err)["error"] == "degenerate-input"
+    assert "3 distinct roots" in err
+    code, _, _ = run(capsys, "seq", "--point", "root:-1,8,-20,15:1/2,1:pow2", "--max", "10")
+    assert code == 0
+
+
 def test_bits_floor_enforced(capsys):
     code, _, err = run(capsys, "seq", "--point", "1/2,1/3", "--bits", "16")
     assert code == 1

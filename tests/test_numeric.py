@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError, PrecisionExhaustedError
 from trianglemap.numeric import (
@@ -10,6 +10,7 @@ from trianglemap.numeric import (
     FormEvaluator,
     RootSpec,
     Sign,
+    _RootEnclosure,
     refine_root,
     root_powers,
     sign_of,
@@ -208,3 +209,222 @@ def test_form_evaluator_cap_limits_refinement():
     lo, hi = ev.eval_bounds((0, 1, 0))
     mid = Fraction((lo + hi) / 2).limit_denominator(10 ** 60)
     assert ev.certified_sign((mid.numerator, -mid.denominator, 0)) is Sign.AMBIGUOUS
+
+
+def test_root_spec_rejects_interval_with_several_roots():
+    # (0, 1) holds three roots of 15x^3 - 20x^2 + 8x - 1: 0.276, 1/3 and 0.724
+    p = IntPolynomial((-1, 8, -20, 15))
+    with pytest.raises(DegenerateInputError, match="3 distinct roots"):
+        RootSpec(p, Fraction(0), Fraction(1))
+    assert RootSpec(p, Fraction(1, 2), Fraction(1)).high == 1
+    # a sign change over a root of multiplicity three and no other root
+    RootSpec(IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)),
+             Fraction(0), Fraction(2))
+
+
+# the Fraction interval formulas the integer kernel replaced ---------------
+
+
+class FractionOracle:
+    """Fraction interval arithmetic over the evaluator's current enclosures."""
+
+    def __init__(self, ev: FormEvaluator):
+        self.values = list(ev.values)
+        self.bits = ev.bits
+
+    def bounds(self, coeffs):
+        lo = hi = Fraction(coeffs[0])
+        for c, v in zip(coeffs[1:], self.values):
+            vl, vh = v.bounds() if isinstance(v, BigFloat) else (v, v)
+            if c > 0:
+                lo += c * vl
+                hi += c * vh
+            elif c < 0:
+                lo += c * vh
+                hi += c * vl
+        return lo, hi
+
+    def sign(self, coeffs):
+        """The sign these enclosures decide, or None."""
+        lo, hi = self.bounds(coeffs)
+        if lo > 0:
+            return Sign.POSITIVE
+        if hi < 0:
+            return Sign.NEGATIVE
+        if lo == hi:
+            return Sign.ZERO
+        return None
+
+    def floor(self, num, den):
+        """floor(num/den) when these enclosures decide it (den positive), or None."""
+        nlo, nhi = self.bounds(num)
+        dlo, dhi = self.bounds(den)
+        lo_r = nlo / dhi if nlo >= 0 else nlo / dlo
+        hi_r = nhi / dlo if nhi >= 0 else nhi / dhi
+        fl = lo_r.numerator // lo_r.denominator
+        fh = hi_r.numerator // hi_r.denominator
+        return fl if fl == fh else None
+
+    def materialize(self, coeffs):
+        lo, hi = self.bounds(coeffs)
+        return lo if lo == hi else BigFloat.from_bounds(lo, hi, self.bits)
+
+
+def _same_number(a, b) -> bool:
+    if isinstance(a, BigFloat) or isinstance(b, BigFloat):
+        return (type(a) is type(b)
+                and (a.lo_num, a.hi_num, a.prec) == (b.lo_num, b.hi_num, b.prec))
+    return type(a) is type(b) is Fraction and a == b
+
+
+def _check_against_oracle(ev: FormEvaluator, forms, floors) -> None:
+    for coeffs in forms:
+        oracle = FractionOracle(ev)
+        assert ev.eval_bounds(coeffs) == oracle.bounds(coeffs)
+        assert _same_number(ev.materialize(coeffs), oracle.materialize(coeffs))
+        expected = oracle.sign(coeffs)
+        before = ev.refinements
+        got = ev.certified_sign(coeffs)
+        if expected is not None:
+            assert got is expected and ev.refinements == before
+        else:
+            # undecided here: the answer must be decided by the refined
+            # enclosures, certified as an exact zero, or ambiguous at the cap
+            after = FractionOracle(ev).sign(coeffs)
+            assert (got is after
+                    or (got is Sign.ZERO and ev.exact_zero(coeffs) is True)
+                    or (got is Sign.AMBIGUOUS and after is None))
+    for num, den in floors:
+        oracle = FractionOracle(ev)
+        expected = oracle.floor(num, den) if oracle.sign(den) is Sign.POSITIVE else None
+        before = ev.refinements
+        try:
+            got = ev.certified_floor(num, den)
+        except PrecisionExhaustedError:
+            got = None
+        if expected is not None:
+            assert got == expected and ev.refinements == before
+        elif got is not None:
+            after = FractionOracle(ev)
+            boundary = tuple(a - got * b for a, b in zip(num, den))
+            assert after.floor(num, den) == got or ev.exact_zero(boundary) is True
+
+
+small_rationals = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1, max_denominator=10 ** 6)
+coefficients = st.one_of(st.integers(-30, 30), st.integers(-(2 ** 90), 2 ** 90))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(values, forms, floors): a point, forms and floor queries over it.
+
+    Among the forms are ones that cancel to exact zero and numerators whose
+    ratio to the denominator is exactly an integer.
+    """
+    kind = draw(st.sampled_from(["rational", "mixed", "root"]))
+    if kind == "root":
+        k = draw(st.integers(1, 4))
+        values = list(root_powers(RootSpec(IntPolynomial((-1, 1, k, 1)), Fraction(0), Fraction(1)),
+                                  3, draw(st.integers(MIN_PRECISION, 160))))
+        values += draw(st.lists(small_rationals, max_size=1))
+        # r^3 + k r^2 + r - 1 = 0
+        zeros = [(-1, 1, k, 1) + (0,) * (len(values) - 3)]
+    else:
+        fracs = draw(st.lists(small_rationals, min_size=1, max_size=4))
+        values = list(fracs)
+        if kind == "mixed":
+            for i, f in enumerate(fracs):
+                prec = draw(st.integers(MIN_PRECISION, 200))
+                shape = draw(st.sampled_from(["fraction", "exact", "bounds", "wide", "keep"]))
+                if shape == "fraction":
+                    values[i] = BigFloat.from_fraction(f, prec)
+                elif shape == "exact":
+                    values[i] = BigFloat.from_fraction(Fraction(f.numerator, 1 << 20), prec)
+                elif shape == "bounds":
+                    values[i] = BigFloat.from_bounds(f, f + Fraction(1, 1 << 70), prec)
+                elif shape == "wide":
+                    values[i] = BigFloat.from_bounds(f / 2, f, prec)
+        # x_i * q_i - p_i = 0 for the exactly rational coordinates
+        zeros = []
+        for i, (f, v) in enumerate(zip(fracs, values)):
+            if v is f:
+                form = [0] * (len(values) + 1)
+                form[0], form[i + 1] = -f.numerator, f.denominator
+                zeros.append(tuple(form))
+    size = len(values) + 1
+    forms = draw(st.lists(st.tuples(*[coefficients] * size), min_size=1, max_size=4))
+    forms += zeros
+    unit = tuple(1 if i == size - 1 else 0 for i in range(size))
+    dens = [unit, (1,) + (0,) * (size - 1)]
+    floors = [(num, den) for num in forms for den in dens]
+    for z in zeros:
+        m = draw(st.integers(-5, 5))
+        floors.append((tuple(m * d + t for d, t in zip(unit, z)), unit))
+    return values, forms, floors
+
+
+@settings(deadline=None, max_examples=60)
+@given(oracle_cases())
+def test_integer_kernel_matches_fraction_oracle(case):
+    values, forms, floors = case
+    ev = FormEvaluator(values)
+    _check_against_oracle(ev, forms, floors)
+    refinable = any(isinstance(v, BigFloat) and v.refinable for v in values)
+    assert ev.refine() is refinable
+    _check_against_oracle(ev, forms, floors)
+
+
+def test_integer_kernel_exact_cases():
+    # exact integer ratio: (1 - g) / g^2 = 1, and forms cancelling to zero
+    ev = FormEvaluator(list(root_powers(GOLDEN, 2, 96)))
+    assert ev.certified_floor((1, -1, 0), (0, 0, 1)) == 1
+    assert ev.certified_sign((-1, 1, 1)) is Sign.ZERO
+    ev = FormEvaluator([Fraction(2, 3), Fraction(1, 6)])
+    assert ev.certified_floor((2, 0, -4), (0, 0, 1)) == 8
+    assert ev.certified_sign((-1, 1, 2)) is Sign.ZERO
+    assert ev.materialize((-1, 1, 2)) == 0
+    assert _same_number(ev.materialize((1, -1, 0)), Fraction(1, 3))
+
+
+# root bisection on dyadic numerators ---------------------------------------
+
+
+def fraction_bisection(poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisection over Fraction midpoints, stopping at the first width <= width."""
+    neg_low = poly.evaluate(lo) < 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = poly.evaluate(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_low:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("low", [Fraction(0), Fraction(1, 3)])
+def test_bisection_matches_fraction_bisection(k, low):
+    poly = IntPolynomial((-1, 1, k, 1))
+    enc = _RootEnclosure(RootSpec(poly, low, Fraction(1)))
+    lo, hi = low, Fraction(1)
+    for b in (64, 512, 2048):
+        width = Fraction(1, 1 << b)
+        enc.refine_below(width)
+        lo, hi = fraction_bisection(poly, lo, hi, width)
+        assert (enc.lo, enc.hi) == (lo, hi)
+
+
+def test_bisection_collapses_on_rational_root():
+    # (4x - 3)(x^2 + 1): the second midpoint of (0, 1) is the root 3/4
+    poly = IntPolynomial((-3, 4)) * IntPolynomial((1, 0, 1))
+    spec = RootSpec(poly, Fraction(0), Fraction(1))
+    enc = _RootEnclosure(spec)
+    enc.refine_below(Fraction(1, 1 << 64))
+    assert enc.lo == enc.hi == Fraction(3, 4)
+    assert (enc.lo, enc.hi) == fraction_bisection(poly, Fraction(0), Fraction(1), Fraction(1, 1 << 64))
+    x = refine_root(spec, 64)
+    assert x.lo_num == x.hi_num and x.low == Fraction(3, 4)
+    assert FormEvaluator([x]).certified_sign((-3, 4)) is Sign.ZERO

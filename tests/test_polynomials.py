@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from trianglemap.polynomials import (
     IntPolynomial,
+    count_roots,
     divides,
     divmod_exact,
     exact_quotient,
@@ -123,3 +124,33 @@ def test_squarefree_divides(p):
 @given(small_polys, small_polys, st.fractions(max_denominator=50))
 def test_product_evaluates(a, b, x):
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+
+
+def test_count_roots_known():
+    # 15x^3 - 20x^2 + 8x - 1 has roots 0.276, 1/3 and 0.724, all in (0, 1)
+    p = poly(-1, 8, -20, 15)
+    assert count_roots(p, Fraction(0), Fraction(1)) == 3
+    assert count_roots(p, Fraction(3, 10), Fraction(1, 2)) == 1
+    assert count_roots(p, Fraction(1, 2), Fraction(1)) == 1
+    assert count_roots(poly(-1, 1, 1, 1), Fraction(0), Fraction(1)) == 1
+    assert count_roots(poly(1, 0, 1), Fraction(-5), Fraction(5)) == 0
+    assert count_roots(poly(3), Fraction(0), Fraction(1)) == 0
+    # repeated factors count once: (x - 1)^2 (2x^2 - 1) has 1/sqrt(2) and 1
+    assert count_roots(poly(-1, 1) * poly(-1, 1) * poly(-1, 0, 2), Fraction(0), Fraction(3)) == 2
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=1, max_size=5),
+       st.fractions(min_value=-4, max_value=4, max_denominator=11),
+       st.fractions(min_value=0, max_value=4, max_denominator=13).filter(lambda w: w > 0),
+       st.booleans())
+def test_count_roots_matches_known_roots(roots, low, width, with_complex):
+    high = low + width
+    if low in roots or high in roots:
+        return
+    p = ONE
+    for r in roots:
+        p = p * poly(-r.numerator, r.denominator)
+    if with_complex:
+        p = p * poly(1, 1, 1)          # no real roots
+    expected = len({r for r in roots if low < r < high})
+    assert count_roots(p, low, high) == expected
