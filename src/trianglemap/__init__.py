@@ -18,6 +18,7 @@ from .matrices import (
     IntMatrix,
     fundamental_identity_check,
     product_matrix,
+    recover_nd,
     recover_pair,
     recover_terminated,
     step_matrix,
@@ -53,7 +54,6 @@ from .simplex import (
     PointN,
     classify_nd,
     decomposition_check,
-    recover_nd,
     region_membership,
     region_vertices,
     sequence_nd,

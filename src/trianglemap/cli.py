@@ -102,7 +102,7 @@ def _exhausted(rec) -> int:
 
 def _cmd_seq(args) -> int:
     _check_bits(args.bits)
-    coords = io_formats._parse_coordinates(args.point, args.bits)
+    coords = io_formats.parse_point(args.point, args.bits)
     rec, rows, d_values = _run_sequence(coords, args.max, args.cap_bits)
     symbols = [str(s) for s in rec.symbols]
     records: list[dict] = []
@@ -131,7 +131,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_classify(args) -> int:
     _check_bits(args.bits)
-    coords = io_formats._parse_coordinates(args.point, args.bits)
+    coords = io_formats.parse_point(args.point, args.bits)
     if len(coords) == 2:
         symbol = str(triangle.classify(triangle.Point2(*coords), cap_bits=args.cap_bits))
     else:
@@ -145,7 +145,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_recover(args) -> int:
     _check_bits(args.bits)
-    coords = io_formats._parse_coordinates(args.point, args.bits)
+    coords = io_formats.parse_point(args.point, args.bits)
     rec, rows, d_values = _run_sequence(coords, args.steps, args.cap_bits)
     out: dict = {"steps": args.steps, "status": rec.status.value}
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
@@ -202,7 +202,7 @@ def _cmd_derive_poly(args) -> int:
         candidate = periodicity.period_one_poly(window[0])
     hint = None
     if args.hint:
-        coords = io_formats._parse_coordinates(args.hint, args.bits)
+        coords = io_formats.parse_point(args.hint, args.bits)
         hint = coords[0]
     report = periodicity.eliminant_report(poly, candidate=candidate, hint=hint)
     _emit([{
@@ -319,8 +319,6 @@ def _verify_conjecture1(args, records: list[dict]) -> int:
     failures = 0
     for n in (2, 3, 4):
         for k in range(args.kmax + 1):
-            if n == 1 and k == 0:
-                continue
             evidence = periodicity.power_basis_evidence(n, k)
             ok = evidence["all_annihilated"]
             failures += 0 if ok else 1

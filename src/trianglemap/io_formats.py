@@ -8,8 +8,9 @@ Point text accepted everywhere a point is an input:
   polynomial (constant coefficient first) isolated in the open interval.
 
 Polynomial text is the comma-separated coefficient list, constant first, so
-``"-1,1,1,1"`` is x**3 + x**2 + x - 1.  Symbols in dimension two are plain
-integers; higher dimensions mix integers and pairs like ``"3,(1,2),0"``.
+``"-1,1,1,1"`` is x**3 + x**2 + x - 1.  Symbol streams mix integers and pairs
+like ``"3,(1,2),0"``; dimension two takes integers only.  Whitespace may sit
+around any token but never between two digits.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError
-from .numeric import BigFloat, ExactNumber, RootSpec
+from .numeric import BigFloat, ExactNumber, RootSpec, root_powers
 from .polynomials import IntPolynomial
-from .simplex import NonNegSymbol, PairSymbol, PointN, SymbolND
-from .triangle import Point2
+from .simplex import NonNegSymbol, PairSymbol, SymbolND
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -29,10 +29,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DegenerateInputError(f"bad rational {text!r}") from exc
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 def format_exact(value: ExactNumber) -> object:
@@ -51,7 +47,8 @@ def parse_root_spec(poly_text: str, interval_text: str) -> RootSpec:
     return RootSpec(poly, parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
-def _parse_coordinates(text: str, precision: int) -> tuple[ExactNumber, ...]:
+def parse_point(text: str, precision: int) -> tuple[ExactNumber, ...]:
+    """The coordinates of a point in any of the three text forms above."""
     text = text.strip()
     if text.startswith("root:"):
         body = text[len("root:"):]
@@ -64,7 +61,7 @@ def _parse_coordinates(text: str, precision: int) -> tuple[ExactNumber, ...]:
             raise DegenerateInputError(f"bad power suffix {pow_text!r}")
         count = int(m.group(1))
         spec = parse_root_spec(poly_text, interval_text)
-        return PointN.from_root(spec, count, precision).coords
+        return root_powers(spec, count, precision)
     if text.startswith("dec:"):
         body = text[len("dec:"):]
         values_text, _, bits_text = body.rpartition(":")
@@ -78,53 +75,32 @@ def _parse_coordinates(text: str, precision: int) -> tuple[ExactNumber, ...]:
     return tuple(parse_fraction(part) for part in text.split(","))
 
 
-def parse_point2(text: str, precision: int) -> Point2:
-    coords = _parse_coordinates(text, precision)
-    if len(coords) != 2:
-        raise DegenerateInputError(f"expected two coordinates, got {len(coords)}")
-    return Point2(coords[0], coords[1])
-
-
-def parse_pointn(text: str, precision: int) -> PointN:
-    return PointN(_parse_coordinates(text, precision))
-
-
-def parse_symbols_2d(text: str) -> tuple[int, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            k = int(part)
-        except ValueError as exc:
-            raise DegenerateInputError(f"bad symbol {part!r}") from exc
-        if k < 0:
-            raise DegenerateInputError("symbols are nonnegative")
-        out.append(k)
-    return tuple(out)
-
-
-_ND_TOKEN = re.compile(r"\((\d+)\s*,\s*(\d+)\)|(\d+)")
+# commas and whitespace separate tokens; a number never runs on past
+# whitespace into further digits, so "3 4" is an error, not 34
+_SEPARATORS = re.compile(r"[\s,]*")
+_ND_TOKEN = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)|(\d+)(?!\s*\d)")
 
 
 def parse_symbols_nd(text: str) -> tuple[SymbolND, ...]:
     out: list[SymbolND] = []
-    pos = 0
-    stripped = text.replace(" ", "")
-    while pos < len(stripped):
-        if stripped[pos] == ",":
-            pos += 1
-            continue
-        m = _ND_TOKEN.match(stripped, pos)
+    pos = _SEPARATORS.match(text).end()
+    while pos < len(text):
+        m = _ND_TOKEN.match(text, pos)
         if not m:
-            raise DegenerateInputError(f"bad symbol stream near {stripped[pos:]!r}")
-        if m.group(3) is not None:
-            out.append(NonNegSymbol(int(m.group(3))))
-        else:
-            out.append(PairSymbol(int(m.group(1)), int(m.group(2))))
-        pos = m.end()
+            raise DegenerateInputError(f"bad symbol stream near {text[pos:]!r}")
+        i, j, k = m.groups()
+        out.append(NonNegSymbol(int(k)) if k is not None else PairSymbol(int(i), int(j)))
+        pos = _SEPARATORS.match(text, m.end()).end()
     return tuple(out)
+
+
+def parse_symbols_2d(text: str) -> tuple[int, ...]:
+    """A planar stream: ``parse_symbols_nd`` without pair symbols."""
+    symbols = parse_symbols_nd(text)
+    for s in symbols:
+        if isinstance(s, PairSymbol):
+            raise DegenerateInputError(f"pair symbol {s} needs dimension 3 or more")
+    return tuple(s.k for s in symbols)
 
 
 def format_symbols_nd(symbols) -> str:

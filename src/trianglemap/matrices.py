@@ -128,12 +128,6 @@ class IntMatrix:
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(mat_from_columns(cols))
 
-    def column(self, j: int) -> Row:
-        return tuple(self.rows[i][j] for i in range(3))
-
-    def columns(self) -> tuple[Row, ...]:
-        return tuple(self.column(j) for j in range(3))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(mat_mul(self.rows, other.rows))
 

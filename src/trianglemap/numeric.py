@@ -24,9 +24,9 @@ sign or floor query honestly reports ambiguity instead of guessing.
 Sign queries on values backed by powers of a single root get an exact zero
 test: a linear form ``c0 + c1*x + c2*x**2 + ...`` vanishes at the root exactly
 when the gcd of the form with the squarefree part of the defining polynomial
-changes sign across the isolating interval.  That keeps refinement loops from
-spinning forever on true zeros and makes termination decidable for algebraic
-input points.
+changes sign across the isolating interval (``polynomials.vanishes_at_root``).
+That keeps refinement loops from spinning forever on true zeros and makes
+termination decidable for algebraic input points.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class SequenceStatus(str, enum.Enum):
     PRECISION_EXHAUSTED = "precision-exhausted"
 
 
-def _round_out(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
-    """Outward-round a rational interval to the 2**-prec grid."""
-    scale = 1 << prec
-    lo_num = (lo.numerator * scale) // lo.denominator
-    hi_num = -((-hi.numerator * scale) // hi.denominator)
-    return lo_num, hi_num
-
-
 def _round_out_scaled(lo: int, hi: int, scale: int, prec: int) -> tuple[int, int]:
     """Outward-round the interval [lo, hi] / scale to the 2**-prec grid."""
     return (lo << prec) // scale, -((-hi << prec) // scale)
@@ -97,8 +89,7 @@ class BigFloat:
         if prec < MIN_PRECISION:
             raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
         v = Fraction(value)
-        lo, hi = _round_out(v, v, prec)
-        return cls(lo, hi, prec)
+        return cls.from_bounds(v, v, prec)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigFloat":
@@ -106,10 +97,12 @@ class BigFloat:
 
     @classmethod
     def from_bounds(cls, lo: Fraction, hi: Fraction, prec: int) -> "BigFloat":
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("lower bound above upper bound")
-        lo_num, hi_num = _round_out(Fraction(lo), Fraction(hi), prec)
-        return cls(lo_num, hi_num, prec)
+        # both ends over the common denominator lo.den * hi.den
+        return cls(*_round_out_scaled(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                                      lo.denominator * hi.denominator, prec), prec)
 
     # inspection ---------------------------------------------------------
 
@@ -167,9 +160,7 @@ class BigFloat:
         if isinstance(other, BigFloat):
             return other
         if isinstance(other, (int, Fraction)):
-            v = Fraction(other)
-            lo, hi = _round_out(v, v, self.prec)
-            return BigFloat(lo, hi, self.prec)
+            return BigFloat.from_bounds(other, other, self.prec)
         return None
 
     def __neg__(self) -> "BigFloat":
@@ -230,8 +221,7 @@ class BigFloat:
         nlo, nhi = self.bounds()
         dlo, dhi = o.bounds()
         quots = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
-        lo, hi = _round_out(min(quots), max(quots), prec)
-        return BigFloat(lo, hi, prec)
+        return BigFloat.from_bounds(min(quots), max(quots), prec)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -414,9 +404,7 @@ def refine_root(spec: RootSpec, precision: int) -> BigFloat:
     tighten it further on demand.  The precision tag can exceed the request
     by a small guard; it is never below it.
     """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
-    return _RootPower(_RootEnclosure(spec), 1).as_bigfloat(precision)
+    return root_powers(spec, 1, precision)[0]
 
 
 def root_powers(spec: RootSpec, count: int, precision: int) -> tuple[BigFloat, ...]:
@@ -449,6 +437,9 @@ class FormEvaluator:
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
         self.values: list = [Fraction(v) if isinstance(v, int) else v for v in values]
+        for v in self.values:
+            if not isinstance(v, (Fraction, BigFloat)):
+                raise TypeError(f"coordinates must be int, Fraction or BigFloat, not {type(v).__name__}")
         precs = [v.prec for v in self.values if isinstance(v, BigFloat)]
         self.bits = max(precs) if precs else MIN_PRECISION
         refinable = any(isinstance(v, BigFloat) and v.refinable for v in self.values)
@@ -546,9 +537,9 @@ class FormEvaluator:
             monomials[src.power] = monomials.get(src.power, Fraction(0)) + c
         if enclosure is None:
             return const == 0
-        if enclosure.lo == enclosure.hi:
-            root = enclosure.lo
-            return const + sum(a * root ** p for p, a in monomials.items()) == 0
+        lo, hi = enclosure.lo, enclosure.hi
+        if lo == hi:
+            return const + sum(a * lo ** p for p, a in monomials.items()) == 0
         top = max(monomials) if monomials else 0
         frac_coeffs = [Fraction(0)] * (top + 1)
         frac_coeffs[0] = const
@@ -556,12 +547,7 @@ class FormEvaluator:
             frac_coeffs[p] += a
         denlcm = math.lcm(*(f.denominator for f in frac_coeffs))
         g = IntPolynomial(tuple(int(f * denlcm) for f in frac_coeffs))
-        if g.is_zero:
-            return True
-        h = polynomials.gcd(enclosure.squarefree, g)
-        if h.degree == 0:
-            return False
-        return (h.evaluate(enclosure.lo) < 0) != (h.evaluate(enclosure.hi) < 0)
+        return polynomials.vanishes_at_root(g, enclosure.squarefree, lo, hi)
 
     def certified_sign(self, coeffs: Sequence[int]) -> Sign:
         """Sign of the form, refining as needed; AMBIGUOUS only when exhausted."""

@@ -172,6 +172,8 @@ def power_basis_evidence(n: int, k: int) -> dict:
     the one-step portion and decides exactly whether the positive root of
     fixed_point_poly(n, k) annihilates it: the gcd with the squarefree part
     must change sign across (0, 1).  Also records outright divisibility.
+    Raises ``DegenerateInputError`` when that root is the endpoint 1, which
+    happens only at n = 1, k = 0.
     """
     # the one-step portion M_2 * M_1**-1 of a constant stream is its step matrix
     eqs = fixed_direction_polynomials(simplex.step_matrix_nd(simplex.NonNegSymbol(k), n), n)
@@ -181,16 +183,8 @@ def power_basis_evidence(n: int, k: int) -> dict:
     divisible: list[bool] = []
     for eq in eqs:
         uni = eq.substitute_powers(tuple(range(1, n + 1)))
-        if uni.is_zero:
-            hits.append(True)
-            divisible.append(True)
-            continue
+        hits.append(polynomials.vanishes_at_root(uni, reduced, Fraction(0), Fraction(1)))
         divisible.append(polynomials.divides(target, uni))
-        h = polynomials.gcd(reduced, uni)
-        if h.degree == 0:
-            hits.append(False)
-        else:
-            hits.append((h.evaluate(Fraction(0)) < 0) != (h.evaluate(Fraction(1)) < 0))
     return {
         "equations": len(eqs),
         "root_annihilates": hits,

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DegenerateInputError
+
 
 def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     n = len(coeffs)
@@ -108,21 +110,7 @@ def divmod_exact(num: IntPolynomial, den: IntPolynomial) -> tuple[tuple[Fraction
     """Polynomial division over the rationals: returns (quotient, remainder) coefficient tuples."""
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in num.coeffs]
-    d = [Fraction(c) for c in den.coeffs]
-    dd = len(d) - 1
-    if len(rem) - 1 < dd:
-        return (Fraction(0),), tuple(rem)
-    quo = [Fraction(0)] * (len(rem) - dd)
-    lead = d[-1]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        q = rem[i] / lead
-        quo[i - dd] = q
-        if q:
-            for j in range(dd + 1):
-                rem[i - dd + j] -= q * d[j]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
+    quo, rem = _divide([Fraction(c) for c in num.coeffs], [Fraction(c) for c in den.coeffs])
     return tuple(quo), tuple(rem)
 
 
@@ -146,17 +134,19 @@ def _trim(v: list) -> list:
     return v
 
 
-def _remainder(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-    """Remainder of x by a trimmed nonzero y, both constant first."""
+def _divide(x: list[Fraction], y: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of x by a trimmed nonzero y, both constant first."""
     dd = len(y) - 1
     lead = y[-1]
     r = x[:]
+    quo = [Fraction(0)] * max(len(r) - dd, 1)
     for i in range(len(r) - 1, dd - 1, -1):
         q = r[i] / lead
         if q:
+            quo[i - dd] = q
             for j in range(dd + 1):
                 r[i - dd + j] -= q * y[j]
-    return _trim(r)
+    return quo, _trim(r)
 
 
 def gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -168,7 +158,7 @@ def gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     x = _trim([Fraction(c) for c in a.coeffs])
     y = _trim([Fraction(c) for c in b.coeffs])
     while not (len(y) == 1 and y[0] == 0):
-        x, y = y, _remainder(x, y)
+        x, y = y, _divide(x, y)[1]
     scale = math.lcm(*(c.denominator for c in x))
     return IntPolynomial(tuple(int(c * scale) for c in x)).primitive()
 
@@ -183,7 +173,7 @@ def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
     """
     chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
     while chain[-1] != [0]:
-        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+        chain.append([-c for c in _divide(chain[-2], chain[-1])[1]])
     chain.pop()
 
     def changes(x: Fraction) -> int:
@@ -197,6 +187,21 @@ def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return changes(low) - changes(high)
+
+
+def vanishes_at_root(g: IntPolynomial, p: IntPolynomial, low: Fraction, high: Fraction) -> bool:
+    """Whether g vanishes at the one root of the squarefree p isolated in (low, high).
+
+    That root is a zero of g exactly when it is a root of h = gcd(p, g), and
+    h, a factor of p, has no other root in the interval; with neither
+    endpoint a root, h changes sign across the interval exactly then.
+    """
+    if p.evaluate(low) == 0 or p.evaluate(high) == 0:
+        raise DegenerateInputError("isolating interval endpoint is a root")
+    if g.is_zero:
+        return True
+    h = gcd(p, g)
+    return h.degree > 0 and (h.evaluate(low) < 0) != (h.evaluate(high) < 0)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

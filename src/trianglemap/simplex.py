@@ -16,9 +16,9 @@ reduces to the classical continued-fraction step.  The engine keeps n+1 exact
 integer columns whose dot products with (1, x_1, ..., x_n) are the remainder
 values; every branch is a certified sign or floor query on those forms, with
 on-demand refinement for root-backed inputs.  This is the package's only
-sequence loop: the planar ``triangle.sequence`` (n = 2) and the continued
-fraction ``triangle.gauss_sequence`` (n = 1) run it too and only keep their
-own domain checks and records.
+sequence loop and its only domain check: the planar ``triangle.sequence``
+(n = 2) and the continued fraction ``triangle.gauss_sequence`` (n = 1) start
+through ``_start`` too, with their own coordinate names and records.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
-# the mat_* helpers and recover_nd stay importable from this module
-from .matrices import (Column, Matrix, mat_apply_row, mat_det, mat_from_columns,
-                       mat_identity, mat_inverse_unimodular, mat_minor_det, mat_mul,
-                       mat_step_nonneg, recover_nd)
+from .matrices import Column, Matrix, mat_from_columns, mat_identity, mat_mul, mat_step_nonneg
 from .numeric import (
     ExactNumber,
     FormEvaluator,
@@ -141,25 +138,51 @@ def _col_addmul(a: Column, c: int, b: Column) -> Column:
     return tuple(x + c * y for x, y in zip(a, b))
 
 
-def _require_domain_nd(ev: FormEvaluator, n: int) -> None:
-    size = n + 1
-    unit = lambda t: tuple(1 if u == t else 0 for u in range(size))
-    checks: list[tuple[Column, str, bool]] = []
-    top = [1] + [0] * n
-    top[1] = -1
-    checks.append((tuple(top), "first coordinate exceeds 1", False))
-    for t in range(1, n):
-        form = [0] * size
-        form[t] = 1
-        form[t + 1] = -1
-        checks.append((tuple(form), f"coordinate {t + 1} exceeds coordinate {t}", False))
-    checks.append((unit(n), "last coordinate must be positive", True))
-    for form, msg, strict in checks:
+_DOMAIN_FORMS: dict[int, tuple[Column, ...]] = {}
+
+
+def _domain_forms(n: int) -> tuple[Column, ...]:
+    """The forms 1 - x_1, x_1 - x_2, ..., x_{n-1} - x_n and x_n, cached per n."""
+    forms = _DOMAIN_FORMS.get(n)
+    if forms is None:
+        unit = [tuple(int(u == t) for u in range(n + 1)) for t in range(n + 1)]
+        forms = tuple(_col_sub(unit[t], unit[t + 1]) for t in range(n)) + (unit[n],)
+        _DOMAIN_FORMS[n] = forms
+    return forms
+
+
+def _check_domain(ev: FormEvaluator, names: Sequence[str] | None,
+                  allow_zero_last: bool) -> None:
+    """Certify 1 >= x_1 >= ... >= x_n > 0; x_n = 0 passes with allow_zero_last.
+
+    Messages name the coordinates by ``names`` (default x_1, ..., x_n) and are
+    built only when a check fails.
+    """
+    n = len(ev.values)
+    for t, form in enumerate(_domain_forms(n)):
         s = ev.certified_sign(form)
-        if s is Sign.NEGATIVE or (strict and s is Sign.ZERO):
-            raise DegenerateInputError(msg)
+        if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
+            continue
+        names = names or [f"x_{u}" for u in range(1, n + 1)]
+        if t == 0:
+            msg = f"{names[0]} exceeds 1"
+        elif t < n:
+            msg = f"{names[t]} exceeds {names[t - 1]}"
+        else:
+            msg = f"{names[-1]} {'must be positive' if s is Sign.ZERO else 'is negative'}"
         if s is Sign.AMBIGUOUS:
             raise PrecisionExhaustedError(f"cannot certify domain: {msg}")
+        raise DegenerateInputError(msg)
+
+
+def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None = None,
+           *, max_len: int = 0, allow_zero_last: bool = False) -> "_Engine":
+    """The engine for a point after its domain check: every entry point starts here."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    ev = FormEvaluator(coords, cap_bits=cap_bits)
+    _check_domain(ev, names, allow_zero_last)
+    return _Engine(ev, len(coords))
 
 
 class _Engine:
@@ -317,20 +340,13 @@ class SequenceRecordN:
 
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
     """The unique region symbol of a simplex point (slack ties go nonnegative)."""
-    n = point.dim
-    ev = FormEvaluator(list(point.coords), cap_bits=cap_bits)
-    _require_domain_nd(ev, n)
-    return _Engine(ev, n).classify_once()[0]
+    return _start(point.coords, cap_bits).classify_once()[0]
 
 
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:
     """Certified symbol sequence in dimension n with full remainder history."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    n = point.dim
-    ev = FormEvaluator(list(point.coords), cap_bits=cap_bits)
-    _require_domain_nd(ev, n)
-    eng = _Engine(ev, n)
+    eng = _start(point.coords, cap_bits, max_len=max_len)
+    ev = eng.ev
     symbols: list[SymbolND] = []
     d_hist: list[tuple[ExactNumber, ...]] = [tuple(ev.materialize(c) for c in eng.cols)]
     for symbol in eng.run(max_len):
@@ -441,7 +457,7 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
 
 
 def candidate_symbols(n: int) -> list[SymbolND]:
-    """Every pair symbol plus a marker-free enumeration hook for audits."""
+    """Every pair symbol of dimension n, in (i, j) order; empty below n = 3."""
     return [PairSymbol(i, j) for i in range(1, n - 1) for j in range(i + 1, n + 1)]
 
 

@@ -12,7 +12,8 @@ the current remainders.  All branch decisions are certified sign and floor
 queries on those integer forms, so the only rounding error in play is the
 width of the input enclosures times an integer norm; root-backed inputs
 refine themselves on demand when a decision would otherwise be ambiguous.
-This module keeps the planar domain checks and records.
+The domain check is the simplex one over the names (alpha, beta) and (x,);
+this module keeps the planar points and records.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import IntMatrix
 from .numeric import (
     ExactNumber,
-    FormEvaluator,
     RootSpec,
     SequenceStatus,
-    Sign,
     root_powers,
 )
-from .simplex import _Engine
+from .simplex import _start
+
+_PLANAR = ("alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -67,40 +67,18 @@ class SequenceRecord:
         return self.status is SequenceStatus.TERMINATED
 
 
-def _require_domain(ev: FormEvaluator, *, strict_beta: bool) -> None:
-    checks = [
-        ((1, -1, 0), "alpha exceeds 1"),
-        ((0, 1, -1), "beta exceeds alpha"),
-        ((0, 0, 1), "beta is negative"),
-    ]
-    for coeffs, msg in checks:
-        s = ev.certified_sign(coeffs)
-        if s is Sign.NEGATIVE:
-            raise DegenerateInputError(msg)
-        if s is Sign.AMBIGUOUS:
-            raise PrecisionExhaustedError(f"cannot certify domain: {msg}")
-        if strict_beta and coeffs == (0, 0, 1) and s is Sign.ZERO:
-            raise DegenerateInputError("beta must be positive")
-
-
-def _classify(ev: FormEvaluator) -> int:
-    _require_domain(ev, strict_beta=True)
-    return _Engine(ev, 2).classify_once()[0].k
-
-
 def classify(point: Point2, *, cap_bits: int | None = None) -> int:
     """The wedge index k with 1 - alpha - k*beta >= 0 > 1 - alpha - (k+1)*beta."""
-    ev = FormEvaluator([point.alpha, point.beta], cap_bits=cap_bits)
-    return _classify(ev)
+    return _start((point.alpha, point.beta), cap_bits, _PLANAR).classify_once()[0].k
 
 
 def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:
     """One application of the map: the wedge symbol and the image point."""
-    ev = FormEvaluator([point.alpha, point.beta], cap_bits=cap_bits)
-    k = _classify(ev)
+    eng = _start((point.alpha, point.beta), cap_bits, _PLANAR)
+    k = eng.classify_once()[0].k
     # use the evaluator's coordinates: refinement during classification may
     # have tightened them enough for the divisions below to be sign-definite
-    a, b = ev.values
+    a, b = eng.ev.values
     image_a = b / a
     image_b = (1 - a - b * k) / a
     return k, Point2(image_a, image_b)
@@ -115,11 +93,9 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
     precision exhaustion when a branch cannot be certified and the inputs
     cannot refine.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    ev = FormEvaluator([point.alpha, point.beta], cap_bits=cap_bits)
-    _require_domain(ev, strict_beta=False)
-    eng = _Engine(ev, 2)
+    eng = _start((point.alpha, point.beta), cap_bits, _PLANAR, max_len=max_len,
+                 allow_zero_last=True)
+    ev = eng.ev
     symbols: list[int] = []
     d_hist: list[ExactNumber] = [ev.materialize(c) for c in eng.cols]
     for symbol in eng.run(max_len):
@@ -150,21 +126,8 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     machinery (and on-demand refinement for root-backed input) applies
     exactly as in the 2D map.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    ev = FormEvaluator([x], cap_bits=cap_bits)
-    s = ev.certified_sign((0, 1))
-    if s is Sign.NEGATIVE or s is Sign.ZERO:
-        raise DegenerateInputError("x must be positive")
-    if s is Sign.AMBIGUOUS:
-        raise PrecisionExhaustedError("cannot certify x > 0")
-    s = ev.certified_sign((1, -1))
-    if s is Sign.NEGATIVE:
-        raise DegenerateInputError("x must not exceed 1")
-    if s is Sign.AMBIGUOUS:
-        raise PrecisionExhaustedError("cannot certify x <= 1")
-
-    eng = _Engine(ev, 1)
+    eng = _start((x,), cap_bits, ("x",), max_len=max_len)
+    ev = eng.ev
     quotients: list[int] = []
     remainders: list[ExactNumber] = [ev.materialize(eng.cols[1])]
     for symbol in eng.run(max_len):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from trianglemap.matrices import (
     fundamental_identity_check,
+    mat_det,
     recover_pair,
     recover_terminated,
 )
@@ -30,7 +31,6 @@ from trianglemap.simplex import (
     NonNegSymbol,
     PointN,
     decomposition_check,
-    mat_det,
     region_vertices,
     sequence_nd,
     step_matrix_nd,

@@ -132,6 +132,49 @@ def test_domain_error_exit_code(capsys):
     assert "degenerate-input" in err
 
 
+@pytest.mark.parametrize("command", ["seq", "classify"])
+@pytest.mark.parametrize("point, detail", [
+    # dimension 1: the n-D engine names its coordinates x_1, ..., x_n
+    ("3/2", "x_1 exceeds 1"),
+    ("0", "x_1 must be positive"),
+    ("-1/2", "x_1 is negative"),
+    # dimension 2: the planar entry points name them alpha and beta
+    ("3/2,1/2", "alpha exceeds 1"),
+    ("1/2,3/4", "beta exceeds alpha"),
+    ("1/2,-1/4", "beta is negative"),
+    # dimension 3
+    ("3/2,1/2,1/4", "x_1 exceeds 1"),
+    ("1/2,3/4,1/4", "x_2 exceeds x_1"),
+    ("1/2,1/4,1/3", "x_3 exceeds x_2"),
+    ("1/2,1/4,0", "x_3 must be positive"),
+    ("1/2,1/4,-1/4", "x_3 is negative"),
+])
+def test_domain_violation_messages(capsys, command, point, detail):
+    code, out, err = run(capsys, command, f"--point={point}")
+    assert code == 1
+    assert out == []
+    assert json.loads(err) == {"error": "degenerate-input", "detail": detail}
+
+
+def test_domain_undecidable_messages(capsys):
+    for point, detail in (("dec:0.1,0.1:64", "beta exceeds alpha"),
+                          ("dec:0.5,0.1,0.1:64", "x_3 exceeds x_2")):
+        code, _, err = run(capsys, "classify", "--point", point)
+        assert code == 2
+        assert json.loads(err) == {"error": "precision-exhausted",
+                                   "detail": f"cannot certify domain: {detail}"}
+
+
+def test_planar_lower_edge(capsys):
+    # the planar sequence tolerates beta = 0 and stops at once; classify does not
+    code, lines, err = run(capsys, "seq", "--point", "1/2,0")
+    assert code == 0 and err == ""
+    assert lines[-1]["status"] == "terminated" and lines[-1]["length"] == 0
+    code, lines, err = run(capsys, "classify", "--point", "1/2,0")
+    assert code == 1 and lines == []
+    assert json.loads(err) == {"error": "degenerate-input", "detail": "beta must be positive"}
+
+
 def test_root_interval_must_isolate_one_root(capsys):
     # (0, 1) holds three roots of 15x^3 - 20x^2 + 8x - 1: 0.276, 1/3 and 0.724
     code, out, err = run(capsys, "seq", "--point", "root:-1,8,-20,15:0,1:pow2", "--max", "10")

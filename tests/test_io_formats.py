@@ -3,15 +3,14 @@ from fractions import Fraction
 import pytest
 
 from trianglemap.errors import DegenerateInputError
+from trianglemap.cli import main
 from trianglemap.io_formats import (
     format_exact,
-    format_fraction,
     format_matrix,
     format_point,
     format_symbols_nd,
     parse_fraction,
-    parse_point2,
-    parse_pointn,
+    parse_point,
     parse_symbols_2d,
     parse_symbols_nd,
 )
@@ -27,7 +26,7 @@ def test_parse_fraction():
 
 def test_format_fraction_round_trip():
     for f in (Fraction(1, 3), Fraction(-2, 7), Fraction(5)):
-        assert parse_fraction(format_fraction(f)) == f
+        assert parse_fraction(format_exact(f)) == f
 
 
 def test_format_exact_fraction_vs_interval():
@@ -38,36 +37,24 @@ def test_format_exact_fraction_vs_interval():
 
 
 def test_parse_point2_rational():
-    pt = parse_point2("1/2,1/3", 128)
-    assert pt.alpha == Fraction(1, 2)
-    assert pt.beta == Fraction(1, 3)
+    assert parse_point("1/2,1/3", 128) == (Fraction(1, 2), Fraction(1, 3))
 
 
 def test_parse_point2_decimal():
-    pt = parse_point2("dec:0.5,0.25:128", 64)
-    assert pt.alpha.low == Fraction(1, 2)
-    assert pt.beta.high == Fraction(1, 4)
+    alpha, beta = parse_point("dec:0.5,0.25:128", 64)
+    assert alpha.low == Fraction(1, 2)
+    assert beta.high == Fraction(1, 4)
 
 
 def test_parse_point2_root():
-    pt = parse_point2("root:-1,1,1,1:0,1:pow2", 128)
-    a, b = pt.alpha, pt.beta
+    a, b = parse_point("root:-1,1,1,1:0,1:pow2", 128)
     assert a.source is not None and b.source is not None
     assert a.low > b.low  # r > r^2 on (0, 1)
 
 
-def test_parse_point2_arity():
-    with pytest.raises(DegenerateInputError):
-        parse_point2("1/2", 128)
-    with pytest.raises(DegenerateInputError):
-        parse_point2("1/2,1/3,1/4", 128)
-
-
 def test_parse_pointn_dimensions():
-    pt = parse_pointn("1/2,1/3,1/4", 128)
-    assert pt.dim == 3
-    single = parse_pointn("2/3", 128)
-    assert single.dim == 1
+    assert len(parse_point("1/2,1/3,1/4", 128)) == 3
+    assert len(parse_point("2/3", 128)) == 1
 
 
 def test_parse_symbols_2d():
@@ -86,6 +73,34 @@ def test_parse_symbols_nd():
 def test_parse_symbols_nd_rejects_garbage():
     with pytest.raises(DegenerateInputError):
         parse_symbols_nd("(1,3),x")
+
+
+def test_parse_symbols_whitespace_never_joins_digits():
+    # whitespace may separate tokens, but "3 4" must not read as 34
+    with pytest.raises(DegenerateInputError, match=r"near '3 4,\(1,2\)'"):
+        parse_symbols_nd("3 4,(1,2)")
+    with pytest.raises(DegenerateInputError, match=r"near '\(1 2\)'"):
+        parse_symbols_nd("(1 2)")
+    with pytest.raises(DegenerateInputError):
+        parse_symbols_2d("3 4")
+    assert parse_symbols_nd(" ( 1 , 2 ) , 3 , 45 ") == (PairSymbol(1, 2), NonNegSymbol(3), NonNegSymbol(45))
+    assert parse_symbols_2d(" 3 , 4 ") == (3, 4)
+
+
+def test_parse_symbols_2d_rejects_pairs():
+    with pytest.raises(DegenerateInputError, match="dimension 3"):
+        parse_symbols_2d("1,(1,2)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--symbols", "3 4"],
+    ["derive-poly", "--symbols", "3 3,3"],
+])
+def test_planar_cli_symbols_whitespace(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad symbol stream" in captured.err
 
 
 def test_format_matrix_row_major():

@@ -428,3 +428,9 @@ def test_bisection_collapses_on_rational_root():
     x = refine_root(spec, 64)
     assert x.lo_num == x.hi_num and x.low == Fraction(3, 4)
     assert FormEvaluator([x]).certified_sign((-3, 4)) is Sign.ZERO
+
+
+@pytest.mark.parametrize("values", [[0.5, 0.25], [Fraction(1, 2), 0.25], ["1/2"]])
+def test_form_evaluator_rejects_other_kinds(values):
+    with pytest.raises(TypeError, match="int, Fraction or BigFloat, not"):
+        FormEvaluator(values)

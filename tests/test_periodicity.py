@@ -139,3 +139,11 @@ def test_power_basis_evidence():
         ev = power_basis_evidence(n, k)
         assert ev["all_annihilated"], (n, k)
         assert all(ev["divisible"]), (n, k)
+
+
+def test_power_basis_evidence_refuses_root_on_endpoint():
+    # x**2 - 1 has its positive root at the endpoint 1 of (0, 1), where the
+    # sign-change certificate does not hold
+    with pytest.raises(DegenerateInputError, match="endpoint is a root"):
+        power_basis_evidence(1, 0)
+    assert power_basis_evidence(1, 1)["all_annihilated"]

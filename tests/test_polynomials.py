@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from trianglemap.errors import DegenerateInputError
 from trianglemap.polynomials import (
     IntPolynomial,
     count_roots,
@@ -11,6 +12,7 @@ from trianglemap.polynomials import (
     exact_quotient,
     gcd,
     squarefree_part,
+    vanishes_at_root,
 )
 
 X = IntPolynomial((0, 1))
@@ -154,3 +156,16 @@ def test_count_roots_matches_known_roots(roots, low, width, with_complex):
         p = p * poly(1, 1, 1)          # no real roots
     expected = len({r for r in roots if low < r < high})
     assert count_roots(p, low, high) == expected
+
+
+def test_vanishes_at_root():
+    p = IntPolynomial((-1, 1, 1, 1))  # x^3 + x^2 + x - 1, one root in (0, 1)
+    lo, hi = Fraction(0), Fraction(1)
+    assert vanishes_at_root(p * IntPolynomial((5, 2)), p, lo, hi)
+    assert vanishes_at_root(IntPolynomial((0,)), p, lo, hi)
+    assert not vanishes_at_root(IntPolynomial((-1, 2)), p, lo, hi)  # 2x - 1
+    # a factor of p with no root in the interval does not count
+    q = IntPolynomial((-2, 1)) * p  # adds the root 2
+    assert not vanishes_at_root(IntPolynomial((-2, 1)), q, lo, hi)
+    with pytest.raises(DegenerateInputError):
+        vanishes_at_root(IntPolynomial((-1, 1)), IntPolynomial((-1, 0, 1)), lo, hi)

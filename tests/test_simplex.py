@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
+from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
 from trianglemap.numeric import SequenceStatus
 from trianglemap.periodicity import fixed_point_nd, rational_termination_check
 from trianglemap.simplex import (
@@ -14,12 +15,7 @@ from trianglemap.simplex import (
     candidate_symbols,
     classify_nd,
     decomposition_check,
-    mat_det,
-    mat_identity,
-    mat_inverse_unimodular,
-    mat_mul,
     product_matrix_nd,
-    recover_nd,
     region_membership,
     region_vertices,
     sample_rational_point,

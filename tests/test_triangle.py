@@ -170,3 +170,11 @@ def test_gauss_matches_stdlib_fraction_expansion(x):
     for q in reversed(rec.quotients):
         value = Fraction(1, q + value)
     assert value == x
+
+
+def test_float_coordinates_rejected_with_type_error():
+    # the evaluator names the accepted kinds instead of failing on a missing attribute
+    with pytest.raises(TypeError, match="not float"):
+        sequence(Point2(0.5, 0.25), 5)
+    with pytest.raises(TypeError, match="not float"):
+        gauss_sequence(0.5, 5)
