@@ -61,11 +61,14 @@ def _emit(records: list[dict], fmt: str) -> None:
             print(json.dumps(r, sort_keys=True))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bits", type=int, default=256,
-                   help="working precision for inexact input (default 256)")
-    p.add_argument("--cap-bits", type=int, default=None,
-                   help="hard ceiling for on-demand refinement")
+def _add_common(p: argparse.ArgumentParser, bits: bool = True, cap_bits: bool = True) -> None:
+    """--format on every subcommand; the precision flags only where they are read."""
+    if bits:
+        p.add_argument("--bits", type=int, default=256,
+                       help="working precision for inexact input (default 256)")
+    if cap_bits:
+        p.add_argument("--cap-bits", type=int, default=None,
+                       help="hard ceiling for on-demand refinement")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
 
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="exact region of points with a given prefix")
     p.add_argument("--symbols", required=True)
-    _add_common(p)
+    _add_common(p, bits=False, cap_bits=False)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("derive-poly", help="polynomial pinned by a periodic stream")
@@ -397,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--earlier", type=int, default=0)
     p.add_argument("--later", type=int, default=None)
     p.add_argument("--hint", default=None)
-    _add_common(p)
+    _add_common(p, cap_bits=False)
     p.set_defaults(func=_cmd_derive_poly)
 
     p = sub.add_parser("decomp-check", help="sampled exactly-one-region audit")
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-den", type=int, default=10000)
-    _add_common(p)
+    _add_common(p, bits=False, cap_bits=False)
     p.set_defaults(func=_cmd_decomp_check)
 
     p = sub.add_parser("verify", help="built-in verification suites")

@@ -1,21 +1,24 @@
 """Period structure of symbol streams and the algebra of periodic points.
 
 A stream that repeats from some index on pins its starting point to an
-algebraic number: the accumulated matrix over one full period fixes the
-direction (1, coordinates), and eliminating the other coordinates from the
-fixed-direction equations leaves one integer polynomial in the first.
+algebraic number: the accumulated matrix over one full period (the portion)
+fixes the direction (1, coordinates) as a left eigenvector.  The
+coordinates are ratios of adjugate entries at an eigenvalue, so one
+resultant against the characteristic polynomial leaves one integer
+polynomial in the first coordinate.  The polynomials of that construction
+are sampled at small integers with Bareiss determinants and interpolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from . import polynomials, simplex
-from .elimination import eliminant_from_portion, fixed_direction_polynomials
-from .errors import DegenerateInputError
-from .matrices import mat_inverse_unimodular, mat_mul
+from .errors import DegenerateInputError, InconsistentInputError
+from .matrices import Matrix, mat_det, mat_inverse_unimodular, mat_minor_det, mat_mul
 from .numeric import BigFloat, ExactNumber, RootSpec, refine_root
 from .polynomials import IntPolynomial
 from .triangle import Point2
@@ -141,9 +144,9 @@ def eliminant_nd(symbols: Sequence[simplex.SymbolND], n: int,
                  later: int, earlier: int) -> IntPolynomial:
     """Eliminant of a stream repeating between positions earlier and later.
 
-    Forms the matrix portion between the two positions and eliminates all
-    coordinates but the first from its fixed-direction system by iterated
-    resultants.
+    Forms the matrix portion between the two positions and returns
+    ``eliminant_from_portion`` of it: an integer polynomial of degree at
+    most n + 1 that vanishes at the first coordinate of the periodic start.
     """
     if not 0 <= earlier < later <= len(symbols):
         raise ValueError("need 0 <= earlier < later <= len(symbols)")
@@ -151,6 +154,74 @@ def eliminant_nd(symbols: Sequence[simplex.SymbolND], n: int,
     m_earlier = simplex.product_matrix_nd(symbols[:earlier], n)
     q = mat_mul(m_later, mat_inverse_unimodular(m_earlier))
     return eliminant_from_portion(q, n)
+
+
+def _shifted(q: Matrix, lam: int) -> Matrix:
+    """lam*I - q."""
+    return tuple(tuple((lam if i == j else 0) - x for j, x in enumerate(row))
+                 for i, row in enumerate(q))
+
+
+def _sylvester(f: tuple[int, ...], g: tuple[int, ...]) -> Matrix:
+    """Sylvester matrix of f and g at the formal degrees len - 1, constant first."""
+    m, d = len(f) - 1, len(g) - 1
+    return tuple([(0,) * i + f[::-1] + (0,) * (d - 1 - i) for i in range(d)]
+                 + [(0,) * i + g[::-1] + (0,) * (m - 1 - i) for i in range(m)])
+
+
+def eliminant_from_portion(q: Sequence[Sequence[int]], n: int) -> IntPolynomial:
+    """One integer polynomial in x_1 for the fixed directions of the portion q.
+
+    A fixed direction (1, x_1, ..., x_n) is a left eigenvector of q, and at
+    an eigenvalue lam every row of adj(lam*I - q) is a multiple of it, as is
+    any combination e adj(lam*I - q) of the rows.  So with P_0, P_1 its first
+    two entries, x_1 = P_1/P_0, and Res_lam(chi, y*P_0 - P_1) vanishes at
+    x_1, where chi is the squarefree characteristic polynomial; its degree
+    is at most n + 1.  Roots of chi at which P_0 and P_1 vanish for every
+    row (an eigenvalue with several fixed directions, or one whose direction
+    has x_0 = x_1 = 0) are divided out, since they would kill every
+    resultant.  The combination is e = (1, t, ..., t**n) for the first
+    t = 0, 1, ... whose resultant is not identically zero; then no root of
+    chi zeroes it, so every isolated fixed direction is kept, and the
+    primitive result does not depend on t.  No more than n*(n + 1) values
+    of t can fail.
+
+    Returned primitive with positive leading coefficient.  Raises
+    InconsistentInputError when no eigenvalue isolates a direction (the
+    portion 2I, say) or no fixed direction has x_0 != 0.
+    """
+    size = n + 1
+    if len(q) != size or any(len(row) != size for row in q):
+        raise ValueError("portion matrix has the wrong shape")
+    shifted = [_shifted(q, t) for t in range(size + 1)]
+    chi = polynomials.squarefree_part(
+        polynomials.interpolate([(t, mat_det(b)) for t, b in enumerate(shifted)]))
+    # adj[i][c] is entry (c, i) of the adjugate: row c, column i
+    adj = [[polynomials.interpolate([(t, (-1) ** (i + c) * mat_minor_det(b, i, c))
+                                     for t, b in enumerate(shifted[:size])])
+            for c in range(size)] for i in (0, 1)]
+    shared = chi
+    for p in adj[0] + adj[1]:
+        if shared.degree == 0:
+            break
+        shared = polynomials.gcd(shared, p)
+    if shared.degree > 0:
+        chi = polynomials.exact_quotient(chi, shared)
+    if chi.degree == 0:
+        raise InconsistentInputError("eliminant vanished identically")
+    for t in range(size * n + 1):
+        p0, p1 = (sum((p.scale(t ** c) for c, p in enumerate(col)), IntPolynomial((0,)))
+                  for col in adj)
+        res = polynomials.interpolate([
+            (y, mat_det(_sylvester(chi.coeffs, tuple(
+                y * a - b for a, b in zip_longest(p0.coeffs, p1.coeffs, fillvalue=0)))))
+            for y in range(chi.degree + 1)])
+        if res.is_zero:
+            continue
+        if res.degree == 0:
+            raise InconsistentInputError("eliminant is a nonzero constant: no solution")
+        return res.primitive()
+    raise InconsistentInputError("eliminant vanished identically")
 
 
 def eliminant_report(poly: IntPolynomial, *, candidate: IntPolynomial | None = None,
@@ -168,26 +239,24 @@ def eliminant_report(poly: IntPolynomial, *, candidate: IntPolynomial | None = N
 def power_basis_evidence(n: int, k: int) -> dict:
     """Exact evidence that the constant-k fixed point is (r, r**2, ..., r**n).
 
-    Substitutes coordinate i -> x**i into each fixed-direction equation of
-    the one-step portion and decides exactly whether the positive root of
-    fixed_point_poly(n, k) annihilates it: the gcd with the squarefree part
-    must change sign across (0, 1).  Also records outright divisibility.
-    Raises ``DegenerateInputError`` when that root is the endpoint 1, which
+    The direction v = (1, x, ..., x**n) is fixed by the step matrix M_k (the
+    one-step portion M_2 M_1**-1 of a constant stream) when v M_k = lam v,
+    and lam is entry 0 of v M_k.  Entry j of v M_k is the polynomial whose
+    coefficients are column j of M_k, so equation i is col_0 * x**i - col_i
+    for i = 1..n.  Each is decided exactly at the positive root of
+    fixed_point_poly(n, k): its gcd with the squarefree part must change
+    sign across (0, 1).  Also records outright divisibility.  Raises
+    ``DegenerateInputError`` when that root is the endpoint 1, which
     happens only at n = 1, k = 0.
     """
-    # the one-step portion M_2 * M_1**-1 of a constant stream is its step matrix
-    eqs = fixed_direction_polynomials(simplex.step_matrix_nd(simplex.NonNegSymbol(k), n), n)
+    cols = list(zip(*simplex.step_matrix_nd(simplex.NonNegSymbol(k), n)))
+    eqs = [IntPolynomial((0,) * i + cols[0]) - IntPolynomial(cols[i]) for i in range(1, n + 1)]
     target = fixed_point_poly(n, k)
     reduced = polynomials.squarefree_part(target)
-    hits: list[bool] = []
-    divisible: list[bool] = []
-    for eq in eqs:
-        uni = eq.substitute_powers(tuple(range(1, n + 1)))
-        hits.append(polynomials.vanishes_at_root(uni, reduced, Fraction(0), Fraction(1)))
-        divisible.append(polynomials.divides(target, uni))
+    hits = [polynomials.vanishes_at_root(eq, reduced, Fraction(0), Fraction(1)) for eq in eqs]
     return {
         "equations": len(eqs),
         "root_annihilates": hits,
-        "divisible": divisible,
+        "divisible": [polynomials.divides(target, eq) for eq in eqs],
         "all_annihilated": all(hits),
     }

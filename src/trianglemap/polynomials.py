@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DegenerateInputError
 
@@ -126,6 +127,28 @@ def exact_quotient(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
         raise ValueError("division is not exact")
     scale = math.lcm(*(c.denominator for c in quo))
     return IntPolynomial(tuple(int(c * scale) for c in quo)).primitive()
+
+
+def interpolate(points: Sequence[tuple[int, int]]) -> IntPolynomial:
+    """The polynomial of degree below ``len(points)`` through distinct (x, y) pairs.
+
+    Newton divided differences over the rationals, expanded by Horner's rule;
+    raises ``ValueError`` unless every coefficient is an integer.
+    """
+    xs = [x for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    out = coef[-1:]
+    for i in range(len(coef) - 2, -1, -1):
+        out = [Fraction(0)] + out
+        for t in range(len(out) - 1):
+            out[t] -= xs[i] * out[t + 1]
+        out[0] += coef[i]
+    if any(c.denominator != 1 for c in out):
+        raise ValueError("interpolated polynomial has non-integer coefficients")
+    return IntPolynomial(tuple(int(c) for c in out))
 
 
 def _trim(v: list) -> list:

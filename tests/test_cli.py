@@ -113,6 +113,20 @@ def test_derive_poly(capsys):
     assert lines[0]["factor_checked"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "--symbols", "1,2", "--bits", "1", "--cap-bits", "5"],
+    ["decomp-check", "--n", "3", "--samples", "10", "--bits", "1"],
+    ["derive-poly", "--symbols", "2,2,2,2", "--later", "2", "--earlier", "1",
+     "--cap-bits", "1"],
+], ids=["realize", "decomp-check", "derive-poly"])
+def test_unread_precision_flags_rejected(capsys, argv):
+    # these subcommands take no precision flag they would not read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "usage"
+
+
 def test_decomp_check(capsys):
     code, lines, _ = run(capsys, "decomp-check", "--n", "3", "--samples", "50",
                          "--seed", "9")

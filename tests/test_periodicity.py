@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from trianglemap.errors import DegenerateInputError
+from trianglemap.errors import DegenerateInputError, InconsistentInputError
+from trianglemap.matrices import product_matrix, recover_nd
 from trianglemap.numeric import SequenceStatus
 from trianglemap.periodicity import (
     derive_cubic,
     detect_period,
+    eliminant_from_portion,
     eliminant_nd,
     eliminant_report,
     fixed_point_nd,
@@ -17,8 +19,8 @@ from trianglemap.periodicity import (
     power_basis_evidence,
     rational_termination_check,
 )
-from trianglemap.polynomials import IntPolynomial
-from trianglemap.simplex import NonNegSymbol, sequence_nd
+from trianglemap.polynomials import IntPolynomial, squarefree_part
+from trianglemap.simplex import NonNegSymbol, candidate_symbols, product_matrix_nd, sequence_nd
 from trianglemap.triangle import sequence
 
 
@@ -121,6 +123,70 @@ def test_eliminant_nd_matches_2d():
 def divides_or_equal(poly, target):
     from trianglemap.polynomials import divides
     return poly == target or divides(target, poly)
+
+
+def test_eliminant_identity_rejected():
+    # every direction is fixed by 2I, so no eigenvalue isolates one
+    q = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    with pytest.raises(InconsistentInputError):
+        eliminant_from_portion(q, 2)
+
+
+def test_eliminant_period_one():
+    for k in (1, 2, 3):
+        q = (product_matrix((k, k)) @ product_matrix((k,)).inverse()).rows
+        poly = eliminant_from_portion(q, 2)
+        assert poly == IntPolynomial((-1, 1, k, 1))
+
+
+def test_eliminant_counts_each_direction_once():
+    # v q = 2 v has only v = (1, 0, 0) though 2 is a double root of the
+    # characteristic polynomial; (0, 0, 1) at 3 has x_0 = 0 and adds nothing
+    assert eliminant_from_portion(((2, 0, 0), (1, 2, 0), (0, 0, 3)), 2) == IntPolynomial((0, 1))
+
+
+def test_eliminant_combines_adjugate_rows():
+    # fixed directions (1, 0, 0) at 2 and (1, 0, 1) at 3; row 1 of the
+    # adjugate vanishes at 3 and row 2 at 2, so no single row sees both
+    assert eliminant_from_portion(((2, 0, 0), (1, 2, 0), (1, 0, 3)), 2) == IntPolynomial((0, 0, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eliminant_constant_stream_any_period(n):
+    # the constant stream k with its period written as p copies of k
+    for k in range(6):
+        for p in (1, 2, 3):
+            stream = [NonNegSymbol(k)] * (2 * p)
+            if (n, k, p) == (1, 0, 2):
+                # M_0 squared is the identity at n = 1: every direction is fixed
+                with pytest.raises(InconsistentInputError):
+                    eliminant_nd(stream, n, 2 * p, p)
+                continue
+            assert eliminant_nd(stream, n, 2 * p, p) == fixed_point_poly(n, k), (k, p)
+
+
+def test_eliminant_pins():
+    # the iterated-resultant eliminant had degree 7 here, with extra factors
+    poly = eliminant_nd([NonNegSymbol(1), NonNegSymbol(0)] * 2, 4, 4, 2)
+    assert poly.to_text() == "-4,2,5,11,7,3"
+    # the constant stream 2 with period two at n = 5, which that route could not answer
+    assert eliminant_nd([NonNegSymbol(2)] * 4, 5, 4, 2) == fixed_point_poly(5, 2)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_eliminant_period_two_streams(n):
+    # every period-2 stream over 0, 1, 2 and the first three pair symbols:
+    # degree at most n + 1, and a root at the x_1 that a long run pins
+    # (squarefree, since [0, 1] at n = 3 gives (y**2 + y - 1)**2)
+    symbols = [NonNegSymbol(k) for k in range(3)] + candidate_symbols(n)[:3]
+    for a in symbols:
+        for b in symbols:
+            poly = eliminant_nd([a, b] * 2, n, 4, 2)
+            assert poly.degree <= n + 1, (a, b)
+            x1 = recover_nd(product_matrix_nd([a, b] * 30, n))[0]
+            reduced = squarefree_part(poly)
+            eps = Fraction(1, 10 ** 6)
+            assert (reduced.evaluate(x1 - eps) < 0) != (reduced.evaluate(x1 + eps) < 0), (a, b)
 
 
 def test_eliminant_report_fields():

@@ -11,6 +11,7 @@ from trianglemap.polynomials import (
     divmod_exact,
     exact_quotient,
     gcd,
+    interpolate,
     squarefree_part,
     vanishes_at_root,
 )
@@ -169,3 +170,18 @@ def test_vanishes_at_root():
     assert not vanishes_at_root(IntPolynomial((-2, 1)), q, lo, hi)
     with pytest.raises(DegenerateInputError):
         vanishes_at_root(IntPolynomial((-1, 1)), IntPolynomial((-1, 0, 1)), lo, hi)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
+       st.integers(-20, 20), st.integers(0, 3))
+def test_interpolate_round_trip(coeffs, start, extra):
+    # any len(coeffs) + extra distinct integer abscissae recover the polynomial
+    p = IntPolynomial(tuple(coeffs))
+    xs = range(start, start + len(coeffs) + extra)
+    assert interpolate([(x, p.evaluate(x)) for x in xs]) == p
+
+
+def test_interpolate_rejects_non_integer():
+    # the line through (0, 0) and (2, 1) is x/2
+    with pytest.raises(ValueError, match="non-integer"):
+        interpolate([(0, 0), (2, 1)])
