@@ -1,83 +1,60 @@
-from fractions import Fraction
+"""The eliminant of a period portion and the Sylvester resultant it is built on."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trianglemap.elimination import (
-    MPoly,
-    eliminant_from_portion,
-    fixed_direction_polynomials,
-    resultant,
-)
 from trianglemap.errors import InconsistentInputError
-from trianglemap.polynomials import IntPolynomial
+from trianglemap.matrices import mat_det, product_matrix
+from trianglemap.periodicity import _sylvester, eliminant_from_portion
+from trianglemap.polynomials import IntPolynomial, interpolate
 
 
-def var(nvars: int, i: int) -> MPoly:
-    return MPoly.variable(nvars, i)
+def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
+    # the determinant the eliminant takes at each sample of y
+    return mat_det(_sylvester(f.coeffs, g.coeffs))
 
 
-def test_mpoly_arithmetic():
-    x = var(2, 0)
-    y = var(2, 1)
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert p.degree_in(0) == 2
-    assert p.evaluate((Fraction(3), Fraction(2))) == 5
-
-
-def test_mpoly_power_and_scale():
-    x = var(1, 0)
-    p = (x + MPoly.const(1, 1)) ** 2
-    assert p.evaluate((Fraction(2),)) == 9
-    assert p.scale(-2).evaluate((Fraction(2),)) == -18
+def linear(root: int) -> IntPolynomial:
+    return IntPolynomial((-root, 1))
 
 
 def test_resultant_shared_root():
     # res(f, g) = 0 iff f and g share a root
-    x = var(1, 0)
-    zero = (Fraction(0),)
-    f = x * x - MPoly.const(1, 4)          # (x-2)(x+2)
-    g = x - MPoly.const(1, 2)
-    assert resultant(f, g, 0).evaluate(zero) == 0
-    h = x - MPoly.const(1, 3)
-    assert resultant(f, h, 0).evaluate(zero) != 0
+    f = IntPolynomial((-4, 0, 1))          # (x-2)(x+2)
+    assert resultant(f, linear(2)) == 0
+    assert resultant(f, linear(3)) != 0
 
 
 def test_resultant_eliminates_variable():
-    # x^2 - t = 0 and x - t = 0 force t^2 - t = 0
-    x, t = var(2, 0), var(2, 1)
-    f = x * x - t
-    g = x - t
-    r = resultant(f, g, 0)
-    u = r.to_univariate(1)
+    # x^2 - t = 0 and x - t = 0 force t^2 - t = 0; sampled in t and
+    # interpolated, as the eliminant samples y
+    u = interpolate([(t, resultant(IntPolynomial((-t, 0, 1)), linear(t))) for t in range(4)])
     assert u == IntPolynomial((0, -1, 1)) or u == IntPolynomial((0, 1, -1))
 
 
 def test_resultant_degree_zero_cases():
-    x = var(1, 0)
-    zero = (Fraction(0),)
-    c = MPoly.const(1, 5)
-    f = x * x + MPoly.const(1, 1)
-    assert resultant(f, c, 0).evaluate(zero) == 25
-    assert resultant(MPoly.zero(1), f, 0).is_zero
+    f = IntPolynomial((1, 0, 1))
+    assert resultant(f, IntPolynomial((5,))) == 25
+    assert resultant(IntPolynomial((0,)), f) == 0
 
 
 def test_fixed_direction_polynomials_shape():
-    q = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    eqs = fixed_direction_polynomials(q, 2)
-    # identity transport: L1 = 1, L2 = a1, L3 = a2 so each equation vanishes
-    assert all(e.is_zero for e in eqs)
+    # identity transport fixes every direction, so the adjugate entries
+    # P_0, P_1 vanish at its one eigenvalue and nothing is left to eliminate
+    for n in range(1, 5):
+        q = tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
+        with pytest.raises(InconsistentInputError, match="vanished identically"):
+            eliminant_from_portion(q, n)
 
 
 def test_eliminant_identity_rejected():
+    # every direction is fixed by 2I, so no eigenvalue isolates one
     q = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     with pytest.raises(InconsistentInputError):
         eliminant_from_portion(q, 2)
 
 
 def test_eliminant_period_one():
-    from trianglemap.matrices import product_matrix
     for k in (1, 2, 3):
         q = (product_matrix((k, k)) @ product_matrix((k,)).inverse()).rows
         poly = eliminant_from_portion(q, 2)
@@ -88,7 +65,6 @@ def test_eliminant_period_one():
 @settings(max_examples=30)
 def test_resultant_vanishes_on_common_root(a, b, c):
     # f and g share the root x = a, so the resultant must vanish
-    x = var(1, 0)
-    f = (x - MPoly.const(1, a)) * (x - MPoly.const(1, b))
-    g = (x - MPoly.const(1, a)) * (x - MPoly.const(1, c))
-    assert resultant(f, g, 0).evaluate((Fraction(0),)) == 0
+    f = linear(a) * linear(b)
+    g = linear(a) * linear(c)
+    assert resultant(f, g) == 0

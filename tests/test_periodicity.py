@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trianglemap.errors import DegenerateInputError, InconsistentInputError
-from trianglemap.matrices import product_matrix, recover_nd
+from trianglemap.matrices import recover_nd
 from trianglemap.numeric import SequenceStatus
 from trianglemap.periodicity import (
     derive_cubic,
@@ -123,20 +123,6 @@ def test_eliminant_nd_matches_2d():
 def divides_or_equal(poly, target):
     from trianglemap.polynomials import divides
     return poly == target or divides(target, poly)
-
-
-def test_eliminant_identity_rejected():
-    # every direction is fixed by 2I, so no eigenvalue isolates one
-    q = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    with pytest.raises(InconsistentInputError):
-        eliminant_from_portion(q, 2)
-
-
-def test_eliminant_period_one():
-    for k in (1, 2, 3):
-        q = (product_matrix((k, k)) @ product_matrix((k,)).inverse()).rows
-        poly = eliminant_from_portion(q, 2)
-        assert poly == IntPolynomial((-1, 1, k, 1))
 
 
 def test_eliminant_counts_each_direction_once():
