@@ -353,6 +353,8 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     _check_bits(args.bits)
+    if args.cases < 1:
+        raise DegenerateInputError("--cases must be at least 1")
     records: list[dict] = []
     failures = _SUITES[args.suite](args, records)
     records.append({"summary": True, "suite": args.suite,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
@@ -403,40 +404,43 @@ def region_vertices(n: int, symbol: SymbolND) -> tuple[tuple[Fraction, ...], ...
     return tuple(verts)
 
 
-def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bool = False) -> bool:
-    """Exact membership test straight from the defining inequalities.
-
-    With closed=False this implements the partition convention (half-open
-    boundaries); closed=True relaxes every strict inequality, giving the
-    closure, which is what region vertices satisfy.
-    """
-    x = [Fraction(v) for v in point]
-    n = len(x)
-
-    def gt(v) -> bool:
-        return v >= 0 if closed else v > 0
-
-    # domain (closure version never rejects a boundary point of the simplex)
-    if x[0] > 1 or any(x[t] < x[t + 1] for t in range(n - 1)) or not gt(x[n - 1]):
-        return False
+def _slack_chain(den: int, xs: Sequence[int]) -> list[int]:
+    """The chain q_1, ..., q_n scaled by den: ``q[t] = den - xs[0] - ... - xs[t]``."""
     q = []
-    acc = Fraction(1)
-    for t in range(n):
-        acc -= x[t]
-        q.append(acc)  # q[t] = q_{t+1}
-    slack = q[n - 2] if n >= 2 else Fraction(1)
+    acc = den
+    for v in xs:
+        acc -= v
+        q.append(acc)
+    return q
+
+
+def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: SymbolND,
+                   closed: bool) -> bool:
+    """The region rule on a point given as numerators ``xs`` over ``den`` > 0.
+
+    ``q`` is ``_slack_chain(den, xs)``.  Scaling by the positive ``den`` keeps
+    every inequality, so each test is an integer comparison.
+    """
+    n = len(xs)
+    last = xs[n - 1]
+    # domain (closure version never rejects a boundary point of the simplex)
+    if xs[0] > den or last < 0 or (last == 0 and not closed):
+        return False
+    for t in range(n - 1):
+        if xs[t] < xs[t + 1]:
+            return False
+    slack = q[n - 2] if n >= 2 else den
     if isinstance(symbol, NonNegSymbol):
-        k = symbol.k
-        hi = slack - k * x[n - 1]
-        lo_next = hi - x[n - 1]
+        hi = slack - symbol.k * last
+        lo_next = hi - last
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
     i, j = symbol.i, symbol.j
     if n < 3 or not (1 <= i < j <= n):
         return False
     qi = q[i - 1]
     qi1 = q[i]
-    xj = x[j - 1]
-    xj1 = x[j] if j < n else Fraction(0)
+    xj = xs[j - 1]
+    xj1 = xs[j] if j < n else 0
     if closed:
         return slack <= 0 and qi >= 0 and qi1 <= 0 and xj >= qi >= xj1
     # half-open convention: the fan owns slack == 0; the crossing index is
@@ -456,9 +460,33 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     return True
 
 
+def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bool = False) -> bool:
+    """Exact membership test straight from the defining inequalities.
+
+    With closed=False this implements the partition convention (half-open
+    boundaries); closed=True relaxes every strict inequality, giving the
+    closure, which is what region vertices satisfy.  The inequalities are
+    tested in integer arithmetic over the point's common denominator.
+    """
+    x = [Fraction(v) for v in point]
+    if not x:
+        raise DegenerateInputError("point needs at least one coordinate")
+    den = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (den // v.denominator) for v in x]
+    return _member_scaled(den, xs, _slack_chain(den, xs), symbol, closed)
+
+
 def candidate_symbols(n: int) -> list[SymbolND]:
     """Every pair symbol of dimension n, in (i, j) order; empty below n = 3."""
     return [PairSymbol(i, j) for i in range(1, n - 1) for j in range(i + 1, n + 1)]
+
+
+def _sample_scaled(rng: random.Random, n: int, max_denominator: int) -> tuple[int, list[int]]:
+    """The draws behind one sampled point: its denominator and its numerators."""
+    if max_denominator < n + 1:
+        raise ValueError("denominator bound too small to sample the simplex")
+    den = rng.randint(n + 1, max_denominator)
+    return den, sorted((rng.randint(1, den) for _ in range(n)), reverse=True)
 
 
 def sample_rational_point(rng: random.Random, n: int, max_denominator: int) -> tuple[Fraction, ...]:
@@ -468,10 +496,7 @@ def sample_rational_point(rng: random.Random, n: int, max_denominator: int) -> t
     points sit in a pair region whose inserted value is zero), so the
     coverage audit should exercise it too.
     """
-    if max_denominator < n + 1:
-        raise ValueError("denominator bound too small to sample the simplex")
-    den = rng.randint(n + 1, max_denominator)
-    nums = sorted((rng.randint(1, den) for _ in range(n)), reverse=True)
+    den, nums = _sample_scaled(rng, n, max_denominator)
     return tuple(Fraction(p, den) for p in nums)
 
 
@@ -493,27 +518,33 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
 
     Membership is tested directly from the defining inequalities for the
     floor-determined nonnegative index (plus its neighbours, which must
-    fail) and for every pair symbol exhaustively.  Every sampled point must
-    land in exactly one region; its region must also agree with classify_nd,
+    fail) and for every pair symbol exhaustively, in integer arithmetic
+    over the sample's common denominator.  Every sampled point must land
+    in exactly one region; its region must also agree with classify_nd,
     which decides by certified integer forms rather than these inequalities.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
+    pairs = candidate_symbols(n)
     violations: list[tuple[tuple[Fraction, ...], int]] = []
     mismatches = 0
     for _ in range(samples):
-        x = sample_rational_point(rng, n, max_denominator)
-        slack = 1 - sum(x[:n - 1]) if n >= 2 else Fraction(1)
+        den, xs = _sample_scaled(rng, n, max_denominator)
+        q = _slack_chain(den, xs)
+        slack = q[n - 2] if n >= 2 else den
         matches: list[SymbolND] = []
         if slack >= 0:
-            k = int(slack / x[n - 1])
+            k = slack // xs[n - 1]
             for cand in (k - 1, k, k + 1):
-                if cand >= 0 and region_membership(x, NonNegSymbol(cand)):
+                if cand >= 0 and _member_scaled(den, xs, q, NonNegSymbol(cand), False):
                     matches.append(NonNegSymbol(cand))
-        for sym in candidate_symbols(n):
-            if region_membership(x, sym):
+        for sym in pairs:
+            if _member_scaled(den, xs, q, sym, False):
                 matches.append(sym)
+        x = tuple(Fraction(p, den) for p in xs)
         if len(matches) != 1:
             violations.append((x, len(matches)))
             continue

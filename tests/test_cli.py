@@ -134,6 +134,22 @@ def test_decomp_check(capsys):
     assert lines[0]["ok"] is True
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["decomp-check", "--n", "3", "--samples", "-5"], "samples must be at least 1"),
+    (["decomp-check", "--n", "3", "--samples", "0"], "samples must be at least 1"),
+    (["verify", "--suite", "decomp", "--cases", "-3"], "--cases must be at least 1"),
+    (["verify", "--suite", "identity", "--cases", "0"], "--cases must be at least 1"),
+    (["verify", "--suite", "reduction", "--cases", "0"], "--cases must be at least 1"),
+], ids=["decomp-check-negative", "decomp-check-zero", "verify-decomp",
+        "verify-identity", "verify-reduction"])
+def test_vacuous_audits_rejected(capsys, argv, detail):
+    # an audit over no samples would report ok without checking anything
+    code, lines, err = run(capsys, *argv)
+    assert code == 1
+    assert lines == []
+    assert json.loads(err.splitlines()[-1]) == {"error": "degenerate-input", "detail": detail}
+
+
 def test_verify_suite(capsys):
     code, lines, _ = run(capsys, "verify", "--suite", "derive", "--kmax", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, 
 from trianglemap.numeric import SequenceStatus
 from trianglemap.periodicity import fixed_point_nd, rational_termination_check
 from trianglemap.simplex import (
+    DecompositionReport,
     NonNegSymbol,
     PairSymbol,
     PointN,
@@ -240,3 +242,198 @@ def test_decomposition_check_small():
 def test_decomposition_check_n4():
     rep = decomposition_check(4, 120, seed=5)
     assert rep.ok
+
+
+def test_decomposition_check_rejects_no_samples():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            decomposition_check(3, samples)
+
+
+# the region rule against a Fraction oracle ------------------------------------
+
+
+def _fraction_membership(point, symbol, *, closed=False) -> bool:
+    """The region rule in Fraction arithmetic: an oracle for the integer rule
+    that ``region_membership`` applies over the common denominator."""
+    x = [Fraction(v) for v in point]
+    n = len(x)
+
+    def gt(v) -> bool:
+        return v >= 0 if closed else v > 0
+
+    if x[0] > 1 or any(x[t] < x[t + 1] for t in range(n - 1)) or not gt(x[n - 1]):
+        return False
+    q = []
+    acc = Fraction(1)
+    for t in range(n):
+        acc -= x[t]
+        q.append(acc)  # q[t] = q_{t+1}
+    slack = q[n - 2] if n >= 2 else Fraction(1)
+    if isinstance(symbol, NonNegSymbol):
+        k = symbol.k
+        hi = slack - k * x[n - 1]
+        lo_next = hi - x[n - 1]
+        return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
+    i, j = symbol.i, symbol.j
+    if n < 3 or not (1 <= i < j <= n):
+        return False
+    qi = q[i - 1]
+    qi1 = q[i]
+    xj = x[j - 1]
+    xj1 = x[j] if j < n else Fraction(0)
+    if closed:
+        return slack <= 0 and qi >= 0 and qi1 <= 0 and xj >= qi >= xj1
+    if slack >= 0:
+        return False
+    if qi < 0 or (qi == 0 and i > 1):
+        return False
+    if qi1 > 0:
+        return False
+    if xj < qi:
+        return False
+    if j < n and qi <= xj1:
+        return False
+    return True
+
+
+def _probe_symbols(n: int) -> list:
+    """k = 0..8, every pair symbol of dimension n, and pairs no region of it has."""
+    invalid = [PairSymbol(0, 1), PairSymbol(-1, 2), PairSymbol(2, 2), PairSymbol(3, 2),
+               PairSymbol(1, n + 1), PairSymbol(n, n + 1)]
+    edge = [PairSymbol(n - 1, n)] if n >= 2 else []
+    return [NonNegSymbol(k) for k in range(9)] + candidate_symbols(n) + edge + invalid
+
+
+def _assert_rule_matches_oracle(point) -> None:
+    for sym in _probe_symbols(len(point)):
+        for closed in (False, True):
+            expected = _fraction_membership(point, sym, closed=closed)
+            assert region_membership(point, sym, closed=closed) is expected, (point, sym, closed)
+
+
+#: Largest denominator of the exhaustive grid, per dimension.
+_GRID_MAX_DEN = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3}
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_MAX_DEN))
+def test_region_membership_matches_oracle_on_grid(n):
+    # numerators run from -1 to den + 1, so the grid holds every facet and
+    # ridge of the subdivision at these denominators and points just outside
+    # the domain; at den <= 2, swapping a neighbouring pair also breaks the
+    # order at either end
+    for den in range(1, _GRID_MAX_DEN[n] + 1):
+        for nums in combinations_with_replacement(range(den + 1, -2, -1), n):
+            variants = {nums}
+            if den <= 2:
+                variants |= {nums[1:2] + nums[:1] + nums[2:], nums[:-2] + nums[:-3:-1]}
+            for v in variants:
+                _assert_rule_matches_oracle(tuple(F(p, den) for p in v[:n]))
+
+
+@st.composite
+def boundary_points(draw):
+    """Points placed on one region boundary (or one numerator step off it):
+    slack = 0, q_i = 0, q_i = x_j, x_1 = 1 or x_n = 0."""
+    n = draw(st.integers(1, 6))
+    nums = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), reverse=True)
+    kind = draw(st.sampled_from(["slack", "q_i", "window", "top", "last"]))
+    i = draw(st.integers(1, n))
+    j = draw(st.integers(i, n))
+    if kind == "slack":
+        den = sum(nums[:n - 1])
+    elif kind == "q_i":
+        den = sum(nums[:i])
+    elif kind == "window":
+        den = sum(nums[:i]) + nums[j - 1]
+    elif kind == "top":
+        den = nums[0]
+    else:
+        nums[-1] = 0
+        den = draw(st.integers(nums[0], nums[0] + 40))
+    den = max(den, 1)
+    t = draw(st.integers(0, n - 1))
+    nums[t] += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return tuple(F(p, den) for p in nums)
+
+
+@given(boundary_points())
+@settings(max_examples=300)
+def test_region_membership_matches_oracle_on_boundaries(point):
+    _assert_rule_matches_oracle(point)
+
+
+def test_region_membership_mixed_denominators_and_types():
+    for point in [(1, F(1, 2), F(1, 3)), (F(9, 10), F(4, 15), F(1, 6), F(1, 35)),
+                  (F(1, 2), 0), ("1/2", "1/3", "1/7"), (F(3, 7),)]:
+        _assert_rule_matches_oracle(point)
+
+
+def test_region_membership_needs_a_coordinate():
+    with pytest.raises(DegenerateInputError, match="point needs at least one coordinate"):
+        region_membership((), NonNegSymbol(0))
+
+
+# the audit against a reference built on the oracle ----------------------------
+
+
+def _reference_audit(n, samples, seed, max_denominator) -> DecompositionReport:
+    """decomposition_check as written on Fraction points and the oracle rule."""
+    rng = random.Random(seed)
+    violations = []
+    mismatches = 0
+    for _ in range(samples):
+        x = sample_rational_point(rng, n, max_denominator)
+        slack = 1 - sum(x[:n - 1]) if n >= 2 else F(1)
+        matches = []
+        if slack >= 0:
+            k = int(slack / x[n - 1])
+            matches += [NonNegSymbol(c) for c in (k - 1, k, k + 1)
+                        if c >= 0 and _fraction_membership(x, NonNegSymbol(c))]
+        matches += [s for s in candidate_symbols(n) if _fraction_membership(x, s)]
+        if len(matches) != 1:
+            violations.append((x, len(matches)))
+        elif classify_nd(PointN(x)) != matches[0]:
+            mismatches += 1
+    return DecompositionReport(n=n, samples=samples, violations=tuple(violations),
+                               classify_mismatches=mismatches)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed, max_den", [(11, 10_000), (12, 12), (13, 40)])
+def test_decomposition_check_equals_reference_audit(n, seed, max_den):
+    # the small denominator bounds put many samples on facets and ridges
+    report = decomposition_check(n, 120, seed=seed, max_denominator=max_den)
+    assert report == _reference_audit(n, 120, seed, max_den)
+
+
+#: sample_rational_point(random.Random(20240), 4, 10_000), twenty draws, as
+#: (numerator, denominator) pairs; the benchmark's audit check replays them.
+_SAMPLER_PIN = [
+    ((1674, 2033), (3903, 8132), (1351, 4066), (59, 2033)),
+    ((1109, 1214), (899, 1214), (186, 607), (737, 2428)),
+    ((2416, 2447), (2210, 2447), (1625, 2447), (932, 2447)),
+    ((5578, 9003), (4177, 9003), (3941, 9003), (857, 9003)),
+    ((2567, 3151), (5050, 9453), (5047, 9453), (3773, 9453)),
+    ((738, 781), (3029, 4686), (2677, 9372), (2525, 9372)),
+    ((3065, 3194), (4055, 4791), (3716, 4791), (365, 1597)),
+    ((1715, 1877), (1361, 1877), (1063, 1877), (855, 1877)),
+    ((6620, 7201), (5819, 7201), (2102, 7201), (458, 7201)),
+    ((2857, 4501), (1695, 4501), (102, 643), (292, 4501)),
+    ((2467, 4121), (4703, 8242), (919, 8242), (909, 8242)),
+    ((6872, 8739), (760, 971), (5207, 8739), (4711, 8739)),
+    ((4912, 8633), (2808, 8633), (2346, 8633), (1081, 8633)),
+    ((9477, 9791), (7201, 9791), (4316, 9791), (1116, 9791)),
+    ((8869, 8922), (7175, 8922), (1988, 4461), (1179, 2974)),
+    ((6419, 9752), (2883, 4876), (5455, 9752), (1373, 9752)),
+    ((367, 502), (2239, 3263), (1602, 3263), (1927, 6526)),
+    ((8206, 8497), (7013, 8497), (5984, 8497), (4829, 8497)),
+    ((758, 927), (2941, 7416), (325, 1236), (43, 3708)),
+    ((2107, 3765), (70, 251), (153, 1255), (83, 753)),
+]
+
+
+def test_sampler_draws_are_pinned():
+    rng = random.Random(20240)
+    drawn = [sample_rational_point(rng, 4, 10_000) for _ in range(20)]
+    assert drawn == [tuple(F(p, q) for p, q in point) for point in _SAMPLER_PIN]
