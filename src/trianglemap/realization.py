@@ -1,9 +1,10 @@
 """Exact cylinder regions: which starting points produce a given symbol prefix.
 
 The map restricted to wedge k is a projective bijection onto the whole
-triangle, so the preimage of a triangle is again a triangle and can be folded
-back one symbol at a time starting from the full domain.  All vertices are
-exact rationals.
+triangle, so the points whose run starts with a prefix form a triangle: the
+image of the domain under the inverse of the prefix's product matrix, built
+in one step by ``simplex.cylinder_vertices``.  All vertices are exact
+rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateInputError
+from .matrices import mat_apply_row, mat_inverse_unimodular, mat_step_nonneg
+from .simplex import NonNegSymbol, cylinder_vertices
 
 Pt = tuple[Fraction, Fraction]
 
@@ -64,31 +67,25 @@ class TriangleRegion:
         return max((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in pairs)
 
 
-def preimage_point(k: int, point: Pt) -> Pt:
-    """The unique source in wedge k mapping to the given point."""
-    if k < 0:
-        raise ValueError("symbols are nonnegative")
-    u, v = Fraction(point[0]), Fraction(point[1])
-    den = 1 + k * u + v
-    return Fraction(1, 1) / den, u / den
-
-
 def preimage_region(k: int, region: TriangleRegion) -> TriangleRegion:
-    return TriangleRegion(tuple(preimage_point(k, v) for v in region.vertices))
+    """The triangle in wedge k that the map sends onto ``region``: each
+    homogeneous vertex (1, x, y) times the integer inverse of k's step matrix."""
+    inv = mat_inverse_unimodular(mat_step_nonneg(k, 2))
+    rows = [mat_apply_row((1, Fraction(x), Fraction(y)), inv) for x, y in region.vertices]
+    return TriangleRegion(tuple((u / h, v / h) for h, u, v in rows))
 
 
 def realize(symbols: Sequence[int]) -> TriangleRegion:
     """The closed set of starting points whose run begins with these symbols.
 
-    Folds preimages right to left from the full domain triangle; an empty
-    prefix realizes the domain itself.
+    Vertex l is the preimage of domain vertex l (``DOMAIN_VERTICES``); an
+    empty prefix realizes the domain itself.
     """
-    region = TriangleRegion(DOMAIN_VERTICES)
-    for k in reversed(list(symbols)):
+    symbols = list(symbols)
+    for k in symbols:
         if not isinstance(k, int) or k < 0:
             raise DegenerateInputError(f"bad symbol {k!r}")
-        region = preimage_region(k, region)
-    return region
+    return TriangleRegion(cylinder_vertices([NonNegSymbol(k) for k in symbols], 2))
 
 
 def witness(symbols: Sequence[int]) -> Pt:

@@ -30,7 +30,8 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
-from .matrices import Column, Matrix, mat_from_columns, mat_identity, mat_mul, mat_step_nonneg
+from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
+                       mat_mul, mat_step_nonneg)
 from .numeric import (
     ExactNumber,
     FormEvaluator,
@@ -366,42 +367,37 @@ def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> 
 # regions, membership, decomposition audit -----------------------------------
 
 
-def _frame_vertex(n: int, ones: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if t < ones else Fraction(0) for t in range(n))
+def cylinder_vertices(symbols: Iterable[SymbolND], n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The n+1 exact vertices of the closed set of points whose run starts with ``symbols``.
+
+    Every branch maps its region onto the whole simplex, so this cylinder is
+    the domain's image under the inverse of the prefix's product matrix P:
+    the rows of D·P⁻¹, where row l of D is (1, 1^l 0^(n-l)), each divided by
+    its first entry.  That entry is at least 1: every step matrix admitted
+    here has a nonnegative inverse with top-left entry at least 1 (not so for
+    k = 0 at n = 1, whose region is empty).  Vertex l is the preimage of
+    (1^l 0^(n-l)).
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    symbols = list(symbols)
+    for s in symbols:
+        if isinstance(s, PairSymbol) and n < 3:
+            raise ValueError("pair regions only exist in dimension 3 and up")
+        if n == 1 and s == NonNegSymbol(0):
+            raise ValueError("index 0 region is empty in dimension 1")
+    domain = tuple((1,) * (l + 1) + (0,) * (n - l) for l in range(n + 1))
+    rows = mat_mul(domain, mat_inverse_unimodular(product_matrix_nd(symbols, n)))
+    return tuple(tuple(Fraction(c, row[0]) for c in row[1:]) for row in rows)
 
 
 def region_vertices(n: int, symbol: SymbolND) -> tuple[tuple[Fraction, ...], ...]:
-    """The n+1 exact vertices of a region of the subdivision."""
-    if isinstance(symbol, NonNegSymbol):
-        k = symbol.k
-        if k < 0:
-            raise ValueError("nonnegative symbol index must be >= 0")
-        ones = _frame_vertex(n, n)
-        if n == 1:
-            if k < 1:
-                raise ValueError("index 0 region is empty in dimension 1")
-            return ((Fraction(1, k),), (Fraction(1, k + 1),))
-        verts = [_frame_vertex(n, 1)]
-        for level in range(2, n):
-            verts.append(tuple(c / level for c in _frame_vertex(n, level)))
-        verts.append(tuple(c / (n + k - 1) for c in ones))
-        verts.append(tuple(c / (n + k) for c in ones))
-        return tuple(verts)
-    i, j = symbol.i, symbol.j
-    if n < 3:
-        raise ValueError("pair regions only exist in dimension 3 and up")
-    if not (1 <= i < j <= n):
-        raise ValueError(f"bad pair symbol ({i},{j})")
-    verts = []
-    for level in range(1, n + 1):
-        if level == j:
-            continue
-        scale = min(i, level) + (1 if level > j else 0)
-        verts.append(tuple(c / scale for c in _frame_vertex(n, level)))
-    vj = _frame_vertex(n, j)
-    verts.append(tuple(c / (i + 1) for c in vj))
-    verts.append(tuple(c / i for c in vj))
-    return tuple(verts)
+    """The n+1 exact vertices of a region of the subdivision.
+
+    This is the one-symbol cylinder: vertex l is the preimage of
+    (1^l 0^(n-l)) under the region's step.
+    """
+    return cylinder_vertices((symbol,), n)
 
 
 def _slack_chain(den: int, xs: Sequence[int]) -> list[int]:
@@ -431,6 +427,8 @@ def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: Symbol
             return False
     slack = q[n - 2] if n >= 2 else den
     if isinstance(symbol, NonNegSymbol):
+        if symbol.k < 0:
+            return False
         hi = slack - symbol.k * last
         lo_next = hi - last
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
@@ -466,7 +464,8 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     With closed=False this implements the partition convention (half-open
     boundaries); closed=True relaxes every strict inequality, giving the
     closure, which is what region vertices satisfy.  The inequalities are
-    tested in integer arithmetic over the point's common denominator.
+    tested in integer arithmetic over the point's common denominator.  A
+    symbol that names no region (k < 0, or an invalid pair) has no members.
     """
     x = [Fraction(v) for v in point]
     if not x:
@@ -539,7 +538,7 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
         if slack >= 0:
             k = slack // xs[n - 1]
             for cand in (k - 1, k, k + 1):
-                if cand >= 0 and _member_scaled(den, xs, q, NonNegSymbol(cand), False):
+                if _member_scaled(den, xs, q, NonNegSymbol(cand), False):
                     matches.append(NonNegSymbol(cand))
         for sym in pairs:
             if _member_scaled(den, xs, q, sym, False):

@@ -7,7 +7,6 @@ from trianglemap.errors import DegenerateInputError
 from trianglemap.realization import (
     DOMAIN_VERTICES,
     TriangleRegion,
-    preimage_point,
     preimage_region,
     realize,
     witness,
@@ -33,7 +32,7 @@ def test_degenerate_region_rejected():
 
 def test_preimage_point_inverts_map():
     target = (Fraction(2, 3), Fraction(1, 3))
-    src = preimage_point(1, target)
+    src = preimage_region(1, TriangleRegion((target,) * 3)).vertices[0]
     k, image = step(Point2(*src))
     assert k == 1
     assert (image.alpha, image.beta) == target
@@ -95,3 +94,59 @@ def test_vertex_sequences_on_wedge_boundary():
         _, near, far = region.vertices
         assert classify(Point2(*near)) == k
         assert classify(Point2(*far)) == k + 1
+
+
+# realize and preimage_region against the planar inverse branch ----------------
+
+
+def _oracle_preimage_point(k, point):
+    """The source in wedge k of a point, from the inverse branch written out:
+    (u, v) comes from (1, u) / (1 + k*u + v)."""
+    u, v = Fraction(point[0]), Fraction(point[1])
+    den = 1 + k * u + v
+    return Fraction(1, 1) / den, u / den
+
+
+def _oracle_realize(symbols):
+    """The cylinder folded back one symbol at a time from the domain."""
+    verts = DOMAIN_VERTICES
+    for k in reversed(symbols):
+        verts = tuple(_oracle_preimage_point(k, v) for v in verts)
+    return verts
+
+
+def test_realize_matches_fold():
+    rng = random.Random(808)
+    for _ in range(250):
+        prefix = tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 8)))
+        assert realize(prefix).vertices == _oracle_realize(prefix), prefix
+
+
+def test_preimage_region_matches_fold_outside_domain():
+    rng = random.Random(809)
+
+    def coord():
+        # whole numbers often enough that 1 + k*u + v hits zero
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 7)))
+
+    raised = 0
+    for _ in range(2000):
+        k = rng.randint(0, 6)
+        region = TriangleRegion(tuple((coord(), coord()) for _ in range(3)))
+        try:
+            expected = tuple(_oracle_preimage_point(k, v) for v in region.vertices)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                preimage_region(k, region)
+            continue
+        assert preimage_region(k, region).vertices == expected, (k, region)
+    assert 0 < raised < 2000
+
+
+def test_realize_rejects_bad_symbols():
+    for bad in ((1, -1), (2, "3"), (1.0,)):
+        with pytest.raises(DegenerateInputError, match="bad symbol"):
+            realize(bad)
+    with pytest.raises(ValueError):
+        preimage_region(-1, realize(()))

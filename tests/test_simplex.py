@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from trianglemap.simplex import (
     PointN,
     candidate_symbols,
     classify_nd,
+    cylinder_vertices,
     decomposition_check,
     product_matrix_nd,
     region_membership,
@@ -188,13 +190,29 @@ def test_region_vertices_fan():
 
 def test_region_vertices_gauss_case():
     assert region_vertices(1, NonNegSymbol(2)) == ((F(1, 2),), (F(1, 3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index 0 region is empty"):
         region_vertices(1, NonNegSymbol(0))
 
 
 def test_region_vertices_pair_needs_dimension():
-    with pytest.raises(ValueError):
-        region_vertices(2, PairSymbol(1, 2))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="pair regions only exist"):
+            region_vertices(n, PairSymbol(1, 2))
+
+
+def test_region_vertices_rejects_bad_input():
+    for n in (0, -1):
+        for sym in (NonNegSymbol(1), PairSymbol(1, 3)):
+            with pytest.raises(ValueError, match="dimension must be at least 1"):
+                region_vertices(n, sym)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            region_vertices(n, NonNegSymbol(-1))
+    with pytest.raises(ValueError, match="bad pair symbol"):
+        region_vertices(3, PairSymbol(2, 2))
+    # a later 0 empties a cylinder at n = 1 just as a first one does
+    with pytest.raises(ValueError, match="index 0 region is empty"):
+        cylinder_vertices([NonNegSymbol(1), NonNegSymbol(0)], 1)
 
 
 def test_region_membership_consistent_with_classify():
@@ -219,6 +237,76 @@ def test_region_vertices_lie_in_closed_region():
         for sym in syms:
             for v in region_vertices(n, sym):
                 assert region_membership(v, sym, closed=True), (n, sym, v)
+
+
+def _hand_region_vertices(n, symbol):
+    """Region vertices from per-symbol formulas: the fan region k has the
+    frame points 1^l 0^(n-l) / l for l < n and the diagonal points 1^n over
+    n + k - 1 and n + k; the pair region (i, j) has each frame point
+    1^l 0^(n-l) over min(i, l) (plus one past j) for l != j, and 1^j 0^(n-j)
+    over i + 1 and over i."""
+    def frame(ones):
+        return tuple(F(1) if t < ones else F(0) for t in range(n))
+
+    if isinstance(symbol, NonNegSymbol):
+        k = symbol.k
+        if n == 1:
+            return ((F(1, k),), (F(1, k + 1),))
+        verts = [frame(1)]
+        for level in range(2, n):
+            verts.append(tuple(c / level for c in frame(level)))
+        verts.append(tuple(c / (n + k - 1) for c in frame(n)))
+        verts.append(tuple(c / (n + k) for c in frame(n)))
+        return tuple(verts)
+    i, j = symbol.i, symbol.j
+    verts = []
+    for level in range(1, n + 1):
+        if level == j:
+            continue
+        scale = min(i, level) + (1 if level > j else 0)
+        verts.append(tuple(c / scale for c in frame(level)))
+    verts.append(tuple(c / (i + 1) for c in frame(j)))
+    verts.append(tuple(c / i for c in frame(j)))
+    return tuple(verts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_region_vertices_match_hand_formulas(n):
+    for k in range(1 if n == 1 else 0, 7):
+        sym = NonNegSymbol(k)
+        assert region_vertices(n, sym) == _hand_region_vertices(n, sym), (n, k)
+    for sym in candidate_symbols(n):
+        got = region_vertices(n, sym)
+        assert len(got) == n + 1
+        assert set(got) == set(_hand_region_vertices(n, sym)), (n, sym)
+
+
+def _homogeneous_row(v):
+    """The primitive integer row (w, w*v) of a rational vertex."""
+    w = lcm(*(c.denominator for c in v))
+    return (w,) + tuple(int(c * w) for c in v)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cylinders_are_unimodular_and_realize_their_prefix(n):
+    rng = random.Random(700 + n)
+    alphabet = [NonNegSymbol(k) for k in range(1 if n == 1 else 0, 4)] + candidate_symbols(n)
+    for _ in range(150):
+        prefix = [rng.choice(alphabet) for _ in range(rng.randint(1, 6))]
+        verts = cylinder_vertices(prefix, n)
+        assert len(verts) == n + 1
+        assert mat_det(tuple(_homogeneous_row(v) for v in verts)) in (1, -1), prefix
+        for v in verts:
+            assert region_membership(v, prefix[0], closed=True), (prefix, v)
+        barycentre = tuple(sum(c) / (n + 1) for c in zip(*verts))
+        rec = sequence_nd(PointN(barycentre), len(prefix))
+        assert rec.symbols == tuple(prefix), (prefix, rec.symbols)
+
+
+def test_empty_cylinder_is_the_domain():
+    for n in range(1, 5):
+        assert cylinder_vertices((), n) == tuple(
+            tuple(F(int(t < ones)) for t in range(n)) for ones in range(n + 1))
 
 
 def test_sampler_respects_domain():
@@ -272,6 +360,8 @@ def _fraction_membership(point, symbol, *, closed=False) -> bool:
     slack = q[n - 2] if n >= 2 else Fraction(1)
     if isinstance(symbol, NonNegSymbol):
         k = symbol.k
+        if k < 0:
+            return False
         hi = slack - k * x[n - 1]
         lo_next = hi - x[n - 1]
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
@@ -298,9 +388,9 @@ def _fraction_membership(point, symbol, *, closed=False) -> bool:
 
 
 def _probe_symbols(n: int) -> list:
-    """k = 0..8, every pair symbol of dimension n, and pairs no region of it has."""
+    """k = 0..8, every pair symbol of dimension n, and symbols no region of it has."""
     invalid = [PairSymbol(0, 1), PairSymbol(-1, 2), PairSymbol(2, 2), PairSymbol(3, 2),
-               PairSymbol(1, n + 1), PairSymbol(n, n + 1)]
+               PairSymbol(1, n + 1), PairSymbol(n, n + 1), NonNegSymbol(-1), NonNegSymbol(-2)]
     edge = [PairSymbol(n - 1, n)] if n >= 2 else []
     return [NonNegSymbol(k) for k in range(9)] + candidate_symbols(n) + edge + invalid
 
@@ -367,6 +457,14 @@ def test_region_membership_mixed_denominators_and_types():
     for point in [(1, F(1, 2), F(1, 3)), (F(9, 10), F(4, 15), F(1, 6), F(1, 35)),
                   (F(1, 2), 0), ("1/2", "1/3", "1/7"), (F(3, 7),)]:
         _assert_rule_matches_oracle(point)
+
+
+def test_negative_index_claims_no_point():
+    point = (F(3, 5), F(1, 2), F(1, 5))
+    for closed in (False, True):
+        assert not region_membership(point, NonNegSymbol(-1), closed=closed)
+    claims = [s for s in _probe_symbols(3) if region_membership(point, s)]
+    assert claims == [PairSymbol(1, 2)]
 
 
 def test_region_membership_needs_a_coordinate():
