@@ -69,9 +69,14 @@ class TriangleRegion:
 
 def preimage_region(k: int, region: TriangleRegion) -> TriangleRegion:
     """The triangle in wedge k that the map sends onto ``region``: each
-    homogeneous vertex (1, x, y) times the integer inverse of k's step matrix."""
+    homogeneous vertex (1, x, y) times the integer inverse of k's step matrix.
+
+    A vertex with 1 + k*x + y = 0 has no finite preimage and raises
+    ``DegenerateInputError``."""
     inv = mat_inverse_unimodular(mat_step_nonneg(k, 2))
     rows = [mat_apply_row((1, Fraction(x), Fraction(y)), inv) for x, y in region.vertices]
+    if any(h == 0 for h, _, _ in rows):
+        raise DegenerateInputError(f"a vertex of the region has no finite preimage in wedge {k}")
     return TriangleRegion(tuple((u / h, v / h) for h, u, v in rows))
 
 
@@ -83,7 +88,7 @@ def realize(symbols: Sequence[int]) -> TriangleRegion:
     """
     symbols = list(symbols)
     for k in symbols:
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DegenerateInputError(f"bad symbol {k!r}")
     return TriangleRegion(cylinder_vertices([NonNegSymbol(k) for k in symbols], 2))
 

@@ -1,14 +1,15 @@
 """The subdivision map on the ordered simplex in any dimension.
 
-Points live in ``1 >= x_1 >= x_2 >= ... >= x_n > 0``.  With
-``q_i = 1 - x_1 - ... - x_i`` (so ``q_{n-1}`` is the slack after all but the
-last coordinate), the simplex splits into
+Points live in ``1 >= x_1 >= x_2 >= ... >= x_n > 0``.  One chain
+``q_t = 1 - x_1 - ... - x_t`` decides each step; its entry ``q_{n-1}`` is the
+slack after all but the last coordinate.  The simplex splits into
 
 * nonnegative-slack regions indexed by k >= 0 where
-  ``q_{n-1} - k*x_n >= 0 > q_{n-1} - (k+1)*x_n``, and
-* pair regions indexed by (i, j) where ``q_{n-1} <= 0``, index i is the unique
-  crossing ``q_i > 0 >= q_{i+1}``, and j is the unique window
-  ``x_j >= q_i > x_{j+1}`` (with ``x_{n+1} = 0``).
+  ``q_{n-1} - k*x_n >= 0 > q_{n-1} - (k+1)*x_n`` (slack = 0 is here), and
+* pair regions indexed by (i, j) where ``q_{n-1} < 0``, the crossing i is the
+  first index with ``q_{i+1} <= 0`` (so ``q_i > 0``, or ``q_1 = 0`` at i = 1),
+  and the window j is the one with ``x_j >= q_i > x_{j+1}``, closed at
+  ``x_{n+1} = 0`` (j = n when ``x_n >= q_i >= 0``).
 
 At n = 2 the slack ``q_1 = 1 - x_1`` is never negative, so only the
 nonnegative family fires and the scheme reduces to the 2D wedges; at n = 1 it
@@ -94,11 +95,15 @@ class PointN:
 
 
 def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
-    """The (n+1)x(n+1) integer matrix whose row action performs one d-update."""
+    """The (n+1)x(n+1) integer matrix whose row action performs one d-update.
+
+    A pair symbol must be one of ``candidate_symbols(n)``."""
     if isinstance(symbol, NonNegSymbol):
         return mat_step_nonneg(symbol.k, n)
     i, j = symbol.i, symbol.j
-    if not (1 <= i < j <= n):
+    if n < 3:
+        raise ValueError("pair regions only exist in dimension 3 and up")
+    if not (1 <= i <= n - 2 and i < j <= n):
         raise ValueError(f"bad pair symbol ({i},{j})")
     size = n + 1
     cols: list[list[int]] = []
@@ -126,10 +131,6 @@ def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
 
 
 # classification and sequences ----------------------------------------------
-
-
-def _col_zero(size: int) -> Column:
-    return (0,) * size
 
 
 def _col_sub(a: Column, b: Column) -> Column:
@@ -199,86 +200,53 @@ class _Engine:
         ]
         self.status: SequenceStatus | None = None
 
-    def slack_col(self, i: int) -> Column:
-        """Column form of q_i scaled by the leading remainder (i coords subtracted)."""
-        col = self.cols[0]
-        for t in range(1, i + 1):
-            col = _col_sub(col, self.cols[t])
-        return col
-
-    def coord_col(self, t: int) -> Column:
-        # x_{n+1} is identically zero
-        if t == self.n + 1:
-            return _col_zero(self.n + 1)
-        return self.cols[t]
+    def _sign(self, form: Column, ambiguous: str) -> Sign:
+        """The certified sign of a form; raises with message ``ambiguous`` if undecidable."""
+        s = self.ev.certified_sign(form)
+        if s is Sign.AMBIGUOUS:
+            raise PrecisionExhaustedError(ambiguous)
+        return s
 
     def classify_once(self) -> tuple[SymbolND, Column]:
-        """One certified branch decision: the symbol and the inserted column."""
-        ev, n = self.ev, self.n
-        s0_col = self.slack_col(n - 1)
+        """One certified branch decision: the symbol and the inserted column.
+
+        ``q[t]`` is the column form of q_t (t < n) scaled by the leading
+        remainder; the last entry picks the family, the crossing i and then
+        the window j over x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.
+        """
+        ev, n, cols = self.ev, self.n, self.cols
+        q = [cols[0]]
+        for col in cols[1:n]:
+            q.append(_col_sub(q[-1], col))
+        slack = q[n - 1]
         # pair regions exist only from n = 3; below that the slack is
         # nonnegative on the whole domain, so its sign needs no query
-        s0 = ev.certified_sign(s0_col) if n >= 3 else Sign.POSITIVE
-        if s0 is Sign.AMBIGUOUS:
-            raise PrecisionExhaustedError("slack sign is ambiguous")
-        if s0 in (Sign.POSITIVE, Sign.ZERO):
-            a = ev.certified_floor(s0_col, self.cols[n])
-            g1 = _col_addmul(s0_col, -a, self.cols[n])
-            g2 = _col_sub(g1, self.cols[n])
-            s1 = ev.certified_sign(g1)
-            s2 = ev.certified_sign(g2)
-            if s1 is Sign.AMBIGUOUS or s2 is Sign.AMBIGUOUS:
-                raise PrecisionExhaustedError("region boundary test is ambiguous")
+        if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
+            a = ev.certified_floor(slack, cols[n])
+            g1 = _col_addmul(slack, -a, cols[n])
+            s1 = self._sign(g1, "region boundary test is ambiguous")
+            s2 = self._sign(_col_sub(g1, cols[n]), "region boundary test is ambiguous")
             if s1 is Sign.NEGATIVE or s2 is not Sign.NEGATIVE:
                 raise AssertionError("certified floor contradicts boundary signs")
             return NonNegSymbol(a), g1
-        # slack negative: find the crossing index i, then the window index j.
-        # The q_t values decrease strictly and q_1 = 1 - x_1 >= 0 on the
-        # domain, so with q_{n-1} certified negative the first index whose
-        # successor is <= 0 always exists and lands at some i <= n-2.  A zero
-        # q_i can only appear at i = 1 (on the facet x_1 = 1) and is a valid
-        # crossing there; its window lands at j = n and the inserted column
-        # is identically zero, so the sequence terminates on the next step.
-        i = None
-        q_col = None
-        prev_col = self.slack_col(1)
-        prev_sign = ev.certified_sign(prev_col)
-        if prev_sign is Sign.AMBIGUOUS:
-            raise PrecisionExhaustedError("slack sign is ambiguous")
-        for cand in range(1, n - 1):
-            if cand + 1 == n - 1:
-                nxt_col, nxt_sign = s0_col, s0
-            else:
-                nxt_col = self.slack_col(cand + 1)
-                nxt_sign = ev.certified_sign(nxt_col)
-                if nxt_sign is Sign.AMBIGUOUS:
-                    raise PrecisionExhaustedError("slack sign is ambiguous")
-            if prev_sign in (Sign.POSITIVE, Sign.ZERO) and nxt_sign in (Sign.NEGATIVE, Sign.ZERO):
-                i = cand
-                q_col = prev_col
-                break
-            prev_col, prev_sign = nxt_col, nxt_sign
-        if i is None or q_col is None:
-            raise AssertionError("slack chain crossing not found below a negative tail")
-        j = None
-        for cand in range(i + 1, n + 1):
-            below = _col_sub(q_col, self.coord_col(cand + 1))
-            s_below = ev.certified_sign(below)
-            if s_below is Sign.AMBIGUOUS:
-                raise PrecisionExhaustedError("pair window test is ambiguous")
+        # the chain decreases strictly from q_1 >= 0 (zero only on x_1 = 1,
+        # whose window is j = n and inserted column zero) to q_{n-1} < 0
+        if self._sign(q[1], "slack sign is ambiguous") is Sign.NEGATIVE:
+            raise AssertionError("slack chain starts negative")
+        i = 1
+        while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
+            i += 1
+        window = cols[i + 1:] + [(0,) * (n + 1)]
+        for j, x_j, x_next in zip(range(i + 1, n + 1), window, window[1:]):
+            below = self._sign(_col_sub(q[i], x_next), "pair window test is ambiguous")
             # strict against real coordinates, closed against x_{n+1} = 0
-            if s_below is Sign.POSITIVE or (cand == n and s_below is Sign.ZERO):
-                above = _col_sub(self.coord_col(cand), q_col)
-                s_above = ev.certified_sign(above)
-                if s_above is Sign.AMBIGUOUS:
-                    raise PrecisionExhaustedError("pair window test is ambiguous")
-                if s_above is Sign.NEGATIVE:
-                    raise AssertionError("window scan lost monotonicity")
-                j = cand
+            if below is Sign.POSITIVE or (j == n and below is Sign.ZERO):
                 break
-        if j is None:
+        else:
             raise AssertionError("pair window scan fell off the end")
-        return PairSymbol(i, j), q_col
+        if self._sign(_col_sub(x_j, q[i]), "pair window test is ambiguous") is Sign.NEGATIVE:
+            raise AssertionError("window scan lost monotonicity")
+        return PairSymbol(i, j), q[i]
 
     def push(self, symbol: SymbolND, inserted: Column) -> None:
         if isinstance(symbol, NonNegSymbol):
@@ -292,37 +260,30 @@ class _Engine:
 
         Callers read what their records keep from ``cols`` between symbols, at
         the precision of that step.  When the run stops, ``status`` says why:
-        an exact zero last remainder, max_len, or a branch that could not be
-        certified.
+        an exact zero last remainder, max_len, or a step whose remainder signs
+        or branch raised ``PrecisionExhaustedError``.
         """
-        ev, n = self.ev, self.n
+        n = self.n
         for _ in range(max_len):
-            # below n = 3 the leading remainder is the seed 1 or an earlier
-            # last remainder, which was certified positive then
-            if n >= 3:
-                s_lead = ev.certified_sign(self.cols[0])
-                if s_lead is Sign.AMBIGUOUS:
-                    self.status = SequenceStatus.PRECISION_EXHAUSTED
-                    return
-                if s_lead is not Sign.POSITIVE:
-                    raise AssertionError("leading remainder lost positivity")
-            s_last = ev.certified_sign(self.cols[n])
-            if s_last is Sign.ZERO:
-                self.status = SequenceStatus.TERMINATED
-                return
-            if s_last is Sign.AMBIGUOUS:
-                self.status = SequenceStatus.PRECISION_EXHAUSTED
-                return
-            if s_last is Sign.NEGATIVE:
-                raise AssertionError("smallest remainder certified negative")
             try:
+                # below n = 3 the leading remainder is the seed 1 or an
+                # earlier last remainder, which was certified positive then
+                if n >= 3 and (self._sign(self.cols[0], "leading remainder sign is ambiguous")
+                               is not Sign.POSITIVE):
+                    raise AssertionError("leading remainder lost positivity")
+                s_last = self._sign(self.cols[n], "last remainder sign is ambiguous")
+                if s_last is Sign.ZERO:
+                    self.status = SequenceStatus.TERMINATED
+                    return
+                if s_last is Sign.NEGATIVE:
+                    raise AssertionError("smallest remainder certified negative")
                 symbol, inserted = self.classify_once()
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
             self.push(symbol, inserted)
             yield symbol
-        s_last = ev.certified_sign(self.cols[n])
+        s_last = self.ev.certified_sign(self.cols[n])
         self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
 
 
@@ -381,11 +342,8 @@ def cylinder_vertices(symbols: Iterable[SymbolND], n: int) -> tuple[tuple[Fracti
     if n < 1:
         raise ValueError("dimension must be at least 1")
     symbols = list(symbols)
-    for s in symbols:
-        if isinstance(s, PairSymbol) and n < 3:
-            raise ValueError("pair regions only exist in dimension 3 and up")
-        if n == 1 and s == NonNegSymbol(0):
-            raise ValueError("index 0 region is empty in dimension 1")
+    if n == 1 and NonNegSymbol(0) in symbols:
+        raise ValueError("index 0 region is empty in dimension 1")
     domain = tuple((1,) * (l + 1) + (0,) * (n - l) for l in range(n + 1))
     rows = mat_mul(domain, mat_inverse_unimodular(product_matrix_nd(symbols, n)))
     return tuple(tuple(Fraction(c, row[0]) for c in row[1:]) for row in rows)

@@ -156,6 +156,14 @@ def test_verify_suite(capsys):
     assert lines[-1]["failures"] == 0
 
 
+@pytest.mark.parametrize("suite", ["conjecture1", "derive", "period1"])
+def test_verify_suites_to_k10(capsys, suite):
+    code, lines, _ = run(capsys, "verify", "--suite", suite, "--kmax", "10")
+    assert code == 0
+    assert lines[-1]["summary"] is True
+    assert lines[-1]["failures"] == 0
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "seq", "--point", "1/3,1/2")
     assert code == 1
@@ -193,6 +201,24 @@ def test_domain_undecidable_messages(capsys):
         assert code == 2
         assert json.loads(err) == {"error": "precision-exhausted",
                                    "detail": f"cannot certify domain: {detail}"}
+
+
+@pytest.mark.parametrize("point, detail", [
+    # the slack 1 - 0.6 - 0.4, the window test 0.3 - x_3 and the floor
+    # 0.2/0.2 each sit on an exact tie that decimal input cannot certify
+    ("dec:0.6,0.4,0.1:64", "slack sign is ambiguous"),
+    ("dec:0.7,0.5,0.3:64", "pair window test is ambiguous"),
+    ("dec:0.5,0.3,0.2:64", "floor undecidable at the precision cap"),
+])
+def test_undecidable_branch_messages_nd(capsys, point, detail):
+    code, out, err = run(capsys, "classify", "--point", point)
+    assert code == 2
+    assert out == []
+    assert json.loads(err) == {"error": "precision-exhausted", "detail": detail}
+    code, lines, _ = run(capsys, "seq", "--point", point)
+    assert code == 2
+    assert lines[-1]["status"] == "precision-exhausted"
+    assert lines[-1]["length"] == 0
 
 
 def test_planar_lower_edge(capsys):

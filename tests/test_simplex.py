@@ -215,6 +215,21 @@ def test_region_vertices_rejects_bad_input():
         cylinder_vertices([NonNegSymbol(1), NonNegSymbol(0)], 1)
 
 
+def test_pair_symbols_outside_the_subdivision_rejected():
+    for n in range(1, 7):
+        valid = set(candidate_symbols(n))
+        detail = "pair regions only exist" if n < 3 else "bad pair symbol"
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                sym = PairSymbol(i, j)
+                if sym in valid:
+                    continue
+                for build in (step_matrix_nd, lambda s, n: product_matrix_nd([s], n),
+                              lambda s, n: region_vertices(n, s)):
+                    with pytest.raises(ValueError, match=detail):
+                        build(sym, n)
+
+
 def test_region_membership_consistent_with_classify():
     pts = [
         (F(9, 10), F(9, 10), F(1, 10)),
@@ -406,8 +421,7 @@ def _assert_rule_matches_oracle(point) -> None:
 _GRID_MAX_DEN = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3}
 
 
-@pytest.mark.parametrize("n", sorted(_GRID_MAX_DEN))
-def test_region_membership_matches_oracle_on_grid(n):
+def _grid(n):
     # numerators run from -1 to den + 1, so the grid holds every facet and
     # ridge of the subdivision at these denominators and points just outside
     # the domain; at den <= 2, swapping a neighbouring pair also breaks the
@@ -418,7 +432,25 @@ def test_region_membership_matches_oracle_on_grid(n):
             if den <= 2:
                 variants |= {nums[1:2] + nums[:1] + nums[2:], nums[:-2] + nums[:-3:-1]}
             for v in variants:
-                _assert_rule_matches_oracle(tuple(F(p, den) for p in v[:n]))
+                yield tuple(F(p, den) for p in v[:n])
+
+
+def _in_domain(point) -> bool:
+    return point[0] <= 1 and point[-1] > 0 and all(a >= b for a, b in zip(point, point[1:]))
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_MAX_DEN))
+def test_region_membership_matches_oracle_on_grid(n):
+    for point in _grid(n):
+        _assert_rule_matches_oracle(point)
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_MAX_DEN))
+def test_classify_nd_lands_in_its_region_on_grid(n):
+    # the grid's in-domain points include every facet and ridge at these
+    # denominators, where the half-open convention decides the symbol
+    for point in filter(_in_domain, _grid(n)):
+        assert region_membership(point, classify_nd(PointN(point))), point
 
 
 @st.composite
@@ -451,6 +483,12 @@ def boundary_points(draw):
 @settings(max_examples=300)
 def test_region_membership_matches_oracle_on_boundaries(point):
     _assert_rule_matches_oracle(point)
+
+
+@given(boundary_points().filter(_in_domain))
+@settings(max_examples=300)
+def test_classify_nd_lands_in_its_region_on_boundaries(point):
+    assert region_membership(point, classify_nd(PointN(point)))
 
 
 def test_region_membership_mixed_denominators_and_types():
