@@ -103,10 +103,6 @@ def parse_symbols_2d(text: str) -> tuple[int, ...]:
     return tuple(s.k for s in symbols)
 
 
-def format_symbols_nd(symbols) -> str:
-    return ",".join(str(s) for s in symbols)
-
-
 def format_matrix(rows) -> list[str]:
     """Row-major flattening to decimal integer strings."""
     return [str(x) for row in rows for x in row]

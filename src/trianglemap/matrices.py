@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputError, NotYetConvergedError
-from .numeric import BigFloat, ExactNumber
+from .numeric import ExactNumber
 
 Column = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -154,40 +154,25 @@ def product_matrix(symbols: Iterable[int]) -> IntMatrix:
     return m
 
 
-def column_distances(m: IntMatrix, alpha: ExactNumber, beta: ExactNumber) -> tuple:
-    """(1, alpha, beta) dotted with each column: the three current remainders."""
-    return m.apply_row((1, alpha, beta))
-
-
-def _consistent(x, y) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    xl, xh = (x.bounds() if isinstance(x, BigFloat) else (x, x))
-    yl, yh = (y.bounds() if isinstance(y, BigFloat) else (y, y))
-    return xl <= yh and yl <= xh
-
-
 def fundamental_identity_check(alpha: ExactNumber, beta: ExactNumber,
                                symbols: Sequence[int]) -> bool:
     """Verify the remainder recursion against the matrix route, step by step.
 
-    Runs the raw three-term recursion d_k = d_{k-3} - d_{k-2} - a_k d_{k-1}
-    alongside the column products, requiring the two routes to agree (exactly
-    for rationals, as overlapping enclosures otherwise) and every partial
-    product to have determinant one.
+    Runs the three-term recursion d_k = d_{k-3} - d_{k-2} - a_k d_{k-1} on
+    the integer forms of the remainders (coefficient triples over
+    (1, alpha, beta), seeded with the unit rows) and requires every partial
+    product to have determinant one and columns equal to the last three
+    forms.  Equal forms give equal remainders at every point, so the check is
+    exact for rational and enclosed inputs alike; alpha and beta stay in the
+    public signature but do not enter it.
     """
-    d = [Fraction(1), alpha, beta]
-    m = IntMatrix.identity()
+    forms = list(mat_identity(3))
+    m = mat_identity(3)
     for k in symbols:
-        new = d[-3] - d[-2] - d[-1] * k
-        d.append(new)
-        m = m @ step_matrix(k)
-        if m.det() != 1:
+        forms.append(tuple(a - b - k * c for a, b, c in zip(*forms[-3:])))
+        m = mat_mul(m, mat_step_nonneg(k, 2))
+        if mat_det(m) != 1 or m != mat_from_columns(forms[-3:]):
             return False
-        route = column_distances(m, alpha, beta)
-        for got, want in zip(route, d[-3:]):
-            if not _consistent(got, want):
-                return False
     return True
 
 

@@ -140,8 +140,13 @@ def test_decomp_check(capsys):
     (["verify", "--suite", "decomp", "--cases", "-3"], "--cases must be at least 1"),
     (["verify", "--suite", "identity", "--cases", "0"], "--cases must be at least 1"),
     (["verify", "--suite", "reduction", "--cases", "0"], "--cases must be at least 1"),
+    (["verify", "--suite", "period1", "--kmax", "-1"], "suite period1 ran no cases"),
+    (["verify", "--suite", "conjecture1", "--kmax", "-1"], "suite conjecture1 ran no cases"),
+    (["verify", "--suite", "derive", "--kmax", "0"], "suite derive ran no cases"),
+    (["verify", "--suite", "period1", "--length", "0"], "--length must be at least 1"),
 ], ids=["decomp-check-negative", "decomp-check-zero", "verify-decomp",
-        "verify-identity", "verify-reduction"])
+        "verify-identity", "verify-reduction", "verify-period1-kmax",
+        "verify-conjecture1-kmax", "verify-derive-kmax", "verify-period1-length"])
 def test_vacuous_audits_rejected(capsys, argv, detail):
     # an audit over no samples would report ok without checking anything
     code, lines, err = run(capsys, *argv)
@@ -245,6 +250,18 @@ def test_root_interval_must_isolate_one_root(capsys):
 def test_bits_floor_enforced(capsys):
     code, _, err = run(capsys, "seq", "--point", "1/2,1/3", "--bits", "16")
     assert code == 1
+
+
+def test_numbers_past_int_str_digit_cap(capsys):
+    # Python caps int/str conversion at 4300 digits by default; exact inputs
+    # and the matrices they produce may be longer
+    code, lines, _ = run(capsys, "classify", "--point", "1/2,1/1" + "0" * 4400)
+    assert code == 0
+    assert len(lines[0]["symbol"]) == 4400 and lines[0]["symbol"].startswith("500")
+    code, lines, _ = run(capsys, "seq", "--point", "1/3,1/1" + "0" * 4000, "--max", "3")
+    assert code == 0
+    assert lines[0]["status"] == "terminated"
+    assert [len(s) for s in lines[0]["symbols"].split(",")] == [4000, 4000, 1]
 
 
 def test_usage_error_exit_code(capsys):

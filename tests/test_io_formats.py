@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from trianglemap.io_formats import (
     format_exact,
     format_matrix,
     format_point,
-    format_symbols_nd,
     parse_fraction,
     parse_point,
     parse_symbols_2d,
@@ -67,7 +67,6 @@ def test_parse_symbols_2d():
 def test_parse_symbols_nd():
     syms = parse_symbols_nd("(1,3),0,6")
     assert syms == (PairSymbol(1, 3), NonNegSymbol(0), NonNegSymbol(6))
-    assert format_symbols_nd(syms) == "(1,3),0,6"
 
 
 def test_parse_symbols_nd_rejects_garbage():
@@ -101,6 +100,23 @@ def test_planar_cli_symbols_whitespace(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad symbol stream" in captured.err
+
+
+@pytest.mark.parametrize("point, detail", [
+    ("", "bad rational ''"),
+    ("1/0,1/2", "bad rational '1/0'"),
+    ("root:-1,1,1,1:0:pow2", "bad interval '0'"),
+    ("root:abc", "bad root point 'root:abc'"),
+    ("root:-1,1,1,1:0,1:powx", "bad power suffix 'powx'"),
+    ("dec::64", "bad decimal point 'dec::64'"),
+    ("dec:0.5,0.3:abc", "bad precision 'abc'"),
+], ids=["empty", "zero-denominator", "interval", "root", "power", "decimal", "precision"])
+def test_malformed_point_text(capsys, point, detail):
+    assert main(["seq", "--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "degenerate-input", "detail": detail}
 
 
 def test_format_matrix_row_major():

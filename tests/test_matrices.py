@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from trianglemap.errors import InconsistentInputError, NotYetConvergedError
 from trianglemap.matrices import (
     IntMatrix,
-    column_distances,
     fundamental_identity_check,
     product_matrix,
     recover_pair,
@@ -42,7 +41,7 @@ def test_inverse_is_exact():
 def test_column_distances_follow_recursion():
     alpha, beta = Fraction(1, 2), Fraction(1, 3)
     m = product_matrix((1, 1))
-    d = column_distances(m, alpha, beta)
+    d = m.apply_row((1, alpha, beta))
     assert d == (Fraction(1, 3), Fraction(1, 6), Fraction(0))
 
 
@@ -117,4 +116,4 @@ def test_recover_terminated_any_size():
 def test_apply_row_duck_typed():
     m = product_matrix((2,))
     row = m.apply_row((1, Fraction(1, 2), Fraction(1, 3)))
-    assert row == column_distances(m, Fraction(1, 2), Fraction(1, 3))
+    assert row == (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6))
