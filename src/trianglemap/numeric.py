@@ -3,9 +3,9 @@
 Two value kinds flow through the package:
 
 * ``fractions.Fraction`` for anything exactly rational;
-* ``BigFloat``, a closed dyadic interval ``[lo, hi]`` whose endpoints are
-  integer multiples of ``2**-prec``, certified to contain the real number it
-  stands for.  Operations are pure and round outward, so enclosures never lie.
+* ``BigFloat``, a record of one closed dyadic interval ``[lo, hi]`` whose
+  endpoints are integer multiples of ``2**-prec``, certified to contain the
+  real number it stands for.  It carries no arithmetic of its own.
 
 Those are the kinds of inputs and results.  Certified evaluation itself is
 integer arithmetic: ``FormEvaluator`` puts every coordinate of a point on one
@@ -17,9 +17,10 @@ A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
 bisection that produced it.  Certified queries made through ``FormEvaluator``
 may then tighten the enclosure on demand: the underlying value never changes,
-only the interval around it shrinks.  Plain bigfloats (decimal input, results
-of interval arithmetic) carry no such handle; once their resolution is spent a
-sign or floor query honestly reports ambiguity instead of guessing.
+only the interval around it shrinks.  Plain bigfloats (decimal input, values
+that ``FormEvaluator.materialize`` builds) carry no such handle; once their
+resolution is spent a sign or floor query honestly reports ambiguity instead
+of guessing.
 
 Sign queries on values backed by powers of a single root get an exact zero
 test: a linear form ``c0 + c1*x + c2*x**2 + ...`` vanishes at the root exactly
@@ -88,8 +89,7 @@ class BigFloat:
     def from_fraction(cls, value, prec: int) -> "BigFloat":
         if prec < MIN_PRECISION:
             raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
-        v = Fraction(value)
-        return cls.from_bounds(v, v, prec)
+        return cls.from_bounds(value, value, prec)
 
     @classmethod
     def from_decimal(cls, text: str, prec: int) -> "BigFloat":
@@ -133,12 +133,6 @@ class BigFloat:
             return Sign.ZERO
         return Sign.AMBIGUOUS
 
-    def floor_certain(self) -> int | None:
-        """The integer floor when both endpoints agree on it, else None."""
-        fl = self.lo_num >> self.prec
-        fh = self.hi_num >> self.prec
-        return fl if fl == fh else None
-
     @property
     def refinable(self) -> bool:
         return self.source is not None
@@ -153,95 +147,6 @@ class BigFloat:
 
     def __float__(self) -> float:
         return self.lo_num / (1 << self.prec) if self.lo_num == self.hi_num else float(self.midpoint())
-
-    # arithmetic: pure, outward rounding, result source dropped ----------
-
-    def _coerce(self, other) -> "BigFloat | None":
-        if isinstance(other, BigFloat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BigFloat.from_bounds(other, other, self.prec)
-        return None
-
-    def __neg__(self) -> "BigFloat":
-        return BigFloat(-self.hi_num, -self.lo_num, self.prec)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.prec, o.prec)
-        a, b = self.lo_num << (prec - self.prec), self.hi_num << (prec - self.prec)
-        c, d = o.lo_num << (prec - o.prec), o.hi_num << (prec - o.prec)
-        return BigFloat(a + c, b + d, prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            # exact: scaling by an integer keeps the grid
-            lo, hi = self.lo_num * other, self.hi_num * other
-            if other < 0:
-                lo, hi = hi, lo
-            return BigFloat(lo, hi, self.prec)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.prec, o.prec)
-        prods = (self.lo_num * o.lo_num, self.lo_num * o.hi_num,
-                 self.hi_num * o.lo_num, self.hi_num * o.hi_num)
-        shift = self.prec + o.prec - prec
-        lo = min(prods) >> shift
-        hi = -((-max(prods)) >> shift)
-        return BigFloat(lo, hi, prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.lo_num <= 0 <= o.hi_num:
-            if o.lo_num == 0 and o.hi_num == 0:
-                raise ZeroDivisionError("division by exact zero")
-            raise PrecisionExhaustedError("divisor interval straddles zero")
-        prec = max(self.prec, o.prec)
-        nlo, nhi = self.bounds()
-        dlo, dhi = o.bounds()
-        quots = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
-        return BigFloat.from_bounds(min(quots), max(quots), prec)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return BigFloat(1 << self.prec, 1 << self.prec, self.prec)
-        if n == 1:
-            return self
-        cands = (self.lo_num ** n, self.hi_num ** n)
-        lo, hi = min(cands), max(cands)
-        if n % 2 == 0 and self.lo_num < 0 < self.hi_num:
-            lo = 0
-        shift = self.prec * (n - 1)
-        return BigFloat(lo >> shift, -((-hi) >> shift), self.prec)
 
 
 ExactNumber = Union[Fraction, BigFloat]
@@ -500,6 +405,15 @@ class FormEvaluator:
             return Fraction(lo, scale)
         return BigFloat(*_round_out_scaled(lo, hi, scale, self.bits), self.bits)
 
+    def ratio(self, num: Sequence[int], den: Sequence[int]) -> ExactNumber:
+        """num/den over the current enclosures, exact when it is; den's must be positive."""
+        (nlo, nhi), (dlo, dhi) = self._int_bounds(num), self._int_bounds(den)
+        if dlo <= 0:
+            raise ValueError("denominator enclosure is not positive")
+        # both bounds carry the factor S, which cancels in the ratios
+        lo, hi = Fraction(nlo, dhi if nlo >= 0 else dlo), Fraction(nhi, dlo if nhi >= 0 else dhi)
+        return lo if lo == hi else BigFloat.from_bounds(lo, hi, self.bits)
+
     def refine(self) -> bool:
         if self.bits >= self.cap:
             return False
@@ -540,11 +454,7 @@ class FormEvaluator:
         lo, hi = enclosure.lo, enclosure.hi
         if lo == hi:
             return const + sum(a * lo ** p for p, a in monomials.items()) == 0
-        top = max(monomials) if monomials else 0
-        frac_coeffs = [Fraction(0)] * (top + 1)
-        frac_coeffs[0] = const
-        for p, a in monomials.items():
-            frac_coeffs[p] += a
+        frac_coeffs = [const] + [monomials.get(p, Fraction(0)) for p in range(1, max(monomials) + 1)]
         denlcm = math.lcm(*(f.denominator for f in frac_coeffs))
         g = IntPolynomial(tuple(int(f * denlcm) for f in frac_coeffs))
         return polynomials.vanishes_at_root(g, enclosure.squarefree, lo, hi)

@@ -232,7 +232,10 @@ def eliminant_report(poly: IntPolynomial, *, candidate: IntPolynomial | None = N
         report["factor_checked"] = polynomials.divides(candidate, poly)
     if hint is not None:
         value = hint.midpoint() if isinstance(hint, BigFloat) else Fraction(hint)
-        report["root_residual"] = float(abs(poly.evaluate(value)))
+        try:
+            report["root_residual"] = float(abs(poly.evaluate(value)))
+        except OverflowError:
+            raise DegenerateInputError("root residual at the hint exceeds the float range") from None
     return report
 
 

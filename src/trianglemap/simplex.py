@@ -77,14 +77,6 @@ class PointN:
         if not self.coords:
             raise DegenerateInputError("point needs at least one coordinate")
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @classmethod
-    def from_rationals(cls, values: Iterable) -> "PointN":
-        return cls(tuple(Fraction(v) for v in values))
-
     @classmethod
     def from_root(cls, spec: RootSpec, n: int, precision: int) -> "PointN":
         """(r, r**2, ..., r**n) for the described root, sharing one cache."""

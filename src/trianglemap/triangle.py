@@ -19,7 +19,6 @@ this module keeps the planar points and records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrices import IntMatrix
 from .numeric import (
@@ -37,10 +36,6 @@ _PLANAR = ("alpha", "beta")
 class Point2:
     alpha: ExactNumber
     beta: ExactNumber
-
-    @classmethod
-    def from_rationals(cls, alpha, beta) -> "Point2":
-        return cls(Fraction(alpha), Fraction(beta))
 
     @classmethod
     def from_root(cls, spec: RootSpec, precision: int) -> "Point2":
@@ -76,12 +71,10 @@ def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:
     """One application of the map: the wedge symbol and the image point."""
     eng = _start((point.alpha, point.beta), cap_bits, _PLANAR)
     k = eng.classify_once()[0].k
-    # use the evaluator's coordinates: refinement during classification may
-    # have tightened them enough for the divisions below to be sign-definite
-    a, b = eng.ev.values
-    image_a = b / a
-    image_b = (1 - a - b * k) / a
-    return k, Point2(image_a, image_b)
+    # divide on the evaluator's enclosures: refinement during classification
+    # may have tightened them, and the domain check certified alpha > 0
+    ev, alpha = eng.ev, (0, 1, 0)
+    return k, Point2(ev.ratio((0, 0, 1), alpha), ev.ratio((1, -1, -k), alpha))
 
 
 def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> SequenceRecord:

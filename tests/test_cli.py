@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from trianglemap import cli, matrices, simplex
 from trianglemap.cli import main
 
 
@@ -113,6 +115,25 @@ def test_derive_poly(capsys):
     assert lines[0]["factor_checked"] is True
 
 
+@pytest.mark.parametrize("hint, code, residual", [
+    ("1/2", 0, 0.125),
+    ("dec:0.5:64", 0, 0.125),
+    ("1e100", 0, 1e300),
+    # the residual near 1e1200 is past the float range
+    ("1e400", 1, None),
+    ("dec:1e400:64", 1, None),
+], ids=["rational", "decimal", "large", "past-float-range", "past-float-range-decimal"])
+def test_derive_poly_hint(capsys, hint, code, residual):
+    got, lines, err = run(capsys, "derive-poly", "--symbols", "1,1,1,1", "--hint", hint)
+    assert got == code
+    if code == 0:
+        assert lines[0]["root_residual"] == residual and err == ""
+    else:
+        assert lines == []
+        assert json.loads(err) == {"error": "degenerate-input",
+                                   "detail": "root residual at the hint exceeds the float range"}
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--symbols", "1,2", "--bits", "1", "--cap-bits", "5"],
     ["decomp-check", "--n", "3", "--samples", "10", "--bits", "1"],
@@ -144,15 +165,47 @@ def test_decomp_check(capsys):
     (["verify", "--suite", "conjecture1", "--kmax", "-1"], "suite conjecture1 ran no cases"),
     (["verify", "--suite", "derive", "--kmax", "0"], "suite derive ran no cases"),
     (["verify", "--suite", "period1", "--length", "0"], "--length must be at least 1"),
+    (["recover", "--point", "1/2,1/3", "--steps", "0", "--strict"], "--steps must be at least 1"),
 ], ids=["decomp-check-negative", "decomp-check-zero", "verify-decomp",
         "verify-identity", "verify-reduction", "verify-period1-kmax",
-        "verify-conjecture1-kmax", "verify-derive-kmax", "verify-period1-length"])
+        "verify-conjecture1-kmax", "verify-derive-kmax", "verify-period1-length",
+        "recover-steps"])
 def test_vacuous_audits_rejected(capsys, argv, detail):
     # an audit over no samples would report ok without checking anything
     code, lines, err = run(capsys, *argv)
     assert code == 1
     assert lines == []
     assert json.loads(err.splitlines()[-1]) == {"error": "degenerate-input", "detail": detail}
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_verify_identity_catches_swapped_symbol(capsys, monkeypatch, delta):
+    # the engine emits its first symbol off by one, keeping the true column,
+    # so the run goes on but its record no longer belongs to its point
+    real = simplex._Engine.classify_once
+    swapped = []
+
+    def classify_once(self):
+        symbol, inserted = real(self)
+        if not swapped:
+            swapped.append(symbol)
+            symbol = simplex.NonNegSymbol(symbol.k + delta)
+        return symbol, inserted
+
+    monkeypatch.setattr(simplex._Engine, "classify_once", classify_once)
+    code, lines, _ = run(capsys, "verify", "--suite", "identity", "--cases", "10")
+    assert code == 3
+    assert [r["ok"] for r in lines[:-1]] == [False] + [True] * 9
+    assert lines[-1]["failures"] == 1
+
+
+def test_identity_certificate_pins_symbols_to_floors():
+    # the matrix identity holds for any stream; the remainder run does not
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert matrices.fundamental_identity_check(half, third, (5, 5, 5))
+    assert cli._remainder_run(half, third, (1, 1)) == (1, half, third, Fraction(1, 6), 0)
+    for wrong in ((5, 5, 5), (0, 1), (2, 1), (1, 2)):
+        assert cli._remainder_run(half, third, wrong) is None
 
 
 def test_verify_suite(capsys):

@@ -68,66 +68,6 @@ def test_sign_of_never_refines():
     assert sign_of(Fraction(0)) is Sign.ZERO
 
 
-def test_floor_certain():
-    assert BigFloat.from_fraction(Fraction(7, 2), 64).floor_certain() == 3
-    wide = BigFloat.from_bounds(Fraction(9, 10), Fraction(11, 10), 64)
-    assert wide.floor_certain() is None
-
-
-def test_add_sub_exact_width():
-    a = BigFloat.from_fraction(Fraction(1, 3), 128)
-    b = BigFloat.from_fraction(Fraction(1, 7), 128)
-    s = a + b
-    assert s.low <= Fraction(1, 3) + Fraction(1, 7) <= s.high
-    d = a - b
-    assert d.low <= Fraction(1, 3) - Fraction(1, 7) <= d.high
-
-
-def test_mixed_arithmetic_with_rationals():
-    a = BigFloat.from_fraction(Fraction(1, 3), 128)
-    assert (a + Fraction(1, 3)).low <= Fraction(2, 3) <= (a + Fraction(1, 3)).high
-    assert (2 * a).low <= Fraction(2, 3) <= (2 * a).high
-    assert (1 - a).low <= Fraction(2, 3) <= (1 - a).high
-
-
-def test_division_straddling_zero():
-    num = BigFloat.from_fraction(Fraction(1), 64)
-    den = BigFloat.from_bounds(Fraction(-1), Fraction(1), 64)
-    with pytest.raises(PrecisionExhaustedError):
-        num / den
-    with pytest.raises(ZeroDivisionError):
-        num / BigFloat.from_fraction(Fraction(0), 64)
-
-
-def test_power():
-    a = BigFloat.from_fraction(Fraction(-2, 3), 128)
-    sq = a ** 2
-    assert sq.low <= Fraction(4, 9) <= sq.high
-    cube = a ** 3
-    assert cube.low <= Fraction(-8, 27) <= cube.high
-
-
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
-
-
-@given(rationals, rationals)
-def test_interval_arithmetic_contains_truth(x, y):
-    a = BigFloat.from_fraction(x, 96)
-    b = BigFloat.from_fraction(y, 96)
-    for op, exact in (
-        (a + b, x + y),
-        (a - b, x - y),
-        (a * b, x * y),
-    ):
-        lo, hi = op.bounds()
-        assert lo <= exact <= hi
-    if y != 0 and (y > 0 or y < 0):
-        blo, bhi = b.bounds()
-        if blo > 0 or bhi < 0:
-            q = a / b
-            assert q.low <= x / y <= q.high
-
-
 def test_root_spec_requires_sign_change():
     with pytest.raises(DegenerateInputError):
         RootSpec(IntPolynomial((1, 0, 1)), Fraction(0), Fraction(1))
@@ -156,8 +96,8 @@ def test_refined_value_nests():
 def test_root_powers_consistent():
     v1, v2 = root_powers(GOLDEN, 2, 160)
     # same underlying root: v2 enclosure must overlap v1 squared
-    sq = v1 * v1
-    assert sq.low <= v2.high and v2.low <= sq.high
+    assert v1.low > 0
+    assert v1.low ** 2 <= v2.high and v2.low <= v1.high ** 2
     assert v1.source is not None and v2.source is not None
     assert v1.source.enclosure is v2.source.enclosure
 
@@ -175,6 +115,21 @@ def test_form_evaluator_floor():
     assert ev.certified_floor((1, -1, 0), (0, 0, 1)) == 1
     ev2 = FormEvaluator([Fraction(3, 4), Fraction(1, 8)])
     assert ev2.certified_floor((1, -1, 0), (0, 0, 1)) == 2
+
+
+def test_form_evaluator_ratio():
+    ev = FormEvaluator([Fraction(1, 2), Fraction(1, 3)])
+    assert ev.ratio((0, 0, 1), (0, 1, 0)) == Fraction(2, 3)
+    assert ev.ratio((1, -1, -1), (0, 1, 0)) == Fraction(1, 3)
+    with pytest.raises(ValueError, match="not positive"):
+        ev.ratio((1, 0, 0), (0, -1, 0))
+    # golden pair: g^2 / g = g and (1 - g) / g = g, as outward enclosures
+    g, g2 = root_powers(GOLDEN, 2, 96)
+    ev = FormEvaluator([g, g2])
+    for q in (ev.ratio((0, 0, 1), (0, 1, 0)), ev.ratio((1, -1, 0), (0, 1, 0))):
+        assert isinstance(q, BigFloat) and q.prec == ev.bits
+        assert q.low <= g.high and g.low <= q.high
+        assert q.width() < Fraction(1, 2 ** 80)
 
 
 def test_form_evaluator_exact_zero_shared_root():

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError
-from trianglemap.numeric import SequenceStatus
+from trianglemap.numeric import BigFloat, RootSpec, SequenceStatus
 from trianglemap.polynomials import IntPolynomial
-from trianglemap.numeric import RootSpec
 from trianglemap.triangle import (
     GaussRecord,
     Point2,
@@ -51,6 +50,21 @@ def test_step_stays_in_closed_domain():
     k, image = step(Point2(Fraction(9, 10), Fraction(2, 5)))
     assert k == 0
     assert 1 >= image.alpha >= image.beta >= 0
+
+
+def test_step_image_of_enclosed_points():
+    # (r, r^2) for the root of x^3 + x^2 + x - 1 is fixed by the map
+    point = Point2.from_root(CUBIC1, 128)
+    k, image = step(point)
+    assert k == 1
+    for before, after in ((point.alpha, image.alpha), (point.beta, image.beta)):
+        assert isinstance(after, BigFloat)
+        assert after.low <= before.high and before.low <= after.high
+    # an enclosure of 1/3 next to an exact 1/2 maps onto enclosures of (2/3, 1/3)
+    k, image = step(Point2(Fraction(1, 2), BigFloat.from_fraction(Fraction(1, 3), 64)))
+    assert k == 1
+    assert image.alpha.low <= Fraction(2, 3) <= image.alpha.high
+    assert image.beta.low <= Fraction(1, 3) <= image.beta.high
 
 
 def test_sequence_known_rational():
