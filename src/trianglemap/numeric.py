@@ -46,6 +46,9 @@ from .polynomials import IntPolynomial
 #: Smallest working precision accepted from user-facing entry points.
 MIN_PRECISION = 64
 
+#: Largest one: past it, rounding a decimal or bisecting a root has no useful bound.
+MAX_PRECISION = 1 << 20
+
 #: Default hard ceiling multiplier for on-demand refinement.
 REFINE_CAP_FACTOR = 32
 
@@ -68,6 +71,13 @@ def _round_out_scaled(lo: int, hi: int, scale: int, prec: int) -> tuple[int, int
     return (lo << prec) // scale, -((-hi << prec) // scale)
 
 
+def _check_precision(prec: int) -> None:
+    if prec < MIN_PRECISION:
+        raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
+    if prec > MAX_PRECISION:
+        raise ValueError(f"precision above the {MAX_PRECISION}-bit ceiling")
+
+
 @dataclass(frozen=True)
 class BigFloat:
     """Dyadic interval [lo_num, hi_num] / 2**prec enclosing one real number."""
@@ -87,8 +97,7 @@ class BigFloat:
 
     @classmethod
     def from_fraction(cls, value, prec: int) -> "BigFloat":
-        if prec < MIN_PRECISION:
-            raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
+        _check_precision(prec)
         return cls.from_bounds(value, value, prec)
 
     @classmethod
@@ -314,8 +323,7 @@ def refine_root(spec: RootSpec, precision: int) -> BigFloat:
 
 def root_powers(spec: RootSpec, count: int, precision: int) -> tuple[BigFloat, ...]:
     """(root, root**2, ..., root**count) sharing one bisection cache."""
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
+    _check_precision(precision)
     if count < 1:
         raise ValueError("count must be at least 1")
     enc = _RootEnclosure(spec)

@@ -15,8 +15,9 @@ At n = 2 the slack ``q_1 = 1 - x_1`` is never negative, so only the
 nonnegative family fires and the scheme reduces to the 2D wedges; at n = 1 it
 reduces to the classical continued-fraction step.  The engine keeps n+1 exact
 integer columns whose dot products with (1, x_1, ..., x_n) are the remainder
-values; every branch is a certified sign or floor query on those forms, with
-on-demand refinement for root-backed inputs.  This is the package's only
+values.  A step asks only the certified sign and floor queries that define
+its branch, refining root-backed inputs on demand; ``precision-exhausted``
+means one of those was undecidable.  This is the package's only
 sequence loop and its only domain check: the planar ``triangle.sequence``
 (n = 2) and the continued fraction ``triangle.gauss_sequence`` (n = 1) start
 through ``_start`` too, with their own coordinate names and records.
@@ -181,15 +182,26 @@ def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
 
 
 class _Engine:
-    """The certified sequence loop over a set of integer columns, for every n."""
+    """The certified sequence loop over a set of integer columns, for every n.
+
+    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  A step asks
+    only the queries that define its branch.  A certified answer holds for the
+    true value, so these facts need no query of their own:
+
+    * d_0 >= d_1 >= ... >= d_n >= 0: the domain check certifies it and both
+      steps keep it.  So q_1 = d_0 - d_1 >= 0, and d_0 >= d_n stays positive
+      after the step that certified d_n positive.
+    * A floor a comes with a <= slack/x_n < a + 1 on the whole enclosure, or
+      with slack - a*x_n an exact zero: either way 0 <= g1 < x_n.
+    * The crossing i stops at q_{i+1} <= 0, so x_{i+1} >= q_i; a window test
+      that goes on leaves x_{j+1} >= q_i; and at j = n it tests q_i >= 0
+      against x_{n+1} = 0, which always ends the scan.
+    """
 
     def __init__(self, ev: FormEvaluator, n: int):
         self.ev = ev
         self.n = n
-        size = n + 1
-        self.cols: list[Column] = [
-            tuple(1 if i == j else 0 for i in range(size)) for j in range(size)
-        ]
+        self.cols: list[Column] = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
         self.status: SequenceStatus | None = None
 
     def _sign(self, form: Column, ambiguous: str) -> Sign:
@@ -211,71 +223,45 @@ class _Engine:
         for col in cols[1:n]:
             q.append(_col_sub(q[-1], col))
         slack = q[n - 1]
-        # pair regions exist only from n = 3; below that the slack is
-        # nonnegative on the whole domain, so its sign needs no query
+        # below n = 3 the slack is d_0 or q_1, never negative: no pair regions
         if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
             a = ev.certified_floor(slack, cols[n])
-            g1 = _col_addmul(slack, -a, cols[n])
-            s1 = self._sign(g1, "region boundary test is ambiguous")
-            s2 = self._sign(_col_sub(g1, cols[n]), "region boundary test is ambiguous")
-            if s1 is Sign.NEGATIVE or s2 is not Sign.NEGATIVE:
-                raise AssertionError("certified floor contradicts boundary signs")
-            return NonNegSymbol(a), g1
-        # the chain decreases strictly from q_1 >= 0 (zero only on x_1 = 1,
-        # whose window is j = n and inserted column zero) to q_{n-1} < 0
-        if self._sign(q[1], "slack sign is ambiguous") is Sign.NEGATIVE:
-            raise AssertionError("slack chain starts negative")
+            return NonNegSymbol(a), _col_addmul(slack, -a, cols[n])
         i = 1
         while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
             i += 1
-        window = cols[i + 1:] + [(0,) * (n + 1)]
-        for j, x_j, x_next in zip(range(i + 1, n + 1), window, window[1:]):
+        for j, x_next in enumerate(cols[i + 2:] + [(0,) * (n + 1)], i + 1):
             below = self._sign(_col_sub(q[i], x_next), "pair window test is ambiguous")
             # strict against real coordinates, closed against x_{n+1} = 0
             if below is Sign.POSITIVE or (j == n and below is Sign.ZERO):
                 break
-        else:
-            raise AssertionError("pair window scan fell off the end")
-        if self._sign(_col_sub(x_j, q[i]), "pair window test is ambiguous") is Sign.NEGATIVE:
-            raise AssertionError("window scan lost monotonicity")
         return PairSymbol(i, j), q[i]
 
     def push(self, symbol: SymbolND, inserted: Column) -> None:
-        if isinstance(symbol, NonNegSymbol):
-            self.cols = self.cols[1:] + [inserted]
-        else:
-            j = symbol.j
-            self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
+        """Drop d_0 and insert the new column at slot j (the end for a floor step)."""
+        j = symbol.j if isinstance(symbol, PairSymbol) else self.n
+        self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
 
     def run(self, max_len: int) -> Iterator[SymbolND]:
         """Yield up to max_len certified symbols, each once its column is pushed.
 
         Callers read what their records keep from ``cols`` between symbols, at
         the precision of that step.  When the run stops, ``status`` says why:
-        an exact zero last remainder, max_len, or a step whose remainder signs
-        or branch raised ``PrecisionExhaustedError``.
+        an exact zero last remainder, max_len, or a step whose last remainder
+        sign or branch raised ``PrecisionExhaustedError``.
         """
-        n = self.n
         for _ in range(max_len):
             try:
-                # below n = 3 the leading remainder is the seed 1 or an
-                # earlier last remainder, which was certified positive then
-                if n >= 3 and (self._sign(self.cols[0], "leading remainder sign is ambiguous")
-                               is not Sign.POSITIVE):
-                    raise AssertionError("leading remainder lost positivity")
-                s_last = self._sign(self.cols[n], "last remainder sign is ambiguous")
-                if s_last is Sign.ZERO:
+                if self._sign(self.cols[-1], "last remainder sign is ambiguous") is Sign.ZERO:
                     self.status = SequenceStatus.TERMINATED
                     return
-                if s_last is Sign.NEGATIVE:
-                    raise AssertionError("smallest remainder certified negative")
                 symbol, inserted = self.classify_once()
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
             self.push(symbol, inserted)
             yield symbol
-        s_last = self.ev.certified_sign(self.cols[n])
+        s_last = self.ev.certified_sign(self.cols[-1])
         self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trianglemap import cli, matrices, simplex
+from trianglemap import cli, matrices, numeric, simplex
 from trianglemap.cli import main
 
 
@@ -197,6 +197,58 @@ def test_verify_identity_catches_swapped_symbol(capsys, monkeypatch, delta):
     assert code == 3
     assert [r["ok"] for r in lines[:-1]] == [False] + [True] * 9
     assert lines[-1]["failures"] == 1
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "reduction", "--cases", "20"],
+    ["verify", "--suite", "identity", "--cases", "20"],
+    ["decomp-check", "--n", "3", "--samples", "50"],
+], ids=["reduction", "identity", "decomp-check"])
+def test_audits_catch_a_wrong_floor(capsys, monkeypatch, argv, delta):
+    # the engine does not re-check a certified floor, so a kernel that
+    # answers one off must fail the audits that compare with references
+    real = numeric.FormEvaluator.certified_floor
+    monkeypatch.setattr(numeric.FormEvaluator, "certified_floor",
+                        lambda self, num, den: real(self, num, den) + delta)
+    code, _, _ = run(capsys, *argv)
+    assert code == 3
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_decomp_check_catches_shifted_window(capsys, monkeypatch, n):
+    # every pair symbol one window to the left: the membership rule disagrees
+    real = simplex._Engine.classify_once
+
+    def classify_once(self):
+        symbol, inserted = real(self)
+        if isinstance(symbol, simplex.PairSymbol):
+            symbol = simplex.PairSymbol(symbol.i, symbol.j - 1)
+        return symbol, inserted
+
+    monkeypatch.setattr(simplex._Engine, "classify_once", classify_once)
+    code, lines, _ = run(capsys, "decomp-check", "--n", n)
+    assert code == 3
+    assert lines[0]["violations"] == 0 and lines[0]["classify_mismatches"] > 0
+
+
+@pytest.mark.parametrize("point", [
+    "dec:0.499999999999999999999999999999:64",
+    "dec:0.5,0.249999999999999999999999999999:64",
+    "dec:0.5,0.25,0.124999999999999999999999999999:64",
+], ids=["n1", "n2", "n3"])
+def test_certified_floor_decides_a_boundary_branch(capsys, point):
+    # x_n's enclosure is [2**-n - 2**-64, 2**-n]: the slack over it has floor
+    # 2 everywhere, though the inserted remainder is 0 at the top end.  The
+    # floor certifies the step; only the next step's sign is undecidable.
+    code, lines, _ = run(capsys, "classify", "--point", point)
+    assert code == 0
+    assert lines[0]["symbol"] == "2"
+    code, lines, _ = run(capsys, "seq", "--point", point)
+    assert code == 2
+    assert lines[-1]["symbols"] == "2"
+    assert lines[-1]["length"] == 1
+    assert lines[-1]["status"] == "precision-exhausted"
 
 
 def test_identity_certificate_pins_symbols_to_floors():

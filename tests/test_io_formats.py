@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from trianglemap import numeric
 from trianglemap.errors import DegenerateInputError
 from trianglemap.cli import main
 from trianglemap.io_formats import (
@@ -110,13 +111,31 @@ def test_planar_cli_symbols_whitespace(capsys, argv):
     ("root:-1,1,1,1:0,1:powx", "bad power suffix 'powx'"),
     ("dec::64", "bad decimal point 'dec::64'"),
     ("dec:0.5,0.3:abc", "bad precision 'abc'"),
-], ids=["empty", "zero-denominator", "interval", "root", "power", "decimal", "precision"])
+    ("dec:0.5:2000000", "precision above the 1048576-bit ceiling"),
+], ids=["empty", "zero-denominator", "interval", "root", "power", "decimal", "precision",
+        "ceiling"])
 def test_malformed_point_text(capsys, point, detail):
     assert main(["seq", "--point", point]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.splitlines()[-1]) == {
         "error": "degenerate-input", "detail": detail}
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--point", "dec:0.5:99999999999"],
+    ["seq", "--point", "root:-1,1,1,1:0,1:pow2", "--bits", "2000000"],
+    ["verify", "--suite", "period1", "--bits", "2000000"],
+], ids=["decimal", "root", "period1"])
+def test_precision_ceiling_is_an_input_error(capsys, argv):
+    # read the ceiling first: without it these inputs allocate or bisect
+    # without bound
+    assert numeric.MAX_PRECISION == 1 << 20
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "degenerate-input", "detail": "precision above the 1048576-bit ceiling"}
 
 
 def test_format_matrix_row_major():

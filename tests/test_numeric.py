@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trianglemap import numeric
 from trianglemap.errors import DegenerateInputError, PrecisionExhaustedError
 from trianglemap.numeric import (
     MIN_PRECISION,
@@ -39,6 +40,17 @@ def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
         BigFloat.from_fraction(Fraction(1, 3), 8)
     assert BigFloat.from_fraction(Fraction(1, 3), MIN_PRECISION).prec == MIN_PRECISION
+
+
+def test_maximum_precision_enforced():
+    # read the ceiling first: without it the calls below would not return
+    ceiling = numeric.MAX_PRECISION
+    assert ceiling == 1 << 20
+    with pytest.raises(ValueError, match="1048576-bit ceiling"):
+        BigFloat.from_fraction(Fraction(1, 3), ceiling + 1)
+    with pytest.raises(ValueError, match="1048576-bit ceiling"):
+        root_powers(GOLDEN, 2, ceiling + 1)
+    assert BigFloat.from_fraction(Fraction(1, 2), ceiling).prec == ceiling
 
 
 def test_from_decimal():
@@ -138,6 +150,22 @@ def test_form_evaluator_exact_zero_shared_root():
     # r^3 + r^2 + r - 1 = 0 exactly
     assert ev.certified_sign((-1, 1, 1, 1)) is Sign.ZERO
     assert ev.certified_sign((1, 1, 1, 1)) is Sign.POSITIVE
+
+
+def test_form_evaluator_exact_zero_with_rational_coordinate():
+    # -2 + 2*(1/2) + g + g^2 = 0: the rational coordinate folds into the constant
+    g, g2 = root_powers(GOLDEN, 2, 64)
+    ev = FormEvaluator([Fraction(1, 2), g, g2])
+    assert ev.certified_sign((-2, 2, 1, 1)) is Sign.ZERO
+    assert ev.refinements == 0
+
+
+def test_form_evaluator_exact_zero_needs_one_shared_enclosure():
+    # two enclosures of one root built apart share no bisection, so no exact
+    # test applies and their difference stays ambiguous up to the cap
+    ev = FormEvaluator([refine_root(GOLDEN, 64), refine_root(GOLDEN, 64)], cap_bits=384)
+    assert ev.certified_sign((0, 1, -1)) is Sign.AMBIGUOUS
+    assert ev.bits == 384
 
 
 def test_form_evaluator_exact_integer_floor():

@@ -47,6 +47,18 @@ def test_realize_single_symbol():
     assert region.diameter_sq() == Fraction(5, 8)
 
 
+def test_contains_ignores_vertex_order():
+    region = realize((1, 2))
+    flipped = TriangleRegion(region.vertices[::-1])
+    assert region.orientation() > 0 > flipped.orientation()
+    centroid, vertex, outside = region.centroid(), region.vertices[1], (Fraction(1, 2), Fraction(1, 3))
+    for point, inside, interior in ((centroid, True, True), (vertex, True, False),
+                                    (outside, False, False)):
+        for r in (region, flipped):
+            assert r.contains(point) is inside
+            assert r.contains(point, strict=True) is interior
+
+
 def test_realize_empty_is_domain():
     region = realize(())
     assert region.vertices == tuple(
