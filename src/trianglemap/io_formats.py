@@ -15,16 +15,33 @@ around any token but never between two digits.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError
-from .numeric import BigFloat, ExactNumber, RootSpec, root_powers
+from .numeric import MAX_PRECISION, BigFloat, ExactNumber, RootSpec, root_powers
 from .polynomials import IntPolynomial
 from .simplex import NonNegSymbol, PairSymbol, SymbolND
 
 
+#: Largest decimal exponent magnitude in point text.  10**315652 is about
+#: 2**MAX_PRECISION, so no enclosure can resolve a larger one, and the exact
+#: arithmetic on its power of ten would run without bound.
+MAX_DECIMAL_EXPONENT = int(MAX_PRECISION * math.log10(2))
+
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)\s*\Z")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """An exact rational from its text; exponents past the ceiling are refused unread."""
+    exp = _EXPONENT.search(text)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        # compare lengths first: int() refuses very long digit strings by default
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise DegenerateInputError(f"decimal exponent of {text.strip()!r} is beyond "
+                                       f"the {MAX_DECIMAL_EXPONENT} ceiling")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -71,7 +88,8 @@ def parse_point(text: str, precision: int) -> tuple[ExactNumber, ...]:
             bits = int(bits_text)
         except ValueError as exc:
             raise DegenerateInputError(f"bad precision {bits_text!r}") from exc
-        return tuple(BigFloat.from_decimal(part, bits) for part in values_text.split(","))
+        return tuple(BigFloat.from_fraction(parse_fraction(part), bits)
+                     for part in values_text.split(","))
     return tuple(parse_fraction(part) for part in text.split(","))
 
 

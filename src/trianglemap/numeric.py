@@ -11,7 +11,11 @@ Those are the kinds of inputs and results.  Certified evaluation itself is
 integer arithmetic: ``FormEvaluator`` puts every coordinate of a point on one
 shared integer scale, so a sign is an integer comparison and a floor an
 integer division, and root bisection evaluates its polynomial on integer
-numerators over a power-of-two scale.
+numerators over a power-of-two scale.  On that scale each coordinate is a
+midpoint sum and a radius; a form's bounds come from its midpoint sum, which
+the forms built by ``FormEvaluator.sub``/``addmul`` carry from their operands,
+plus a radius sum, and they are the same integers as the interval dot
+product over the per-coordinate bounds.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -36,7 +40,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub as subtract
 from typing import Sequence, Union
 
 from . import polynomials
@@ -333,19 +337,63 @@ def root_powers(spec: RootSpec, count: int, precision: int) -> tuple[BigFloat, .
 # certified linear-form evaluation ----------------------------------------
 
 
+_UNITS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _unit_coeffs(size: int) -> tuple[tuple[int, ...], ...]:
+    """The unit coefficient tuples of one size, cached per size."""
+    units = _UNITS.get(size)
+    if units is None:
+        units = tuple(tuple(int(i == j) for i in range(size)) for j in range(size))
+        _UNITS[size] = units
+    return units
+
+
+class _Form:
+    """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
+
+    ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag`` (one list
+    per rescale, so the tag is the rescale epoch); ``value`` is the form's
+    ``materialize`` result against the list ``value_tag``.  A form whose tag is
+    not the evaluator's current list has its sum recomputed on first use.
+    """
+
+    __slots__ = ("coeffs", "mid", "tag", "value", "value_tag")
+
+    def __init__(self, coeffs: tuple[int, ...], mid: int, tag: list):
+        self.coeffs = coeffs
+        self.mid = mid
+        self.tag = tag
+        self.value_tag = None
+
+
+Form = Union[Sequence[int], _Form]
+
+
 class FormEvaluator:
     """Certified sign and floor queries for integer linear forms.
 
     Holds the coordinates of one point; a form ``(c0, c1, ..., cn)`` denotes
     ``c0 + c1*v1 + ... + cn*vn``.  Every coordinate's enclosure is kept as an
-    integer pair ``(lo, hi)`` over one shared scale ``S``, the lcm of the
-    rational denominators shifted left by the largest enclosure precision, so
-    a form's bounds are an integer dot product.  Signs compare those integers
+    integer pair ``(lo_i, hi_i)`` over one shared scale ``S``, the lcm of the
+    rational denominators shifted left by the largest enclosure precision,
+    stored as the midpoint sums ``m_i = lo_i + hi_i`` and the radii
+    ``r_i = hi_i - lo_i``.  A form's bounds times ``S`` are then
+    ``(M - R) / 2`` and ``(M + R) / 2`` with ``M = Σ c_i m_i`` and
+    ``R = Σ |c_i| r_i``: exactly the integers of the per-coordinate interval
+    dot product, and both halvings are exact.  Signs compare those integers
     with 0 and floors divide them, as ``S`` cancels; ``Fraction``s are built
-    only for ``eval_bounds`` and ``materialize``.  When a query cannot be
-    decided, root-backed coordinates are refined (doubling the working bits up
-    to a cap) and the query retried; a true zero is recognised exactly when
-    all irrational coordinates are powers of one shared root.
+    only for ``eval_bounds`` and ``materialize``.
+
+    ``M`` is linear in the coefficients, so forms built with ``units``,
+    ``sub`` and ``addmul`` carry it along and a query on them costs only the
+    radius sum, which is zero on exact points and multiplies by a few units
+    on root powers.  Plain tuples are accepted everywhere and pay the full
+    dot product.  When a query cannot be decided, root-backed coordinates
+    are refined (doubling the working bits up to a cap) and the query
+    retried; a carried sum made before that rescale is recomputed once, on
+    its next use.  A true zero is recognised exactly when all irrational
+    coordinates are powers of one shared root.
     """
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
@@ -366,54 +414,86 @@ class FormEvaluator:
         self._rescale()
 
     def _rescale(self) -> None:
-        """Rebuild the integer enclosures; index 0 holds the constant 1 as S."""
+        """Rebuild the midpoint sums and radii; index 0 holds the constant 1 as S."""
         vals = self.values
         p = max((v.prec for v in vals if isinstance(v, BigFloat)), default=0)
         den = math.lcm(*(v.denominator for v in vals if not isinstance(v, BigFloat)))
         scale = den << p
-        lo, hi = [scale], [scale]
+        mids, rads = [scale << 1], [0]
         for v in vals:
             if isinstance(v, BigFloat):
                 f = den << (p - v.prec)
-                lo.append(v.lo_num * f)
-                hi.append(v.hi_num * f)
+                lo, hi = v.lo_num * f, v.hi_num * f
+                mids.append(lo + hi)
+                rads.append(hi - lo)
             else:
-                x = v.numerator * (den // v.denominator) << p
-                lo.append(x)
-                hi.append(x)
+                mids.append(v.numerator * (den // v.denominator) << (p + 1))
+                rads.append(0)
         self._scale = scale
-        self._lo = lo
-        # an exact point shares one list, which selects the single dot product
-        self._hi = lo if lo == hi else hi
+        # a fresh list each time: carried sums are tagged with it
+        self._mids = mids
+        # an exact point has no radius sum at all
+        self._rads = rads if any(rads) else None
 
-    def _int_bounds(self, coeffs: Sequence[int]) -> tuple[int, int]:
+    def _dot(self, coeffs: Sequence[int]) -> int:
+        """The full midpoint sum of a form: its one big-by-big dot product."""
+        return sum(map(mul, coeffs, self._mids))
+
+    def _mid(self, form: _Form) -> int:
+        """The carried midpoint sum of a form, recomputed if made before a rescale."""
+        if form.tag is not self._mids:
+            form.mid, form.tag = self._dot(form.coeffs), self._mids
+        return form.mid
+
+    def units(self) -> list[_Form]:
+        """The unit forms 1, v1, ..., vn, whose midpoint sums are the evaluator's own."""
+        mids = self._mids
+        return [_Form(u, m, mids) for u, m in zip(_unit_coeffs(len(mids)), mids)]
+
+    def sub(self, a: _Form, b: _Form) -> _Form:
+        """The form a - b, carrying its midpoint sum."""
+        return _Form(tuple(map(subtract, a.coeffs, b.coeffs)), self._mid(a) - self._mid(b), self._mids)
+
+    def addmul(self, a: _Form, c: int, b: _Form) -> _Form:
+        """The form a + c*b, carrying its midpoint sum."""
+        return _Form(tuple(x + c * y for x, y in zip(a.coeffs, b.coeffs)),
+                     self._mid(a) + c * self._mid(b), self._mids)
+
+    def _int_bounds(self, form: Form) -> tuple[int, int]:
         """Bounds of the form times S."""
-        los, his = self._lo, self._hi
-        if los is his:
-            v = sum(map(mul, coeffs, los))
-            return v, v
-        lo = hi = 0
-        for c, a, b in zip(coeffs, los, his):
-            if c > 0:
-                lo += c * a
-                hi += c * b
-            elif c:
-                lo += c * b
-                hi += c * a
-        return lo, hi
+        if type(form) is _Form:
+            m = self._mid(form)
+            coeffs = form.coeffs
+        else:
+            m = self._dot(form)
+            coeffs = form
+        rads = self._rads
+        if rads is None:
+            m >>= 1
+            return m, m
+        r = sum(map(mul, map(abs, coeffs), rads))
+        return (m - r) >> 1, (m + r) >> 1
 
-    def eval_bounds(self, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
+    def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
         lo, hi = self._int_bounds(coeffs)
         return Fraction(lo, self._scale), Fraction(hi, self._scale)
 
-    def materialize(self, coeffs: Sequence[int]) -> ExactNumber:
+    def materialize(self, coeffs: Form) -> ExactNumber:
+        """The form's value at the current enclosures; a carried form keeps it per rescale."""
+        handle = type(coeffs) is _Form
+        if handle and coeffs.value_tag is self._mids:
+            return coeffs.value
         lo, hi = self._int_bounds(coeffs)
         scale = self._scale
         if lo == hi:
-            return Fraction(lo, scale)
-        return BigFloat(*_round_out_scaled(lo, hi, scale, self.bits), self.bits)
+            value = Fraction(lo, scale)
+        else:
+            value = BigFloat(*_round_out_scaled(lo, hi, scale, self.bits), self.bits)
+        if handle:
+            coeffs.value, coeffs.value_tag = value, self._mids
+        return value
 
-    def ratio(self, num: Sequence[int], den: Sequence[int]) -> ExactNumber:
+    def ratio(self, num: Form, den: Form) -> ExactNumber:
         """num/den over the current enclosures, exact when it is; den's must be positive."""
         (nlo, nhi), (dlo, dhi) = self._int_bounds(num), self._int_bounds(den)
         if dlo <= 0:
@@ -467,7 +547,7 @@ class FormEvaluator:
         g = IntPolynomial(tuple(int(f * denlcm) for f in frac_coeffs))
         return polynomials.vanishes_at_root(g, enclosure.squarefree, lo, hi)
 
-    def certified_sign(self, coeffs: Sequence[int]) -> Sign:
+    def certified_sign(self, coeffs: Form) -> Sign:
         """Sign of the form, refining as needed; AMBIGUOUS only when exhausted."""
         zero_checked = False
         while True:
@@ -480,12 +560,12 @@ class FormEvaluator:
                 return Sign.ZERO
             if not zero_checked:
                 zero_checked = True
-                if self.exact_zero(coeffs) is True:
+                if self.exact_zero(_coeffs(coeffs)) is True:
                     return Sign.ZERO
             if not self.refine():
                 return Sign.AMBIGUOUS
 
-    def certified_floor(self, num: Sequence[int], den: Sequence[int]) -> int:
+    def certified_floor(self, num: Form, den: Form) -> int:
         """floor(num/den) with den certified positive; raises when undecidable."""
         if self.certified_sign(den) is not Sign.POSITIVE:
             raise PrecisionExhaustedError("denominator form is not certainly positive")
@@ -502,8 +582,12 @@ class FormEvaluator:
             # straddling m forever; recognise that case exactly
             if fh == fl + 1 and fh not in tested:
                 tested.add(fh)
-                boundary = tuple(a - fh * b for a, b in zip(num, den))
+                boundary = tuple(a - fh * b for a, b in zip(_coeffs(num), _coeffs(den)))
                 if self.exact_zero(boundary) is True:
                     return fh
             if not self.refine():
                 raise PrecisionExhaustedError("floor undecidable at the precision cap")
+
+
+def _coeffs(form: Form) -> Sequence[int]:
+    return form.coeffs if type(form) is _Form else form

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
@@ -40,6 +41,8 @@ from .numeric import (
     RootSpec,
     SequenceStatus,
     Sign,
+    _Form,
+    _unit_coeffs,
     root_powers,
 )
 
@@ -126,14 +129,6 @@ def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
 # classification and sequences ----------------------------------------------
 
 
-def _col_sub(a: Column, b: Column) -> Column:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _col_addmul(a: Column, c: int, b: Column) -> Column:
-    return tuple(x + c * y for x, y in zip(a, b))
-
-
 _DOMAIN_FORMS: dict[int, tuple[Column, ...]] = {}
 
 
@@ -141,8 +136,8 @@ def _domain_forms(n: int) -> tuple[Column, ...]:
     """The forms 1 - x_1, x_1 - x_2, ..., x_{n-1} - x_n and x_n, cached per n."""
     forms = _DOMAIN_FORMS.get(n)
     if forms is None:
-        unit = [tuple(int(u == t) for u in range(n + 1)) for t in range(n + 1)]
-        forms = tuple(_col_sub(unit[t], unit[t + 1]) for t in range(n)) + (unit[n],)
+        unit = _unit_coeffs(n + 1)
+        forms = tuple(tuple(map(sub, unit[t], unit[t + 1])) for t in range(n)) + (unit[n],)
         _DOMAIN_FORMS[n] = forms
     return forms
 
@@ -184,7 +179,9 @@ def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
 class _Engine:
     """The certified sequence loop over a set of integer columns, for every n.
 
-    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  A step asks
+    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  Columns and
+    every form built from them are the evaluator's carried forms, so a query
+    costs no dot product over the columns' big coefficients.  A step asks
     only the queries that define its branch.  A certified answer holds for the
     true value, so these facts need no query of their own:
 
@@ -201,17 +198,17 @@ class _Engine:
     def __init__(self, ev: FormEvaluator, n: int):
         self.ev = ev
         self.n = n
-        self.cols: list[Column] = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+        self.cols: list[_Form] = ev.units()
         self.status: SequenceStatus | None = None
 
-    def _sign(self, form: Column, ambiguous: str) -> Sign:
+    def _sign(self, form: _Form, ambiguous: str) -> Sign:
         """The certified sign of a form; raises with message ``ambiguous`` if undecidable."""
         s = self.ev.certified_sign(form)
         if s is Sign.AMBIGUOUS:
             raise PrecisionExhaustedError(ambiguous)
         return s
 
-    def classify_once(self) -> tuple[SymbolND, Column]:
+    def classify_once(self) -> tuple[SymbolND, _Form]:
         """One certified branch decision: the symbol and the inserted column.
 
         ``q[t]`` is the column form of q_t (t < n) scaled by the leading
@@ -221,23 +218,25 @@ class _Engine:
         ev, n, cols = self.ev, self.n, self.cols
         q = [cols[0]]
         for col in cols[1:n]:
-            q.append(_col_sub(q[-1], col))
+            q.append(ev.sub(q[-1], col))
         slack = q[n - 1]
         # below n = 3 the slack is d_0 or q_1, never negative: no pair regions
         if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
             a = ev.certified_floor(slack, cols[n])
-            return NonNegSymbol(a), _col_addmul(slack, -a, cols[n])
+            return NonNegSymbol(a), ev.addmul(slack, -a, cols[n])
         i = 1
         while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
             i += 1
-        for j, x_next in enumerate(cols[i + 2:] + [(0,) * (n + 1)], i + 1):
-            below = self._sign(_col_sub(q[i], x_next), "pair window test is ambiguous")
+        for j in range(i + 1, n + 1):
+            # the window form q_i - x_{j+1}, which is q_i itself against x_{n+1} = 0
+            window = ev.sub(q[i], cols[j + 1]) if j < n else q[i]
+            below = self._sign(window, "pair window test is ambiguous")
             # strict against real coordinates, closed against x_{n+1} = 0
             if below is Sign.POSITIVE or (j == n and below is Sign.ZERO):
                 break
         return PairSymbol(i, j), q[i]
 
-    def push(self, symbol: SymbolND, inserted: Column) -> None:
+    def push(self, symbol: SymbolND, inserted: _Form) -> None:
         """Drop d_0 and insert the new column at slot j (the end for a floor step)."""
         j = symbol.j if isinstance(symbol, PairSymbol) else self.n
         self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
@@ -297,7 +296,7 @@ def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> 
         symbols=tuple(symbols),
         d_history=tuple(d_hist),
         status=eng.status,
-        matrix=mat_from_columns(eng.cols),
+        matrix=mat_from_columns([c.coeffs for c in eng.cols]),
         refinements=ev.refinements,
         precision_bits=ev.bits,
     )

@@ -98,7 +98,7 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
         symbols=tuple(symbols),
         d_history=tuple(d_hist),
         status=eng.status,
-        matrix=IntMatrix.from_columns(eng.cols),
+        matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
         refinements=ev.refinements,
         precision_bits=ev.bits,
     )

@@ -145,3 +145,31 @@ def test_format_matrix_row_major():
 
 def test_format_point():
     assert format_point((Fraction(1, 3), Fraction(1, 4))) == "1/3,1/4"
+
+
+@pytest.mark.parametrize("point, text", [
+    ("1e-999999", "1e-999999"),
+    ("dec:1e-999999:64", "1e-999999"),
+    ("1/2,1E+0315653", "1E+0315653"),
+], ids=["rational", "decimal", "positive-padded"])
+def test_decimal_exponent_ceiling(capsys, point, text):
+    # refused before Fraction builds the power of ten
+    assert main(["classify", "--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "degenerate-input",
+        "detail": f"decimal exponent of {text!r} is beyond the 315652 ceiling"}
+
+
+def test_exponents_up_to_the_ceiling_parse(capsys):
+    assert parse_fraction("1e-315652") == Fraction(1, 10 ** 315652)
+    assert parse_fraction("1e-0_5") == Fraction(1, 10 ** 5)
+    assert main(["classify", "--point", "1e-99999,1e-99999"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
+def test_decimal_part_with_zero_denominator(capsys):
+    assert main(["seq", "--point", "dec:1/0:64"]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "degenerate-input", "detail": "bad rational '1/0'"}

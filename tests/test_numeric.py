@@ -417,3 +417,56 @@ def test_bisection_collapses_on_rational_root():
 def test_form_evaluator_rejects_other_kinds(values):
     with pytest.raises(TypeError, match="int, Fraction or BigFloat, not"):
         FormEvaluator(values)
+
+
+# carried midpoint sums ------------------------------------------------------
+
+
+@st.composite
+def carried_chains(draw):
+    """(values, ops): a point and a chain of sub/addmul/refine steps over its forms."""
+    kind = draw(st.sampled_from(["rational", "decimal", "wide", "root"]))
+    size = draw(st.integers(1, 4))
+    if kind == "root":
+        k = draw(st.integers(1, 4))
+        values = list(root_powers(RootSpec(IntPolynomial((-1, 1, k, 1)), Fraction(0), Fraction(1)),
+                                  size, draw(st.integers(MIN_PRECISION, 160))))
+        values += draw(st.lists(small_rationals, max_size=1))
+    else:
+        values = draw(st.lists(small_rationals, min_size=size, max_size=size))
+        prec = draw(st.integers(MIN_PRECISION, 200))
+        if kind == "decimal":
+            digits = st.integers(1, 10 ** 30 - 1)
+            values = [BigFloat.from_decimal(f"0.{draw(digits):030d}", prec) for _ in values]
+        elif kind == "wide":
+            values = [BigFloat.from_bounds(f / 2, f, prec) for f in values]
+    op = st.tuples(st.sampled_from(["sub", "addmul", "refine"]), st.integers(0, 99),
+                   st.integers(0, 99), coefficients)
+    return values, draw(st.lists(op, min_size=1, max_size=12))
+
+
+def _carried_agree(ev: FormEvaluator, forms) -> None:
+    """Every carried form has the bounds and value of its plain coefficient tuple."""
+    oracle = FractionOracle(ev)
+    for form in forms:
+        assert ev._int_bounds(form) == ev._int_bounds(form.coeffs)
+        assert ev.eval_bounds(form) == oracle.bounds(form.coeffs)
+        assert _same_number(ev.materialize(form), ev.materialize(form.coeffs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(carried_chains())
+def test_carried_forms_match_tuple_bounds(case):
+    values, ops = case
+    ev = FormEvaluator(values)
+    forms = ev.units()
+    _carried_agree(ev, forms)
+    for name, a, b, c in ops:
+        if name == "refine":
+            # forms made before the rescale carry sums over the old enclosures
+            refinable = any(isinstance(v, BigFloat) and v.refinable for v in ev.values)
+            assert ev.refine() is refinable
+        else:
+            x, y = forms[a % len(forms)], forms[b % len(forms)]
+            forms.append(ev.sub(x, y) if name == "sub" else ev.addmul(x, c, y))
+        _carried_agree(ev, forms)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
-from trianglemap.numeric import SequenceStatus
-from trianglemap.periodicity import fixed_point_nd, rational_termination_check
+from trianglemap.numeric import FormEvaluator, SequenceStatus
+from trianglemap.periodicity import fixed_point_nd, period_one_point, rational_termination_check
 from trianglemap.simplex import (
     DecompositionReport,
     NonNegSymbol,
@@ -573,3 +573,32 @@ def test_sampler_draws_are_pinned():
     rng = random.Random(20240)
     drawn = [sample_rational_point(rng, 4, 10_000) for _ in range(20)]
     assert drawn == [tuple(F(p, q) for p, q in point) for point in _SAMPLER_PIN]
+
+
+@pytest.mark.parametrize("n, k, bits, lengths", [
+    (2, 2, 512, (100, 200)),
+    (3, 1, 512, (100, 200)),
+    (3, 1, 64, (200, 400)),
+], ids=["n2", "n3", "n3-refining"])
+def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, lengths):
+    # carried forms pay a full-width dot product only in the domain check and
+    # once per column after each rescale, never per query
+    real = FormEvaluator._dot
+    calls = []
+
+    def dot(self, coeffs):
+        calls.append(len(coeffs))
+        return real(self, coeffs)
+
+    monkeypatch.setattr(FormEvaluator, "_dot", dot)
+    seen = []
+    for length in lengths:
+        calls.clear()
+        if n == 2:
+            rec = sequence(period_one_point(k, bits), length)
+        else:
+            rec = sequence_nd(fixed_point_nd(n, k, bits), length)
+        assert len(rec.symbols) == length
+        assert len(calls) <= (n + 1) * (1 + rec.refinements)
+        seen.append((rec.refinements, len(calls)))
+    assert seen[0] == seen[1]
