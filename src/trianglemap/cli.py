@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhaustedError,
     TriangleMapError,
 )
-from .numeric import MIN_PRECISION, SequenceStatus
+from .numeric import MAX_PRECISION, MIN_PRECISION, SequenceStatus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,23 +71,22 @@ def _add_common(p: argparse.ArgumentParser, bits: bool = True, cap_bits: bool = 
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
 
-def _check_bits(bits: int) -> None:
-    if bits < MIN_PRECISION:
+def _check_bits(args) -> None:
+    """--bits above the floor, and --cap-bits (where taken) between --bits and the ceiling."""
+    if args.bits < MIN_PRECISION:
         raise DegenerateInputError(f"--bits must be at least {MIN_PRECISION}")
+    cap = getattr(args, "cap_bits", None)
+    if cap is not None and not args.bits <= cap <= MAX_PRECISION:
+        raise DegenerateInputError(f"--cap-bits must be between --bits and {MAX_PRECISION}")
 
 
 def _run_sequence(coords, max_len: int, cap_bits: int | None):
-    """Run the engine for the point's dimension.
-
-    Returns the record, its matrix rows and the d-values ``--d-values``
-    prints: the whole history in the plane, the last row otherwise.  Either
-    way the last ``len(rows)`` d-values are the final remainders.
-    """
+    """Run the engine for the point's dimension; returns the record and its matrix rows."""
     if len(coords) == 2:
         rec = triangle.sequence(triangle.Point2(*coords), max_len, cap_bits=cap_bits)
-        return rec, rec.matrix.rows, rec.d_history
+        return rec, rec.matrix.rows
     rec = simplex.sequence_nd(simplex.PointN(coords), max_len, cap_bits=cap_bits)
-    return rec, rec.matrix, rec.d_history[-1]
+    return rec, rec.matrix
 
 
 def _exhausted(rec) -> int:
@@ -103,9 +102,9 @@ def _exhausted(rec) -> int:
 
 
 def _cmd_seq(args) -> int:
-    _check_bits(args.bits)
+    _check_bits(args)
     coords = io_formats.parse_point(args.point, args.bits)
-    rec, rows, d_values = _run_sequence(coords, args.max, args.cap_bits)
+    rec, rows = _run_sequence(coords, args.max, args.cap_bits)
     symbols = [str(s) for s in rec.symbols]
     records: list[dict] = []
     if args.trace:
@@ -120,6 +119,9 @@ def _cmd_seq(args) -> int:
         "matrix": io_formats.format_matrix(rows),
     }
     if args.d_values:
+        # the whole history in the plane, the final remainders otherwise
+        d_values = (rec.d_history if isinstance(rec, triangle.SequenceRecord)
+                    else simplex._last_remainders(rec, len(rows)))
         summary["d_values"] = [io_formats.format_exact(d) for d in d_values]
     records.append(summary)
     _emit(records, args.format)
@@ -132,7 +134,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_bits(args.bits)
+    _check_bits(args)
     coords = io_formats.parse_point(args.point, args.bits)
     if len(coords) == 2:
         symbol = str(triangle.classify(triangle.Point2(*coords), cap_bits=args.cap_bits))
@@ -146,16 +148,16 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    _check_bits(args.bits)
+    _check_bits(args)
     if args.steps < 1:
         raise DegenerateInputError("--steps must be at least 1")
     coords = io_formats.parse_point(args.point, args.bits)
-    rec, rows, d_values = _run_sequence(coords, args.steps, args.cap_bits)
+    rec, rows = _run_sequence(coords, args.steps, args.cap_bits)
     out: dict = {"steps": args.steps, "status": rec.status.value}
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
         _emit([out], args.format)
         return _exhausted(rec)
-    leading = d_values[-len(rows):-1]
+    leading = simplex._last_remainders(rec, len(rows))[:-1] if rec.terminated else ()
     if rec.terminated and all(isinstance(d, Fraction) for d in leading):
         out["method"] = "terminated-exact"
         estimates = matrices.recover_terminated(rows, *leading)
@@ -195,7 +197,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_derive_poly(args) -> int:
-    _check_bits(args.bits)
+    _check_bits(args)
     symbols = io_formats.parse_symbols_2d(args.symbols)
     later = args.later if args.later is not None else len(symbols)
     earlier = args.earlier
@@ -355,7 +357,7 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     """Run one suite; a suite that checks nothing is an input error, not a pass."""
-    _check_bits(args.bits)
+    _check_bits(args)
     if args.cases < 1:
         raise DegenerateInputError("--cases must be at least 1")
     records = list(_SUITES[args.suite](args))

@@ -10,8 +10,9 @@ Two value kinds flow through the package:
 Those are the kinds of inputs and results.  Certified evaluation itself is
 integer arithmetic: ``FormEvaluator`` puts every coordinate of a point on one
 shared integer scale, so a sign is an integer comparison and a floor an
-integer division, and root bisection evaluates its polynomial on integer
-numerators over a power-of-two scale.  On that scale each coordinate is a
+integer division, and root refinement (bisection, or a Newton jump to
+bisection's cell) evaluates its polynomial on integer numerators over a
+power-of-two scale.  On that scale each coordinate is a
 midpoint sum and a radius; a form's bounds come from its midpoint sum, which
 the forms built by ``FormEvaluator.sub``/``addmul`` carry from their operands,
 plus a radius sum, and they are the same integers as the interval dot
@@ -156,6 +157,7 @@ class BigFloat:
             return None
         if bits <= self.prec:
             return self
+        _check_precision(bits)
         return self.source.as_bigfloat(bits)
 
     def __float__(self) -> float:
@@ -209,6 +211,14 @@ class RootSpec:
             raise DegenerateInputError(f"isolating interval holds {roots} distinct roots, not one")
 
 
+#: Below this many bisection levels a refinement bisects; above, it jumps.
+_NEWTON_MIN_LEVELS = 16
+#: Newton iterations allowed to settle at the coarsest level of a jump.
+_NEWTON_ITERATIONS = 12
+#: Extra bits at each level of a jump over half the next level's.
+_NEWTON_GUARD = 8
+
+
 class _RootEnclosure:
     """Mutable bisection state shared by every power of one root.
 
@@ -216,6 +226,15 @@ class _RootEnclosure:
     ``den`` the lcm of the spec's endpoint denominators: each bisection step
     adds one bit to ``shift``, so midpoints are plain integer sums and the
     polynomial's sign at one comes from homogenised Horner on integers.
+    The numerator width ``hi_num - lo_num`` never changes.
+
+    A refinement by many levels does not bisect level by level.  Integer
+    Newton predicts the root at the final scale, and the signs of the
+    polynomial at the two ends of the predicted cell prove it: the interval
+    isolates one root, so that cell is exactly the one bisection would reach.
+    Any doubt (an end on the root, a vanishing derivative, a cell that does
+    not check, Newton that does not settle) falls back to bisection, so the
+    enclosures are bisection's own.
 
     Tightening is caching, not mutation of the value: the root is fixed, the
     interval around it only ever shrinks.  Not thread-safe.
@@ -262,10 +281,93 @@ class _RootEnclosure:
             acc = acc * m + (h[i] << (shift * (d - i)))
         return acc
 
+    def _newton_step(self, m: int, shift: int) -> int | None:
+        """m - P(m) // P'(m), clamped to the enclosure, for P the scaled value
+        at ``shift``; None where P' = 0."""
+        h = self._homog
+        d = len(h) - 1
+        acc, slope = h[d], 0
+        for i in range(d - 1, -1, -1):
+            slope = slope * m + acc
+            acc = acc * m + (h[i] << (shift * (d - i)))
+        if not slope:
+            return None
+        up = shift - self.shift
+        return min(max(m - acc // slope, self.lo_num << up), self.hi_num << up)
+
+    def _newton(self, target: int) -> int | None:
+        """Newton's estimate of the root's numerator at ``shift = target``, or None.
+
+        Levels halve down from the target (plus a guard) to one within a
+        few bits of the current shift; Newton settles there from the
+        midpoint, then takes one step per level on the way back up.
+        """
+        shift = self.shift
+        levels = [target]
+        while levels[-1] > shift + 4 * _NEWTON_GUARD:
+            levels.append(max((levels[-1] + 1) // 2 + _NEWTON_GUARD, shift + 1))
+        level = levels.pop()
+        x = (self.lo_num + self.hi_num) << (level - shift - 1)
+        for _ in range(_NEWTON_ITERATIONS):
+            nxt = self._newton_step(x, level)
+            if nxt is None:
+                return None
+            settled, x = abs(nxt - x) <= 1, nxt
+            if settled:
+                break
+        else:
+            return None
+        while levels and x is not None:
+            up = levels.pop()
+            x, level = self._newton_step(x << (up - level), up), up
+        return x
+
+    def _jump(self, k: int) -> bool:
+        """Move to bisection's cell k levels down in one certified step; False if unsure."""
+        lo, width, target = self.lo_num, self.hi_num - self.lo_num, self.shift + k
+        guess = self._newton(target)
+        if guess is None:
+            return False
+        base, last = lo << k, (1 << k) - 1
+        j = min(max((guess - base) // width, 0), last)
+        signs: dict[int, bool] = {}
+
+        def low_sign(m: int) -> bool | None:
+            """Whether p has the low end's sign at m / (den << target); None on the root."""
+            if m not in signs:
+                v = self._scaled_value(m, target)
+                signs[m] = None if v == 0 else (v < 0) == self._neg_low
+            return signs[m]
+
+        moved = False
+        while True:
+            a = base + j * width
+            at_a, at_b = low_sign(a), low_sign(a + width)
+            if at_a is None or at_b is None:
+                return False
+            if at_a and not at_b:
+                self.lo_num, self.hi_num, self.shift = a, a + width, target
+                return True
+            j += 1 if at_a else -1
+            if moved or not 0 <= j <= last:
+                return False
+            moved = True
+
     def refine_below(self, width: Fraction) -> None:
+        """Shrink the interval to width at most ``width``, as bisection would."""
         lo, hi, shift = self.lo_num, self.hi_num, self.shift
         # hi - lo > width, with both sides over den << shift
         wd, wn = width.denominator, width.numerator * self.den
+        need = (hi - lo) * wd
+        if need <= wn << shift:
+            return
+        # the least level e with need <= wn << e; bisection stops at shift + k
+        e = max(need.bit_length() - wn.bit_length(), 0)
+        while wn << e < need:
+            e += 1
+        k = e - shift
+        if k >= _NEWTON_MIN_LEVELS and self._jump(k):
+            return
         while (hi - lo) * wd > wn << shift:
             mid = lo + hi
             shift += 1
@@ -353,18 +455,30 @@ class _Form:
     """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
 
     ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag`` (one list
-    per rescale, so the tag is the rescale epoch); ``value`` is the form's
-    ``materialize`` result against the list ``value_tag``.  A form whose tag is
-    not the evaluator's current list has its sum recomputed on first use.
+    per rescale, so the tag is the rescale epoch); ``snap`` is the form's
+    snapshot against the list ``snap_tag``.  A form whose tag is not the
+    evaluator's current list has its sum recomputed on first use.
     """
 
-    __slots__ = ("coeffs", "mid", "tag", "value", "value_tag")
+    __slots__ = ("coeffs", "mid", "tag", "snap", "snap_tag")
 
     def __init__(self, coeffs: tuple[int, ...], mid: int, tag: list):
         self.coeffs = coeffs
         self.mid = mid
         self.tag = tag
-        self.value_tag = None
+        self.snap_tag = None
+
+
+#: A form's value as plain integers: its bounds times S, S, and the working bits.
+Snapshot = tuple[int, int, int, int]
+
+
+def _value(snap: Snapshot) -> ExactNumber:
+    """The Fraction, or the BigFloat rounded outward at its bits, that a snapshot stands for."""
+    lo, hi, scale, bits = snap
+    if lo == hi:
+        return Fraction(lo, scale)
+    return BigFloat(*_round_out_scaled(lo, hi, scale, bits), bits)
 
 
 Form = Union[Sequence[int], _Form]
@@ -405,9 +519,11 @@ class FormEvaluator:
         self.bits = max(precs) if precs else MIN_PRECISION
         refinable = any(isinstance(v, BigFloat) and v.refinable for v in self.values)
         if cap_bits is not None:
+            if cap_bits > MAX_PRECISION:
+                raise ValueError(f"refinement cap above the {MAX_PRECISION}-bit ceiling")
             self.cap = cap_bits
         elif refinable:
-            self.cap = max(4096, REFINE_CAP_FACTOR * self.bits)
+            self.cap = min(max(4096, REFINE_CAP_FACTOR * self.bits), MAX_PRECISION)
         else:
             self.cap = self.bits
         self.refinements = 0
@@ -478,20 +594,23 @@ class FormEvaluator:
         lo, hi = self._int_bounds(coeffs)
         return Fraction(lo, self._scale), Fraction(hi, self._scale)
 
-    def materialize(self, coeffs: Form) -> ExactNumber:
-        """The form's value at the current enclosures; a carried form keeps it per rescale."""
+    def snapshot(self, coeffs: Form) -> Snapshot:
+        """What ``materialize`` rounds, as integers; a carried form keeps it per rescale.
+
+        The integers never change, so the value can be built later, at the
+        precision of this moment.
+        """
         handle = type(coeffs) is _Form
-        if handle and coeffs.value_tag is self._mids:
-            return coeffs.value
-        lo, hi = self._int_bounds(coeffs)
-        scale = self._scale
-        if lo == hi:
-            value = Fraction(lo, scale)
-        else:
-            value = BigFloat(*_round_out_scaled(lo, hi, scale, self.bits), self.bits)
+        if handle and coeffs.snap_tag is self._mids:
+            return coeffs.snap
+        snap = (*self._int_bounds(coeffs), self._scale, self.bits)
         if handle:
-            coeffs.value, coeffs.value_tag = value, self._mids
-        return value
+            coeffs.snap, coeffs.snap_tag = snap, self._mids
+        return snap
+
+    def materialize(self, coeffs: Form) -> ExactNumber:
+        """The form's value at the current enclosures."""
+        return _value(self.snapshot(coeffs))
 
     def ratio(self, num: Form, den: Form) -> ExactNumber:
         """num/den over the current enclosures, exact when it is; den's must be positive."""

@@ -41,8 +41,10 @@ from .numeric import (
     RootSpec,
     SequenceStatus,
     Sign,
+    Snapshot,
     _Form,
     _unit_coeffs,
+    _value,
     root_powers,
 )
 
@@ -264,10 +266,69 @@ class _Engine:
         self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
 
 
+class _Snapshots(list):
+    """A record's remainders as ``FormEvaluator.snapshot``s, not yet values."""
+
+    def build(self) -> tuple:
+        return tuple(map(_value, self))
+
+    def tail(self, count: int) -> tuple:
+        return tuple(map(_value, self[-count:]))
+
+
+class _SnapshotRows(_Snapshots):
+    """Remainders in rows, one per step.  Rows share the snapshots of their
+    shifted entries, and their values share the same way."""
+
+    def build(self) -> tuple:
+        values: dict[int, ExactNumber] = {}
+
+        def value(snap: Snapshot) -> ExactNumber:
+            v = values.get(id(snap))
+            if v is None:
+                v = values[id(snap)] = _value(snap)
+            return v
+
+        return tuple(tuple(map(value, row)) for row in self)
+
+    def tail(self, count: int) -> tuple:
+        return tuple(map(_value, self[-1]))
+
+
+class _BuiltOnRead:
+    """A record field given as ``_Snapshots`` that becomes their values, a
+    tuple, on its first read.  ``==``, ``repr`` and ``hash`` read it like any
+    other field, so they see the values."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # a dataclass field without a default
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Snapshots):
+            value = obj.__dict__[self.name] = value.build()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
+def _last_remainders(rec, count: int) -> tuple[ExactNumber, ...]:
+    """The final remainders of a run: the last row of an n-D ``d_history``, the
+    last ``count`` entries of a flat one.  An unread history stays unbuilt."""
+    held = rec.__dict__["d_history"]
+    if isinstance(held, _Snapshots):
+        return held.tail(count)
+    return held[-1] if isinstance(held[-1], tuple) else held[-count:]
+
+
 @dataclass(frozen=True)
 class SequenceRecordN:
     symbols: tuple[SymbolND, ...]
-    d_history: tuple[tuple[ExactNumber, ...], ...]
+    d_history: tuple[tuple[ExactNumber, ...], ...] = _BuiltOnRead()
     status: SequenceStatus
     matrix: Matrix
     refinements: int
@@ -284,17 +345,20 @@ def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
 
 
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:
-    """Certified symbol sequence in dimension n with full remainder history."""
+    """Certified symbol sequence in dimension n with full remainder history.
+
+    The history keeps each step's snapshots and builds its values when it is
+    first read."""
     eng = _start(point.coords, cap_bits, max_len=max_len)
     ev = eng.ev
     symbols: list[SymbolND] = []
-    d_hist: list[tuple[ExactNumber, ...]] = [tuple(ev.materialize(c) for c in eng.cols)]
+    d_hist = _SnapshotRows([tuple(map(ev.snapshot, eng.cols))])
     for symbol in eng.run(max_len):
         symbols.append(symbol)
-        d_hist.append(tuple(ev.materialize(c) for c in eng.cols))
+        d_hist.append(tuple(map(ev.snapshot, eng.cols)))
     return SequenceRecordN(
         symbols=tuple(symbols),
-        d_history=tuple(d_hist),
+        d_history=d_hist,
         status=eng.status,
         matrix=mat_from_columns([c.coeffs for c in eng.cols]),
         refinements=ev.refinements,

@@ -27,7 +27,7 @@ from .numeric import (
     SequenceStatus,
     root_powers,
 )
-from .simplex import _start
+from .simplex import _BuiltOnRead, _Snapshots, _start
 
 _PLANAR = ("alpha", "beta")
 
@@ -51,7 +51,7 @@ class Point2:
 @dataclass(frozen=True)
 class SequenceRecord:
     symbols: tuple[int, ...]
-    d_history: tuple[ExactNumber, ...]
+    d_history: tuple[ExactNumber, ...] = _BuiltOnRead()
     status: SequenceStatus
     matrix: IntMatrix
     refinements: int
@@ -90,13 +90,13 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
                  allow_zero_last=True)
     ev = eng.ev
     symbols: list[int] = []
-    d_hist: list[ExactNumber] = [ev.materialize(c) for c in eng.cols]
+    d_hist = _Snapshots(map(ev.snapshot, eng.cols))
     for symbol in eng.run(max_len):
         symbols.append(symbol.k)
-        d_hist.append(ev.materialize(eng.cols[2]))
+        d_hist.append(ev.snapshot(eng.cols[2]))
     return SequenceRecord(
         symbols=tuple(symbols),
-        d_history=tuple(d_hist),
+        d_history=d_hist,
         status=eng.status,
         matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
         refinements=ev.refinements,
@@ -107,7 +107,7 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
 @dataclass(frozen=True)
 class GaussRecord:
     quotients: tuple[int, ...]
-    remainders: tuple[ExactNumber, ...]
+    remainders: tuple[ExactNumber, ...] = _BuiltOnRead()
     status: SequenceStatus
 
 
@@ -122,8 +122,8 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     eng = _start((x,), cap_bits, ("x",), max_len=max_len)
     ev = eng.ev
     quotients: list[int] = []
-    remainders: list[ExactNumber] = [ev.materialize(eng.cols[1])]
+    remainders = _Snapshots([ev.snapshot(eng.cols[1])])
     for symbol in eng.run(max_len):
         quotients.append(symbol.k)
-        remainders.append(ev.materialize(eng.cols[1]))
-    return GaussRecord(tuple(quotients), tuple(remainders), eng.status)
+        remainders.append(ev.snapshot(eng.cols[1]))
+    return GaussRecord(tuple(quotients), remainders, eng.status)

@@ -357,6 +357,61 @@ def test_bits_floor_enforced(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "10", "63", str(numeric.MAX_PRECISION + 1)])
+@pytest.mark.parametrize("command", [
+    ["seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "200"],
+    ["classify", "--point", "root:-1,1,2,1:0,1:pow2"],
+    ["recover", "--point", "1/2,1/3"],
+    ["verify", "--suite", "period1", "--kmax", "1"],
+], ids=["seq", "classify", "recover", "verify"])
+def test_cap_bits_checked(capsys, command, cap):
+    # the cap lies between --bits and the precision ceiling, or the input is refused
+    code, lines, err = run(capsys, *command, "--bits", "64", "--cap-bits", cap)
+    assert code == 1 and lines == []
+    assert json.loads(err) == {"error": "degenerate-input",
+                               "detail": "--cap-bits must be between --bits and 1048576"}
+
+
+@pytest.mark.parametrize("cap", ["64", str(numeric.MAX_PRECISION)])
+def test_cap_bits_bounds_accepted(capsys, cap):
+    code, lines, _ = run(capsys, "seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "30",
+                         "--bits", "64", "--cap-bits", cap)
+    assert code == 0 and lines[-1]["length"] == 30
+
+
+def test_default_cap_clamped_to_ceiling(capsys, monkeypatch):
+    caps = []
+    real = numeric.FormEvaluator.__init__
+
+    def init(self, values, *, cap_bits=None):
+        real(self, values, cap_bits=cap_bits)
+        caps.append(self.cap)
+
+    monkeypatch.setattr(numeric.FormEvaluator, "__init__", init)
+    code, _, _ = run(capsys, "classify", "--point", "root:-1,1,2,1:0,1:pow2", "--bits", "40000")
+    assert code == 0 and caps == [numeric.MAX_PRECISION]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["seq", "--point", "root:-1,1,1,2,1:0,1:pow3", "--max", "32", "--bits", "64"], 0),
+    (["seq", "--point", "9/10,7/10,1/2,1/5"], 0),
+    (["seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "20"], 0),
+    (["recover", "--point", "root:-1,1,1,2,1:0,1:pow3", "--steps", "20"], 0),
+    (["recover", "--point", "9/10,7/10,1/2,1/5"], 5),
+    (["seq", "--point", "9/10,7/10,1/2,1/5", "--d-values"], 5),
+    (["seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "20", "--d-values"], 23),
+], ids=["root-3d", "rational-4d", "root-2d", "recover-truncated", "recover-4d",
+        "d-values-4d", "d-values-2d"])
+def test_history_values_built_only_when_printed(capsys, monkeypatch, argv, built):
+    # without --d-values no remainder value is made; n-D output and recover
+    # make only the final row's
+    made = []
+    real = simplex._value
+    monkeypatch.setattr(simplex, "_value", lambda snap: made.append(snap) or real(snap))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(made) == built
+
+
 def test_numbers_past_int_str_digit_cap(capsys):
     # Python caps int/str conversion at 4300 digits by default; exact inputs
     # and the matrices they produce may be longer

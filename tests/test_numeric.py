@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trianglemap import numeric
 from trianglemap.errors import DegenerateInputError, PrecisionExhaustedError
@@ -413,6 +413,179 @@ def test_bisection_collapses_on_rational_root():
     assert FormEvaluator([x]).certified_sign((-3, 4)) is Sign.ZERO
 
 
+# Newton jumps: the cell bisection reaches, proved by two signs -------------
+
+
+def _cube(poly: IntPolynomial) -> IntPolynomial:
+    return poly * poly * poly
+
+
+# one spec per way a jump falls back to bisection, with widths that reach it
+NEWTON_FALLBACKS = {
+    # few levels to go: bisection is cheaper than a jump
+    "short": (GOLDEN, (64, 70)),
+    # the dyadic root 3/4 is a cell end: bisection's collapse case
+    "on-root": (RootSpec(IntPolynomial((-3, 4)) * IntPolynomial((1, 0, 1)), Fraction(0), Fraction(1)),
+                (64,)),
+    # (2x - 1)^3 + 2 has p' = 0 at the midpoint 1/2 of (-1, 2)
+    "flat": (RootSpec(IntPolynomial((1, 6, -12, 8)), Fraction(-1), Fraction(2)), (64,)),
+    # x^3 - 2x + 2: Newton from the midpoint 0 cycles 0, 1, 0, ...
+    "unsettled": (RootSpec(IntPolynomial((2, -2, 0, 1)), Fraction(-2), Fraction(2)), (64,)),
+    # the triple root sqrt(2) converges only linearly: settled one bit below
+    # the enclosure, the estimate 40 levels down misses by many cells
+    "unchecked": (RootSpec(_cube(IntPolynomial((-2, 0, 1))), Fraction(1), Fraction(2)), (200, 240)),
+}
+
+
+def _refine_path(monkeypatch, enc: _RootEnclosure, width: Fraction) -> str:
+    """refine_below, and which way its last call went: "jump", or a fallback's name."""
+    seen = {"jump": None, "newton": None, "flat": False}
+    real_jump, real_newton, real_step = (_RootEnclosure._jump, _RootEnclosure._newton,
+                                         _RootEnclosure._newton_step)
+
+    def jump(self, k):
+        seen["jump"] = real_jump(self, k)
+        return seen["jump"]
+
+    def newton(self, target):
+        seen["newton"] = real_newton(self, target)
+        return seen["newton"]
+
+    def step(self, m, shift):
+        out = real_step(self, m, shift)
+        seen["flat"] |= out is None
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_RootEnclosure, "_jump", jump)
+        patch.setattr(_RootEnclosure, "_newton", newton)
+        patch.setattr(_RootEnclosure, "_newton_step", step)
+        enc.refine_below(width)
+    if seen["jump"] is None:
+        return "short"
+    if seen["jump"]:
+        return "jump"
+    if seen["newton"] is None:
+        return "flat" if seen["flat"] else "unsettled"
+    return "on-root" if enc.lo_num == enc.hi_num else "unchecked"
+
+
+def _assert_bisection_identity(enc: _RootEnclosure, spec: RootSpec, bits, refine) -> list[str]:
+    """Refine to each width in turn and compare with Fraction bisection; returns the paths."""
+    lo, hi = spec.low, spec.high
+    paths = []
+    for b in bits:
+        width = Fraction(1, 1 << b)
+        paths.append(refine(enc, width))
+        lo, hi = fraction_bisection(spec.poly, lo, hi, width)
+        assert (enc.lo, enc.hi) == (lo, hi)
+        # the collapse stops bisection at the root's own level
+        assert enc.hi - enc.lo <= width
+    return paths
+
+
+@pytest.mark.parametrize("path", sorted(NEWTON_FALLBACKS))
+def test_newton_fallbacks_reach_bisection_cell(monkeypatch, path):
+    spec, bits = NEWTON_FALLBACKS[path]
+    enc = _RootEnclosure(spec)
+    paths = _assert_bisection_identity(enc, spec, bits,
+                                       lambda e, w: _refine_path(monkeypatch, e, w))
+    assert paths[-1] == path
+
+
+def test_newton_jump_taken_on_period_one_roots(monkeypatch):
+    spec = RootSpec(IntPolynomial((-1, 1, 3, 1)), Fraction(0), Fraction(1))
+    enc = _RootEnclosure(spec)
+    paths = _assert_bisection_identity(enc, spec, (64, 512, 2048),
+                                       lambda e, w: _refine_path(monkeypatch, e, w))
+    assert paths == ["jump"] * 3
+
+
+_GRID = [Fraction(i, 7) - Fraction(1, 13) for i in range(-28, 29)]
+
+
+@st.composite
+def root_specs(draw):
+    """A RootSpec of degree 2-6 on a grid interval in [-4, 4], and widths in bits.
+
+    Shapes: any integer polynomial, one with a rational or a dyadic rational
+    root (bisection collapses on the latter), and one with a triple root.
+    """
+    shape = draw(st.sampled_from(["plain", "rational", "dyadic", "triple"]))
+    degree = draw(st.integers(2, 6))
+    small = st.integers(-9, 9)
+
+    def poly(deg: int) -> IntPolynomial:
+        coeffs = draw(st.lists(small, min_size=deg, max_size=deg))
+        return IntPolynomial(tuple(coeffs) + (draw(small.filter(bool)),))
+
+    if shape == "plain":
+        p = poly(degree)
+    elif shape == "triple":
+        q = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+        root = IntPolynomial((-draw(st.integers(-2 * q, 2 * q)), q))
+        if degree == 6 and draw(st.booleans()):
+            root = IntPolynomial((-draw(st.integers(2, 7)), 0, 1))
+            p = _cube(root)
+        else:
+            p = _cube(root) * poly(max(degree - 3, 0))
+    else:
+        q = 1 << draw(st.integers(0, 6)) if shape == "dyadic" else draw(st.integers(3, 40))
+        p = IntPolynomial((-draw(st.integers(-3 * q, 3 * q)), q)) * poly(degree - 1)
+    specs = []
+    for a, b in zip(_GRID, _GRID[1:]):
+        for lo, hi in ((a, b), (a - Fraction(draw(st.integers(0, 9)), 5), b + Fraction(1, 3))):
+            try:
+                specs.append(RootSpec(p, lo, hi))
+            except DegenerateInputError:
+                pass
+    assume(specs)
+    first = draw(st.integers(1, 300))
+    return draw(st.sampled_from(specs)), (first, first + draw(st.integers(0, 200)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(root_specs())
+@example(NEWTON_FALLBACKS["short"])
+@example(NEWTON_FALLBACKS["on-root"])
+@example(NEWTON_FALLBACKS["flat"])
+@example(NEWTON_FALLBACKS["unsettled"])
+@example(NEWTON_FALLBACKS["unchecked"])
+def test_refine_below_matches_fraction_bisection(case):
+    spec, bits = case
+    enc = _RootEnclosure(spec)
+    _assert_bisection_identity(enc, spec, bits, lambda e, w: e.refine_below(w))
+
+
+def test_deep_refinement_evaluates_few_polynomials(monkeypatch):
+    # bisection would make one evaluation per bit: 32,640 from 128 to 32,768 bits
+    calls = []
+    for name in ("_scaled_value", "_newton_step"):
+        real = getattr(_RootEnclosure, name)
+        monkeypatch.setattr(_RootEnclosure, name,
+                            lambda self, m, shift, _real=real: calls.append(1) or _real(self, m, shift))
+    x = refine_root(RootSpec(IntPolynomial((-1, 1, 3, 1)), Fraction(0), Fraction(1)), 128)
+    calls.clear()
+    bits = 128
+    while bits < 32768:
+        bits *= 2
+        x = x.refined(bits)
+    assert x.width() <= Fraction(1, 1 << 32768)
+    assert len(calls) <= 200
+
+
+def test_refinement_cap_within_the_ceiling():
+    ceiling = numeric.MAX_PRECISION
+    with pytest.raises(ValueError, match="1048576-bit ceiling"):
+        FormEvaluator([refine_root(GOLDEN, 64)], cap_bits=ceiling + 1)
+    with pytest.raises(ValueError, match="1048576-bit ceiling"):
+        refine_root(GOLDEN, 64).refined(ceiling + 1)
+    assert FormEvaluator([refine_root(GOLDEN, 64)], cap_bits=ceiling).cap == ceiling
+    # the default cap, 32 times the working bits, stops at the ceiling
+    assert FormEvaluator([refine_root(GOLDEN, 40000)]).cap == ceiling
+    assert FormEvaluator([refine_root(GOLDEN, 1000)]).cap == 32 * 1002
+
+
 @pytest.mark.parametrize("values", [[0.5, 0.25], [Fraction(1, 2), 0.25], ["1/2"]])
 def test_form_evaluator_rejects_other_kinds(values):
     with pytest.raises(TypeError, match="int, Fraction or BigFloat, not"):
@@ -463,8 +636,10 @@ def test_carried_forms_match_tuple_bounds(case):
     _carried_agree(ev, forms)
     for name, a, b, c in ops:
         if name == "refine":
-            # forms made before the rescale carry sums over the old enclosures
-            refinable = any(isinstance(v, BigFloat) and v.refinable for v in ev.values)
+            # forms made before the rescale carry sums over the old enclosures;
+            # five doublings reach the default cap of 32 times the start bits
+            refinable = (any(isinstance(v, BigFloat) and v.refinable for v in ev.values)
+                         and ev.bits < ev.cap)
             assert ev.refine() is refinable
         else:
             x, y = forms[a % len(forms)], forms[b % len(forms)]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
-from trianglemap.numeric import FormEvaluator, SequenceStatus
+from trianglemap.io_formats import parse_point
+from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus
 from trianglemap.periodicity import fixed_point_nd, period_one_point, rational_termination_check
 from trianglemap.simplex import (
     DecompositionReport,
@@ -24,9 +26,10 @@ from trianglemap.simplex import (
     region_vertices,
     sample_rational_point,
     sequence_nd,
+    _start,
     step_matrix_nd,
 )
-from trianglemap.triangle import Point2, gauss_sequence, sequence
+from trianglemap.triangle import GaussRecord, Point2, gauss_sequence, sequence
 
 
 def F(*args) -> Fraction:
@@ -602,3 +605,100 @@ def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, 
         assert len(calls) <= (n + 1) * (1 + rec.refinements)
         seen.append((rec.refinements, len(calls)))
     assert seen[0] == seen[1]
+
+
+# remainder histories, built on first read -----------------------------------
+
+
+def _materialized_history(coords, max_len, kind):
+    """The history the records used to build eagerly: ``materialize`` at each step.
+
+    ``kind`` is "nd" (rows of every column), "planar" (the three seed columns,
+    then the inserted one) or "gauss" (the current remainder)."""
+    eng = _start(coords, None, max_len=max_len, allow_zero_last=kind == "planar")
+    ev = eng.ev
+    if kind == "nd":
+        hist = [tuple(ev.materialize(c) for c in eng.cols)]
+    elif kind == "planar":
+        hist = [ev.materialize(c) for c in eng.cols]
+    else:
+        hist = [ev.materialize(eng.cols[1])]
+    for _ in eng.run(max_len):
+        if kind == "nd":
+            hist.append(tuple(ev.materialize(c) for c in eng.cols))
+        else:
+            hist.append(ev.materialize(eng.cols[2 if kind == "planar" else 1]))
+    return tuple(hist), ev.refinements
+
+
+def _same_values(a, b) -> bool:
+    """Equal, with each BigFloat's integers and precision equal too."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_values, a, b))
+    if isinstance(a, BigFloat):
+        return type(b) is BigFloat and (a.lo_num, a.hi_num, a.prec) == (b.lo_num, b.hi_num, b.prec)
+    return type(a) is type(b) is Fraction and a == b
+
+
+@pytest.mark.parametrize("text, max_len, refines", [
+    ("5/7", 40, False),
+    ("dec:0.6180339887498948482045868343656:96", 60, False),
+    ("root:-1,1,1:0,1:pow1", 150, True),
+    ("17/19,4/19", 40, False),
+    ("dec:0.54,0.29:128", 80, False),
+    ("root:-1,1,2,1:0,1:pow2", 200, True),
+    ("11/13,9/13,3/13", 40, False),
+    ("dec:0.9,0.7,0.30000000000000000000001:64", 40, False),
+    # refines mid-run: its d-values in cli_golden.json mix two precisions
+    ("root:-1,1,1,2,1:0,1:pow3", 32, True),
+], ids=["rational-1", "dec-1", "root-1", "rational-2", "dec-2", "root-2",
+        "rational-3", "dec-3", "root-3"])
+def test_history_equals_materialize_at_each_step(text, max_len, refines):
+    # every run parses its own point: root powers share one enclosure, which
+    # a run leaves refined
+    def point():
+        return parse_point(text, 64)
+
+    expected, refinements = _materialized_history(point(), max_len, "nd")
+    rec = sequence_nd(PointN(point()), max_len)
+    assert (rec.refinements > 0) is refines and rec.refinements == refinements
+    assert type(rec.d_history) is tuple
+    assert _same_values(rec.d_history, expected)
+    if len(point()) == 2:
+        expected, _ = _materialized_history(point(), max_len, "planar")
+        rec = sequence(Point2(*point()), max_len)
+        assert type(rec.d_history) is tuple and _same_values(rec.d_history, expected)
+    if len(point()) == 1:
+        expected, _ = _materialized_history(point(), max_len, "gauss")
+        rec = gauss_sequence(point()[0], max_len)
+        assert type(rec.remainders) is tuple and _same_values(rec.remainders, expected)
+
+
+def test_records_compare_and_print_their_values():
+    coords = parse_point("root:-1,1,2,1:0,1:pow2", 64)
+    made = [sequence(Point2(*coords), 60), sequence(Point2(*coords), 60)]
+    # equality and repr read the history; the first read builds it
+    assert made[0] == made[1] and hash(made[0]) == hash(made[1])
+    assert repr(made[0]) == repr(made[1])
+    assert f"d_history={made[0].d_history!r}" in repr(made[0])
+    assert made[0] != sequence(Point2(*coords), 59)
+    fields = [f.name for f in dataclasses.fields(made[0])]
+    assert fields == ["symbols", "d_history", "status", "matrix", "refinements", "precision_bits"]
+    rows = sequence_nd(PointN(coords), 30)
+    assert rows == sequence_nd(PointN(coords), 30) and repr(rows) == repr(sequence_nd(PointN(coords), 30))
+    assert [f.name for f in dataclasses.fields(GaussRecord)] == ["quotients", "remainders", "status"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made[0].d_history = ()
+    # a record built by hand takes its history as given
+    rec = GaussRecord((2,), (Fraction(1, 2), Fraction(0)), SequenceStatus.TERMINATED)
+    assert rec.remainders == (Fraction(1, 2), Fraction(0))
+    assert rec == gauss_sequence(Fraction(1, 2), 5)
+
+
+def test_history_rows_share_shifted_values():
+    rec = sequence_nd(PointN(parse_point("root:-1,1,1,2,1:0,1:pow3", 512)), 32)
+    assert rec.refinements == 0
+    rows = rec.d_history
+    # each step keeps every column but d_0, and between refinements its value too
+    shared = sum(any(v is w for w in prev) for prev, row in zip(rows, rows[1:]) for v in row)
+    assert shared == 3 * (len(rows) - 1)
