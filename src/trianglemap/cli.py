@@ -18,12 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import io_formats, matrices, periodicity, realization, simplex, triangle
-from .errors import (
-    DegenerateInputError,
-    NotYetConvergedError,
-    PrecisionExhaustedError,
-    TriangleMapError,
-)
+from .errors import DegenerateInputError, PrecisionExhaustedError, TriangleMapError
 from .numeric import MAX_PRECISION, MIN_PRECISION, SequenceStatus
 
 EXIT_OK = 0
@@ -45,8 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "csv":
-        if not records:
-            return
         keys = sorted({k for r in records for k in r})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys)
@@ -89,13 +82,11 @@ def _run_sequence(coords, max_len: int, cap_bits: int | None):
     return rec, rec.matrix
 
 
-def _exhausted(rec) -> int:
-    """Explain on stderr a run that ran out of precision; returns its exit code."""
-    detail = (f"{len(rec.symbols)} symbol(s) certified; the next branch is undecidable"
-              f" at {rec.precision_bits} working bits")
-    print(json.dumps({"error": "precision-exhausted", "detail": detail}, sort_keys=True),
-          file=sys.stderr)
-    return EXIT_PRECISION
+def _exhausted(rec) -> PrecisionExhaustedError:
+    """The error ``main`` reports for a run that ran out of precision."""
+    return PrecisionExhaustedError(
+        f"{len(rec.symbols)} symbol(s) certified; the next branch is undecidable"
+        f" at {rec.precision_bits} working bits")
 
 
 # seq -------------------------------------------------------------------------
@@ -126,7 +117,7 @@ def _cmd_seq(args) -> int:
     records.append(summary)
     _emit(records, args.format)
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
-        return _exhausted(rec)
+        raise _exhausted(rec)
     return EXIT_OK
 
 
@@ -156,19 +147,16 @@ def _cmd_recover(args) -> int:
     out: dict = {"steps": args.steps, "status": rec.status.value}
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
         _emit([out], args.format)
-        return _exhausted(rec)
+        raise _exhausted(rec)
     leading = simplex._last_remainders(rec, len(rows))[:-1] if rec.terminated else ()
     if rec.terminated and all(isinstance(d, Fraction) for d in leading):
         out["method"] = "terminated-exact"
         estimates = matrices.recover_terminated(rows, *leading)
     else:
+        # every step matrix has a nonnegative inverse with top-left entry at
+        # least 1, so the leading minor recover_nd divides by is never zero
         out["method"] = "estimate"
-        try:
-            estimates = matrices.recover_nd(rows)
-        except NotYetConvergedError:
-            out["converged"] = False
-            _emit([out], args.format)
-            return EXIT_VERIFY if args.strict else EXIT_OK
+        estimates = matrices.recover_nd(rows)
     out["estimates"] = [str(v) for v in estimates]
     if all(isinstance(c, Fraction) for c in coords):
         residual = max(abs(e - c) for e, c in zip(estimates, coords))
@@ -394,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="estimate the start of a run from its matrix")
     p.add_argument("--point", required=True)
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when the estimate has not converged")
     _add_common(p)
     p.set_defaults(func=_cmd_recover)
 

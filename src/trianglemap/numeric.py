@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub as subtract
@@ -506,8 +507,10 @@ class FormEvaluator:
     dot product.  When a query cannot be decided, root-backed coordinates
     are refined (doubling the working bits up to a cap) and the query
     retried; a carried sum made before that rescale is recomputed once, on
-    its next use.  A true zero is recognised exactly when all irrational
-    coordinates are powers of one shared root.
+    its next use.  Each evaluator refines its own copy of a root's enclosure,
+    shared by that root's powers, so a run leaves its input as it found it.
+    A true zero is recognised exactly when all irrational coordinates are
+    powers of one shared root.
     """
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
@@ -518,6 +521,8 @@ class FormEvaluator:
         precs = [v.prec for v in self.values if isinstance(v, BigFloat)]
         self.bits = max(precs) if precs else MIN_PRECISION
         refinable = any(isinstance(v, BigFloat) and v.refinable for v in self.values)
+        if refinable:
+            self._own_enclosures()
         if cap_bits is not None:
             if cap_bits > MAX_PRECISION:
                 raise ValueError(f"refinement cap above the {MAX_PRECISION}-bit ceiling")
@@ -528,6 +533,18 @@ class FormEvaluator:
             self.cap = self.bits
         self.refinements = 0
         self._rescale()
+
+    def _own_enclosures(self) -> None:
+        """Rebind each root-backed value to a copy of its enclosure, one copy per
+        enclosure: the powers of one root keep sharing one, as ``exact_zero`` needs."""
+        copies: dict[int, _RootEnclosure] = {}
+        for i, v in enumerate(self.values):
+            src = v.source if isinstance(v, BigFloat) else None
+            if src is not None:
+                enc = copies.get(id(src.enclosure))
+                if enc is None:
+                    enc = copies[id(src.enclosure)] = copy(src.enclosure)
+                self.values[i] = BigFloat(v.lo_num, v.hi_num, v.prec, _RootPower(enc, src.power))
 
     def _rescale(self) -> None:
         """Rebuild the midpoint sums and radii; index 0 holds the constant 1 as S."""

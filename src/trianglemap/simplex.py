@@ -317,12 +317,9 @@ class _BuiltOnRead:
 
 
 def _last_remainders(rec, count: int) -> tuple[ExactNumber, ...]:
-    """The final remainders of a run: the last row of an n-D ``d_history``, the
-    last ``count`` entries of a flat one.  An unread history stays unbuilt."""
-    held = rec.__dict__["d_history"]
-    if isinstance(held, _Snapshots):
-        return held.tail(count)
-    return held[-1] if isinstance(held[-1], tuple) else held[-count:]
+    """The final remainders of a fresh run: the last row of an n-D ``d_history``,
+    the last ``count`` entries of a flat one.  The unread history stays unbuilt."""
+    return rec.__dict__["d_history"].tail(count)
 
 
 @dataclass(frozen=True)

@@ -70,11 +70,11 @@ def classify(point: Point2, *, cap_bits: int | None = None) -> int:
 def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:
     """One application of the map: the wedge symbol and the image point."""
     eng = _start((point.alpha, point.beta), cap_bits, _PLANAR)
-    k = eng.classify_once()[0].k
+    symbol, inserted = eng.classify_once()
     # divide on the evaluator's enclosures: refinement during classification
     # may have tightened them, and the domain check certified alpha > 0
-    ev, alpha = eng.ev, (0, 1, 0)
-    return k, Point2(ev.ratio((0, 0, 1), alpha), ev.ratio((1, -1, -k), alpha))
+    ev, (_, alpha, beta) = eng.ev, eng.cols
+    return symbol.k, Point2(ev.ratio(beta, alpha), ev.ratio(inserted, alpha))
 
 
 def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> SequenceRecord:

@@ -165,7 +165,7 @@ def test_decomp_check(capsys):
     (["verify", "--suite", "conjecture1", "--kmax", "-1"], "suite conjecture1 ran no cases"),
     (["verify", "--suite", "derive", "--kmax", "0"], "suite derive ran no cases"),
     (["verify", "--suite", "period1", "--length", "0"], "--length must be at least 1"),
-    (["recover", "--point", "1/2,1/3", "--steps", "0", "--strict"], "--steps must be at least 1"),
+    (["recover", "--point", "1/2,1/3", "--steps", "0"], "--steps must be at least 1"),
 ], ids=["decomp-check-negative", "decomp-check-zero", "verify-decomp",
         "verify-identity", "verify-reduction", "verify-period1-kmax",
         "verify-conjecture1-kmax", "verify-derive-kmax", "verify-period1-length",
@@ -230,6 +230,18 @@ def test_decomp_check_catches_shifted_window(capsys, monkeypatch, n):
     code, lines, _ = run(capsys, "decomp-check", "--n", n)
     assert code == 3
     assert lines[0]["violations"] == 0 and lines[0]["classify_mismatches"] > 0
+
+
+def test_decomp_check_catches_a_doubly_claimed_point(capsys, monkeypatch):
+    # the pair region (1,2) also claims every point of the other regions
+    real = simplex._member_scaled
+    extra = simplex.PairSymbol(1, 2)
+    monkeypatch.setattr(simplex, "_member_scaled",
+                        lambda den, xs, q, symbol, closed:
+                        real(den, xs, q, symbol, closed) or symbol == extra)
+    code, lines, _ = run(capsys, "decomp-check", "--n", "3", "--samples", "50")
+    assert code == 3
+    assert lines[0]["violations"] >= 1 and lines[0]["ok"] is False
 
 
 @pytest.mark.parametrize("point", [

@@ -194,6 +194,45 @@ def test_form_evaluator_cap_limits_refinement():
     assert ev.certified_sign((mid.numerator, -mid.denominator, 0)) is Sign.AMBIGUOUS
 
 
+def test_form_evaluator_refine_without_a_source():
+    # a decimal enclosure cannot tighten, whatever room the cap leaves
+    ev = FormEvaluator([BigFloat.from_decimal("0.3", 64)], cap_bits=256)
+    assert ev.refine() is False
+    assert (ev.bits, ev.refinements) == (64, 0)
+
+
+def test_exact_zero_on_a_collapsed_enclosure():
+    # the first midpoint of (0, 1) is the root 1/2 of 2x - 1
+    x = refine_root(RootSpec(IntPolynomial((-1, 2)), Fraction(0), Fraction(1)), 64)
+    ev = FormEvaluator([x])
+    enc = ev.values[0].source.enclosure
+    assert enc.lo == enc.hi == Fraction(1, 2)
+    assert ev.exact_zero((-1, 2)) is True
+    assert ev.exact_zero((-1, 3)) is False
+
+
+def test_even_power_of_a_root_straddling_zero():
+    # the root 2**-100 stays inside a cell around 0 at 64 bits, so r**2 has
+    # lower bound 0, not the smaller of the squared ends
+    r, r2 = root_powers(RootSpec(IntPolynomial((-1, 2 ** 100)), Fraction(-1), Fraction(2)), 2, 64)
+    assert r.lo_num < 0 < r.hi_num
+    assert (r2.lo_num, r2.hi_num) == (0, 1)
+
+
+def test_evaluator_refines_a_copy_of_each_enclosure():
+    values = root_powers(CUBIC1, 3, 64)
+    enc = values[0].source.enclosure
+    state = (enc.lo_num, enc.hi_num, enc.shift)
+    ev = FormEvaluator([*values, Fraction(1, 2)])
+    copies = {id(v.source.enclosure) for v in ev.values[:3]}
+    assert len(copies) == 1 and id(enc) not in copies
+    assert ev.values[3] == Fraction(1, 2)
+    assert ev.certified_sign((-1, 1, 1, 1, 0)) is Sign.ZERO
+    assert ev.refine() and ev.refinements == 1
+    assert ev.values[0].source.enclosure.shift > state[2]
+    assert (enc.lo_num, enc.hi_num, enc.shift) == state
+
+
 def test_root_spec_rejects_interval_with_several_roots():
     # (0, 1) holds three roots of 15x^3 - 20x^2 + 8x - 1: 0.276, 1/3 and 0.724
     p = IntPolynomial((-1, 8, -20, 15))

@@ -11,7 +11,12 @@ from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
 from trianglemap.io_formats import parse_point
 from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus
-from trianglemap.periodicity import fixed_point_nd, period_one_point, rational_termination_check
+from trianglemap.periodicity import (
+    fixed_point_nd,
+    fixed_point_poly,
+    period_one_point,
+    rational_termination_check,
+)
 from trianglemap.simplex import (
     DecompositionReport,
     NonNegSymbol,
@@ -178,6 +183,42 @@ def test_recover_nd_zero_leading_minor():
     m = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
     with pytest.raises(NotYetConvergedError):
         recover_nd(m)
+
+
+def _admitted_steps(n: int, k: int) -> list:
+    """The step matrices of NonNegSymbol(k) and of every pair symbol of dimension n."""
+    return [step_matrix_nd(s, n) for s in [NonNegSymbol(k)] + candidate_symbols(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_step_inverses_are_nonnegative_with_unit_corner(n):
+    # k sits in one entry of its step matrix, whose determinant is +-1, so
+    # every entry of the inverse (a cofactor) is affine in k: nonnegative
+    # entries at k0 and nonnegative increments to k0 + 1 hold for every k >= k0
+    k0 = 1 if n == 1 else 0
+    for m0, m1 in zip(_admitted_steps(n, k0), _admitted_steps(n, k0 + 1)):
+        inv0, inv1 = mat_inverse_unimodular(m0), mat_inverse_unimodular(m1)
+        assert inv0[0][0] >= 1
+        assert all(a >= 0 and b >= a for r0, r1 in zip(inv0, inv1) for a, b in zip(r0, r1))
+
+
+def _recover_points(n: int) -> list:
+    """A rational, a decimal and a root-backed point of dimension n."""
+    rational = ",".join(f"{p}/97" for p in (91, 73, 52, 30, 11)[:n])
+    decimal = ",".join(("0.91", "0.537", "0.3119", "0.17", "0.0713")[:n])
+    coeffs = ",".join(map(str, fixed_point_poly(n, 2).coeffs))
+    return [rational, f"dec:{decimal}:64", f"root:{coeffs}:0,1:pow{n}"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_recover_nd_inverts_every_run(n):
+    # the inverse of a run's matrix P is a product of nonnegative step
+    # inverses with top-left entry >= 1, so the leading minor, +-(P^-1)_00,
+    # never vanishes; the estimate is the cylinder vertex over (1, 0, ..., 0)
+    for text in _recover_points(n):
+        rec = sequence_nd(PointN(parse_point(text, 64)), 40)
+        assert rec.symbols, text
+        assert recover_nd(rec.matrix) == cylinder_vertices(rec.symbols, n)[0], text
 
 
 def test_region_vertices_fan():
@@ -494,6 +535,17 @@ def test_classify_nd_lands_in_its_region_on_boundaries(point):
     assert region_membership(point, classify_nd(PointN(point)))
 
 
+@given(boundary_points().filter(_in_domain))
+@settings(max_examples=300)
+def test_boundary_points_have_one_claim(point):
+    # slack <= 1 and k*x_n <= slack bound the nonnegative index by 1/x_n
+    n = len(point)
+    bound = int(1 / point[-1]) + 2
+    symbols = [NonNegSymbol(k) for k in range(bound + 1)] + candidate_symbols(n)
+    claims = [s for s in symbols if region_membership(point, s)]
+    assert claims == [classify_nd(PointN(point))], (point, claims)
+
+
 def test_region_membership_mixed_denominators_and_types():
     for point in [(1, F(1, 2), F(1, 3)), (F(9, 10), F(4, 15), F(1, 6), F(1, 35)),
                   (F(1, 2), 0), ("1/2", "1/3", "1/7"), (F(3, 7),)]:
@@ -654,8 +706,7 @@ def _same_values(a, b) -> bool:
 ], ids=["rational-1", "dec-1", "root-1", "rational-2", "dec-2", "root-2",
         "rational-3", "dec-3", "root-3"])
 def test_history_equals_materialize_at_each_step(text, max_len, refines):
-    # every run parses its own point: root powers share one enclosure, which
-    # a run leaves refined
+    # every run parses its own point, as the CLI does
     def point():
         return parse_point(text, 64)
 
@@ -693,6 +744,18 @@ def test_records_compare_and_print_their_values():
     rec = GaussRecord((2,), (Fraction(1, 2), Fraction(0)), SequenceStatus.TERMINATED)
     assert rec.remainders == (Fraction(1, 2), Fraction(0))
     assert rec == gauss_sequence(Fraction(1, 2), 5)
+
+
+def test_runs_leave_their_point_as_parsed():
+    # the powers of one root share an enclosure; each run refines its own copy
+    coords = parse_point("root:-1,1,2,1:0,1:pow2", 64)
+    enc = coords[0].source.enclosure
+    parsed = (enc.lo_num, enc.hi_num, enc.shift)
+    first = sequence_nd(PointN(coords), 200)
+    second = sequence_nd(PointN(coords), 200)
+    assert first.refinements == second.refinements == 3
+    assert first == second
+    assert (enc.lo_num, enc.hi_num, enc.shift) == parsed
 
 
 def test_history_rows_share_shifted_values():
