@@ -4,7 +4,7 @@ Every command writes one JSON object per line to stdout (``--format csv``
 switches to CSV with a header row).  Output is deterministic: keys are
 sorted, rationals are printed as ``p/q`` strings, and anything random is
 seeded.  Exit codes: 0 success, 1 usage or degenerate input, 2 precision
-exhausted, 3 verification failure.
+exhausted, 3 verification failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECISION = 2
 EXIT_VERIFY = 3
+EXIT_MEMORY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,6 +435,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "degenerate-input", "detail": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # the failed allocation's frames are gone by now, so printing has room
+        print(json.dumps({"error": "out-of-memory", "detail": str(exc) or "memory exhausted"},
+                         sort_keys=True), file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ bisection's cell) evaluates its polynomial on integer numerators over a
 power-of-two scale.  On that scale each coordinate is a
 midpoint sum and a radius; a form's bounds come from its midpoint sum, which
 the forms built by ``FormEvaluator.sub``/``addmul`` carry from their operands,
-plus a radius sum, and they are the same integers as the interval dot
-product over the per-coordinate bounds.
+plus a radius sum, computed once per form until the next refinement, and
+they are the same integers as the interval dot product over the
+per-coordinate bounds.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -455,19 +456,21 @@ def _unit_coeffs(size: int) -> tuple[tuple[int, ...], ...]:
 class _Form:
     """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
 
-    ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag`` (one list
-    per rescale, so the tag is the rescale epoch); ``snap`` is the form's
-    snapshot against the list ``snap_tag``.  A form whose tag is not the
-    evaluator's current list has its sum recomputed on first use.
+    ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag``, one list
+    per rescale, so the tag is the rescale epoch.  ``bounds`` (the form's
+    integer bounds times S, kept only on points with a radius sum) and
+    ``snap`` (its snapshot) belong to the same epoch, or are None until first
+    asked.  A form whose tag is not the evaluator's current list has its sum
+    recomputed on first use, which drops the other two.
     """
 
-    __slots__ = ("coeffs", "mid", "tag", "snap", "snap_tag")
+    __slots__ = ("coeffs", "mid", "tag", "bounds", "snap")
 
     def __init__(self, coeffs: tuple[int, ...], mid: int, tag: list):
         self.coeffs = coeffs
         self.mid = mid
         self.tag = tag
-        self.snap_tag = None
+        self.bounds = self.snap = None
 
 
 #: A form's value as plain integers: its bounds times S, S, and the working bits.
@@ -501,14 +504,16 @@ class FormEvaluator:
     only for ``eval_bounds`` and ``materialize``.
 
     ``M`` is linear in the coefficients, so forms built with ``units``,
-    ``sub`` and ``addmul`` carry it along and a query on them costs only the
-    radius sum, which is zero on exact points and multiplies by a few units
-    on root powers.  Plain tuples are accepted everywhere and pay the full
-    dot product.  When a query cannot be decided, root-backed coordinates
-    are refined (doubling the working bits up to a cap) and the query
-    retried; a carried sum made before that rescale is recomputed once, on
-    its next use.  Each evaluator refines its own copy of a root's enclosure,
-    shared by that root's powers, so a run leaves its input as it found it.
+    ``sub`` and ``addmul`` carry it along, and a carried form keeps its
+    bounds too: it pays for the radius sum once per rescale, however many
+    queries and snapshots read it.  On exact points ``R`` is zero and a
+    bound is one shift, so nothing is kept.  Plain tuples are accepted
+    everywhere and pay the full dot product each time.  When a query cannot
+    be decided, root-backed coordinates are refined (doubling the working
+    bits up to a cap) and the query retried; a carried sum made before that
+    rescale is recomputed once, on its next use, with its bounds.  Each
+    evaluator refines its own copy of a root's enclosure, shared by that
+    root's powers, so a run leaves its input as it found it.
     A true zero is recognised exactly when all irrational coordinates are
     powers of one shared root.
     """
@@ -576,6 +581,7 @@ class FormEvaluator:
         """The carried midpoint sum of a form, recomputed if made before a rescale."""
         if form.tag is not self._mids:
             form.mid, form.tag = self._dot(form.coeffs), self._mids
+            form.bounds = form.snap = None
         return form.mid
 
     def units(self) -> list[_Form]:
@@ -593,19 +599,25 @@ class FormEvaluator:
                      self._mid(a) + c * self._mid(b), self._mids)
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:
-        """Bounds of the form times S."""
-        if type(form) is _Form:
-            m = self._mid(form)
-            coeffs = form.coeffs
-        else:
-            m = self._dot(form)
-            coeffs = form
+        """Bounds of the form times S; a carried form keeps them per rescale."""
         rads = self._rads
+        if type(form) is not _Form:
+            m = self._dot(form)
+            if rads is None:
+                m >>= 1
+                return m, m
+            r = sum(map(mul, map(abs, form), rads))
+            return (m - r) >> 1, (m + r) >> 1
         if rads is None:
-            m >>= 1
+            # on an exact point a bound is one shift: not worth keeping
+            m = self._mid(form) >> 1
             return m, m
-        r = sum(map(mul, map(abs, coeffs), rads))
-        return (m - r) >> 1, (m + r) >> 1
+        if form.tag is self._mids and form.bounds is not None:
+            return form.bounds
+        m = self._mid(form)
+        r = sum(map(mul, map(abs, form.coeffs), rads))
+        form.bounds = bounds = (m - r) >> 1, (m + r) >> 1
+        return bounds
 
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
         lo, hi = self._int_bounds(coeffs)
@@ -618,11 +630,12 @@ class FormEvaluator:
         precision of this moment.
         """
         handle = type(coeffs) is _Form
-        if handle and coeffs.snap_tag is self._mids:
+        if handle and coeffs.tag is self._mids and coeffs.snap is not None:
             return coeffs.snap
+        # bounds first: they bring a carried form's tag to this rescale
         snap = (*self._int_bounds(coeffs), self._scale, self.bits)
         if handle:
-            coeffs.snap, coeffs.snap_tag = snap, self._mids
+            coeffs.snap = snap
         return snap
 
     def materialize(self, coeffs: Form) -> ExactNumber:
@@ -702,8 +715,12 @@ class FormEvaluator:
                 return Sign.AMBIGUOUS
 
     def certified_floor(self, num: Form, den: Form) -> int:
-        """floor(num/den) with den certified positive; raises when undecidable."""
-        if self.certified_sign(den) is not Sign.POSITIVE:
+        """floor(num/den) with den certified positive; raises when undecidable.
+
+        den's sign is queried only when its bounds do not already show it
+        positive: the engine's den is the last remainder, just certified so.
+        """
+        if self._int_bounds(den)[0] <= 0 and self.certified_sign(den) is not Sign.POSITIVE:
             raise PrecisionExhaustedError("denominator form is not certainly positive")
         tested: set[int] = set()
         while True:

@@ -3,6 +3,16 @@
 Coefficients are stored constant term first, so ``IntPolynomial((-1, 1, 1, 1))``
 is x^3 + x^2 + x - 1.  The text form used by the command line mirrors the
 storage order: ``"-1,1,1,1"``.
+
+``gcd``, ``divides``, ``count_roots`` and ``vanishes_at_root`` answer over
+the rationals but compute on integers only.  Their remainders are integer
+pseudo-remainders with the positive content divided out (a primitive
+remainder sequence, Collins 1967): each is a positive multiple of the
+rational remainder, so it has the same roots, the same vanishing and the
+same signs, and a Sturm chain built from them counts the same sign changes.
+Signs at a rational point ``a/b`` come from ``b**d * f(a/b)``, evaluated by
+homogenised Horner.  Only ``divmod_exact`` and ``exact_quotient`` divide
+over ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -117,8 +127,9 @@ def divmod_exact(num: IntPolynomial, den: IntPolynomial) -> tuple[tuple[Fraction
 
 def divides(den: IntPolynomial, num: IntPolynomial) -> bool:
     """True when den divides num exactly over the rationals."""
-    _, rem = divmod_exact(num, den)
-    return all(c == 0 for c in rem)
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _prem(num.coeffs, den.coeffs) == [0]
 
 
 def exact_quotient(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
@@ -151,12 +162,6 @@ def interpolate(points: Sequence[tuple[int, int]]) -> IntPolynomial:
     return IntPolynomial(tuple(int(c) for c in out))
 
 
-def _trim(v: list) -> list:
-    while len(v) > 1 and v[-1] == 0:
-        v.pop()
-    return v
-
-
 def _divide(x: list[Fraction], y: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and trimmed remainder of x by a trimmed nonzero y, both constant first."""
     dd = len(y) - 1
@@ -169,7 +174,50 @@ def _divide(x: list[Fraction], y: list[Fraction]) -> tuple[list[Fraction], list[
             quo[i - dd] = q
             for j in range(dd + 1):
                 r[i - dd + j] -= q * y[j]
-    return quo, _trim(r)
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return quo, r
+
+
+def _prem(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The remainder of x by a trimmed nonzero y, both constant first, as a
+    trimmed primitive integer list that is a positive multiple of the
+    remainder over the rationals.
+
+    Each elimination step multiplies the partial remainder by |lc(y)| and
+    subtracts an integer multiple of y, so the factor stays positive;
+    dividing out the content at the end keeps the coefficients small.
+    """
+    dd = len(y) - 1
+    lead = y[-1]
+    scale, flip = abs(lead), lead < 0
+    r = list(x)
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r.pop()
+        if c:
+            off = i - dd
+            if flip:
+                c = -c
+            if scale != 1:
+                r = [scale * v for v in r]
+            for j in range(dd):
+                r[off + j] -= c * y[j]
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return [0]
+    g = math.gcd(*r)
+    return [v // g for v in r] if g > 1 else r
+
+
+def _sign_at(f: Sequence[int], x: Fraction | int) -> int:
+    """The sign of f at x, from the integer b**deg(f) * f(a/b) for x = a/b."""
+    a, b = x.numerator, x.denominator
+    acc, power = f[-1], 1
+    for i in range(len(f) - 2, -1, -1):
+        power *= b
+        acc = acc * a + f[i] * power
+    return (acc > 0) - (acc < 0)
 
 
 def gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -178,12 +226,10 @@ def gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return b.primitive()
     if b.is_zero:
         return a.primitive()
-    x = _trim([Fraction(c) for c in a.coeffs])
-    y = _trim([Fraction(c) for c in b.coeffs])
-    while not (len(y) == 1 and y[0] == 0):
-        x, y = y, _divide(x, y)[1]
-    scale = math.lcm(*(c.denominator for c in x))
-    return IntPolynomial(tuple(int(c * scale) for c in x)).primitive()
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y != [0]:
+        x, y = y, _prem(x, y)
+    return IntPolynomial(tuple(x)).primitive()
 
 
 def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
@@ -192,21 +238,16 @@ def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
     Neither endpoint may be a root of p.  The chain p, p', -rem(p, p'), ...
     ends at gcd(p, p'), which does not vanish at the endpoints either, so the
     drop in sign changes from low to high counts distinct roots even when p
-    has repeated factors.
+    has repeated factors.  The chain's members are positive multiples of
+    the rational ones, so they count the same changes.
     """
-    chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    chain = [list(p.coeffs), list(p.derivative().coeffs)]
     while chain[-1] != [0]:
-        chain.append([-c for c in _divide(chain[-2], chain[-1])[1]])
+        chain.append([-c for c in _prem(chain[-2], chain[-1])])
     chain.pop()
 
     def changes(x: Fraction) -> int:
-        signs = []
-        for f in chain:
-            acc = Fraction(0)
-            for c in reversed(f):
-                acc = acc * x + c
-            if acc:
-                signs.append(acc > 0)
+        signs = [s for s in (_sign_at(f, x) for f in chain) if s]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return changes(low) - changes(high)
@@ -219,12 +260,12 @@ def vanishes_at_root(g: IntPolynomial, p: IntPolynomial, low: Fraction, high: Fr
     h, a factor of p, has no other root in the interval; with neither
     endpoint a root, h changes sign across the interval exactly then.
     """
-    if p.evaluate(low) == 0 or p.evaluate(high) == 0:
+    if _sign_at(p.coeffs, low) == 0 or _sign_at(p.coeffs, high) == 0:
         raise DegenerateInputError("isolating interval endpoint is a root")
     if g.is_zero:
         return True
-    h = gcd(p, g)
-    return h.degree > 0 and (h.evaluate(low) < 0) != (h.evaluate(high) < 0)
+    h = gcd(p, g).coeffs
+    return len(h) > 1 and _sign_at(h, low) != _sign_at(h, high)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trianglemap import cli, matrices, numeric, simplex
+from trianglemap import cli, matrices, numeric, simplex, triangle
 from trianglemap.cli import main
 
 
@@ -90,6 +90,22 @@ def test_precision_exhausted_is_explained(capsys):
             "detail": "1 symbol(s) certified; the next branch is undecidable"
                       " at 64 working bits",
         }
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (triangle, "sequence", ["seq", "--point", "root:-1,1,3,1:0,1:pow2", "--max", "100000"]),
+    (simplex, "decomposition_check", ["decomp-check", "--n", "3"]),
+], ids=["seq", "decomp-check"])
+def test_out_of_memory_is_one_json_line(capsys, monkeypatch, module, name, argv):
+    # stands in for a run that outgrows its address space (say under ulimit -v)
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    code, lines, err = run(capsys, *argv)
+    assert code == cli.EXIT_MEMORY == 4
+    assert lines == []
+    assert json.loads(err) == {"error": "out-of-memory", "detail": "memory exhausted"}
 
 
 def test_recover_estimate(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,77 @@ def test_form_evaluator_refine_without_a_source():
     ev = FormEvaluator([BigFloat.from_decimal("0.3", 64)], cap_bits=256)
     assert ev.refine() is False
     assert (ev.bits, ev.refinements) == (64, 0)
+
+
+def _count_sign_queries(monkeypatch) -> list:
+    """Record the form of every ``certified_sign`` call from here on."""
+    calls = []
+    real = FormEvaluator.certified_sign
+
+    def counted(self, coeffs):
+        calls.append(coeffs)
+        return real(self, coeffs)
+
+    monkeypatch.setattr(FormEvaluator, "certified_sign", counted)
+    return calls
+
+
+def test_floor_skips_the_sign_of_a_positive_den(monkeypatch):
+    calls = _count_sign_queries(monkeypatch)
+    # the bounds of g^2 are positive already: no sign query, on a tuple or a
+    # carried den, and none in the exact integer ratio (1 - g) / g^2 = 1
+    ev = FormEvaluator(list(root_powers(GOLDEN, 2, 96)))
+    assert ev.certified_floor((1, 0, 0), (0, 0, 1)) == 2
+    one, g, g2 = ev.units()
+    assert ev.certified_floor(ev.sub(one, g), g2) == 1
+    assert calls == [] and ev.refinements == 0
+    # likewise on an exact point
+    assert FormEvaluator([Fraction(3, 4), Fraction(1, 8)]).certified_floor((1, -1, 0), (0, 0, 1)) == 2
+    assert calls == []
+
+
+def test_floor_refines_a_den_that_straddles_zero(monkeypatch):
+    ev = FormEvaluator([refine_root(GOLDEN, 64)])
+    lo, hi = ev.eval_bounds((0, 1))
+    # a rational c just below g, inside the 64-bit enclosure: den = q*g - p
+    c = Fraction((lo + hi) / 2).limit_denominator(10 ** 30)
+    if c * c + c - 1 > 0:
+        c = Fraction(lo + c, 2)
+    assert lo < c < hi and c * c + c - 1 < 0
+    den = (-c.numerator, c.denominator)
+    assert ev._int_bounds(den)[0] <= 0
+    fine = refine_root(GOLDEN, 4096)
+    expected = {math.floor(1 / (c.denominator * v - c.numerator)) for v in (fine.low, fine.high)}
+    assert len(expected) == 1
+    calls = _count_sign_queries(monkeypatch)
+    assert ev.certified_floor((1, 0), den) == expected.pop()
+    assert calls == [den] and ev.refinements >= 1
+
+
+def test_floor_raises_on_a_decimal_den_that_straddles_zero():
+    # 10x - 3 is 0 at x = 0.3, whose 64-bit enclosure cannot tighten
+    ev = FormEvaluator([BigFloat.from_decimal("0.3", 64)], cap_bits=256)
+    with pytest.raises(PrecisionExhaustedError, match="not certainly positive"):
+        ev.certified_floor((1, 0), (-3, 10))
+
+
+def test_carried_bounds_kept_per_rescale():
+    ev = FormEvaluator(list(root_powers(GOLDEN, 2, 64)))
+    one, g, g2 = ev.units()
+    form = ev.sub(one, g)
+    bounds = ev._int_bounds(form)
+    assert ev._int_bounds(form) is bounds
+    snap = ev.snapshot(form)
+    assert ev.refine()
+    # an operand brings its sum to the new rescale before any query of its own
+    ev.sub(form, g)
+    assert ev._int_bounds(form) == ev._int_bounds(form.coeffs) != bounds
+    assert ev.snapshot(form) == ev.snapshot(form.coeffs) != snap
+    # an exact point keeps none: its bound is one shift
+    ev = FormEvaluator([Fraction(1, 2)])
+    one, x = ev.units()
+    ev._int_bounds(x)
+    assert x.bounds is None
 
 
 def test_exact_zero_on_a_collapsed_enclosure():

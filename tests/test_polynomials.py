@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from trianglemap.errors import DegenerateInputError
 from trianglemap.polynomials import (
@@ -140,6 +141,9 @@ def test_count_roots_known():
     assert count_roots(poly(3), Fraction(0), Fraction(1)) == 0
     # repeated factors count once: (x - 1)^2 (2x^2 - 1) has 1/sqrt(2) and 1
     assert count_roots(poly(-1, 1) * poly(-1, 1) * poly(-1, 0, 2), Fraction(0), Fraction(3)) == 2
+    # a negative lead whose remainder takes one elimination step, not two:
+    # the integer remainder must stay a positive multiple of the rational one
+    assert count_roots(poly(-1, 3, 0, -1), Fraction(-2), Fraction(2)) == 3
 
 
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=1, max_size=5),
@@ -185,3 +189,110 @@ def test_interpolate_rejects_non_integer():
     # the line through (0, 0) and (2, 1) is x/2
     with pytest.raises(ValueError, match="non-integer"):
         interpolate([(0, 0), (2, 1)])
+
+
+# Fraction oracles: Euclid and the Sturm chain over the rationals -------------
+
+
+def _fraction_rem(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
+    """The trimmed remainder of x by a trimmed nonzero y over the rationals."""
+    dd = len(y) - 1
+    r = x[:]
+    for i in range(len(r) - 1, dd - 1, -1):
+        q = r[i] / y[-1]
+        for j in range(dd + 1):
+            r[i - dd + j] -= q * y[j]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def oracle_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    if a.is_zero:
+        return b.primitive()
+    if b.is_zero:
+        return a.primitive()
+    x, y = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while y != [0]:
+        x, y = y, _fraction_rem(x, y)
+    scale = math.lcm(*(c.denominator for c in x))
+    return IntPolynomial(tuple(int(c * scale) for c in x)).primitive()
+
+
+def oracle_count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
+    chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _fraction_rem(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(x: Fraction) -> int:
+        signs = []
+        for f in chain:
+            acc = Fraction(0)
+            for c in reversed(f):
+                acc = acc * x + c
+            if acc:
+                signs.append(acc > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(low) - changes(high)
+
+
+def test_fraction_rem_oracle_known():
+    # x^2 + 1 = (x + 1)(x - 1) + 2, and x + 2 = 0*(x^2) + (x + 2)
+    assert _fraction_rem([Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (1, 1)]) == [2]
+    assert _fraction_rem([Fraction(2), Fraction(1)], [Fraction(c) for c in (0, 0, 1)]) == [2, 1]
+    assert _fraction_rem([Fraction(5)], [Fraction(3)]) == [0]
+
+
+wide_polys = st.lists(st.integers(-(10 ** 12), 10 ** 12), min_size=1, max_size=6).map(
+    lambda c: IntPolynomial(tuple(c)))
+factors = st.one_of(small_polys, wide_polys, st.sampled_from([poly(0), poly(1), poly(-7)]))
+
+
+@given(factors, factors, factors)
+def test_gcd_matches_fraction_euclid(a, b, c):
+    # constant and zero inputs included; a common factor c is found again
+    assert gcd(a * c, b * c) == oracle_gcd(a * c, b * c)
+    assert gcd(a, b) == oracle_gcd(a, b)
+
+
+@given(factors, factors)
+def test_divides_matches_fraction_remainder(den, num):
+    assume(not den.is_zero)
+    rem = _fraction_rem([Fraction(v) for v in num.coeffs], [Fraction(v) for v in den.coeffs])
+    assert divides(den, num) is (rem == [0])
+    assert divides(den, num * den)
+
+
+big_endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=10 ** 40)
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=9),
+                          st.integers(1, 3)), min_size=1, max_size=3),
+       small_polys, big_endpoints, big_endpoints)
+def test_count_roots_matches_fraction_sturm(roots, extra, a, b):
+    # repeated factors (x - r)^m times an arbitrary factor, on endpoints with
+    # large denominators
+    assume(a != b and not extra.is_zero)
+    low, high = min(a, b), max(a, b)
+    p = extra
+    for r, m in roots:
+        for _ in range(m):
+            p = p * poly(-r.numerator, r.denominator)
+    assume(p.evaluate(low) != 0 and p.evaluate(high) != 0)
+    assert count_roots(p, low, high) == oracle_count_roots(p, low, high)
+
+
+sparse_polys = st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=2, max_size=7).map(
+    lambda c: IntPolynomial(tuple(c)))
+
+
+@given(sparse_polys, st.fractions(min_value=-4, max_value=4, max_denominator=9),
+       st.fractions(min_value=0, max_value=5, max_denominator=9).filter(lambda w: w > 0))
+def test_count_roots_matches_fraction_sturm_on_sparse(p, low, width):
+    # zero coefficients make remainders skip elimination steps and drop
+    # degrees by more than one, so the |lc|-power's parity varies
+    high = low + width
+    assume(not p.is_zero and p.evaluate(low) != 0 and p.evaluate(high) != 0)
+    assert count_roots(p, low, high) == oracle_count_roots(p, low, high)
