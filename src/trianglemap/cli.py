@@ -241,25 +241,13 @@ def _verify_period1(args):
                "refinements": rec.refinements}
 
 
-def _remainder_run(alpha: Fraction, beta: Fraction, symbols) -> tuple[Fraction, ...] | None:
-    """The remainders d_t = d_{t-3} - d_{t-2} - a_t d_{t-1} from (1, alpha, beta)
-    by plain Fraction arithmetic, or None when some a_t is not the floor that
-    keeps 0 <= d_t < d_{t-1}."""
-    d = [Fraction(1), alpha, beta]
-    for k in symbols:
-        d.append(d[-3] - d[-2] - k * d[-1])
-        if not 0 <= d[-1] < d[-2]:
-            return None
-    return tuple(d)
-
-
 def _verify_identity(args):
     """The matrix identity, plus a certificate that ties each run to its
-    point: the remainders recomputed from the symbols are the record's, with
-    every symbol the floor of its step and the run stopping at a zero
-    remainder or the length cap, and the matrix is the product of the run's
-    step matrices.  The certificate goes first: it rejects any wrong symbol,
-    a negative one included, before the matrix checks read it."""
+    point: the record's symbols, status and remainders are those of the
+    integer remainder recursion cut at the length cap, and the matrix is the
+    product of the run's step matrices.  The certificate goes first: it
+    rejects any wrong symbol, a negative one included, before the matrix
+    checks read it."""
     rng, cap = random.Random(args.seed), 40
     for case in range(args.cases):
         den = rng.randint(3, 500)
@@ -267,8 +255,10 @@ def _verify_identity(args):
         a = rng.randint(b, den - 1)
         alpha, beta = Fraction(a, den), Fraction(b, den)
         rec = triangle.sequence(triangle.Point2(alpha, beta), cap)
-        ok = (_remainder_run(alpha, beta, rec.symbols) == rec.d_history
-              and (rec.d_history[-1] == 0 if rec.terminated else len(rec.symbols) == cap)
+        ref = periodicity.rational_termination_check(den, a, b)
+        ok = (rec.symbols == ref.symbols[:cap]
+              and rec.terminated is (len(ref.symbols) <= cap)
+              and rec.d_history == tuple(Fraction(d, den) for d in ref.d_values[:cap + 3])
               and matrices.fundamental_identity_check(alpha, beta, rec.symbols)
               and rec.matrix.det() == 1
               and rec.matrix == matrices.product_matrix(rec.symbols))

@@ -2,8 +2,10 @@
 
 A matrix is a tuple of integer rows; the ``mat_*`` helpers do the exact
 arithmetic (products, Bareiss determinants, unimodular inverses, row action)
-for any size.  The step matrix of the nonnegative symbol k in dimension n
-shifts the columns left and appends (1, -1, ..., -1, -k); at n = 2 that is
+for any size.  A step matrix is the engine's push applied to the identity
+(``mat_step``): drop column 0, keep columns 1..j and insert the new
+remainder's form at slot j, which for the nonnegative symbol k in
+dimension n is (1, -1, ..., -1, -k) at the end; at n = 2 that is
 
     [ 0  0   1 ]
     [ 1  0  -1 ]
@@ -101,16 +103,18 @@ def mat_apply_row(vec: Sequence, m: Matrix) -> tuple:
     return tuple(sum(vec[i] * m[i][j] for i in range(size)) for j in range(size))
 
 
+def mat_step(j: int, inserted: Column) -> Matrix:
+    """The step matrix that drops column 0, keeps columns 1..j and puts
+    ``inserted`` at slot j: the engine's push applied to the identity."""
+    unit = mat_identity(len(inserted))
+    return mat_from_columns(unit[1:j + 1] + (inserted,) + unit[j + 1:])
+
+
 def mat_step_nonneg(k: int, n: int) -> Matrix:
     """The (n+1)x(n+1) step matrix of the nonnegative symbol k."""
     if k < 0:
         raise ValueError("nonnegative symbol index must be >= 0")
-    size = n + 1
-    last = (1,) + (-1,) * (n - 1) + (-k,)
-    return tuple(
-        tuple(1 if j == i - 1 else 0 for j in range(n)) + (last[i],)
-        for i in range(size)
-    )
+    return mat_step(n, (1,) + (-1,) * (n - 1) + (-k,))
 
 
 # the 3x3 view of the planar map ----------------------------------------------

@@ -75,6 +75,10 @@ class SequenceStatus(str, enum.Enum):
 
 def _round_out_scaled(lo: int, hi: int, scale: int, prec: int) -> tuple[int, int]:
     """Outward-round the interval [lo, hi] / scale to the 2**-prec grid."""
+    # every point whose coordinates are all enclosures has a power-of-two scale
+    s = scale.bit_length() - 1 - prec
+    if s >= 0 and not scale & (scale - 1):
+        return lo >> s, -(-hi >> s)
     return (lo << prec) // scale, -((-hi << prec) // scale)
 
 
@@ -457,20 +461,20 @@ class _Form:
     """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
 
     ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag``, one list
-    per rescale, so the tag is the rescale epoch.  ``bounds`` (the form's
-    integer bounds times S, kept only on points with a radius sum) and
-    ``snap`` (its snapshot) belong to the same epoch, or are None until first
-    asked.  A form whose tag is not the evaluator's current list has its sum
-    recomputed on first use, which drops the other two.
+    per rescale, so the tag is the rescale epoch.  ``bounds``, the form's
+    integer bounds times S, belongs to the same epoch; it is kept only on
+    points with a radius sum, and is None until first asked.  A form whose
+    tag is not the evaluator's current list has its sum recomputed on first
+    use, which drops its bounds.
     """
 
-    __slots__ = ("coeffs", "mid", "tag", "bounds", "snap")
+    __slots__ = ("coeffs", "mid", "tag", "bounds")
 
     def __init__(self, coeffs: tuple[int, ...], mid: int, tag: list):
         self.coeffs = coeffs
         self.mid = mid
         self.tag = tag
-        self.bounds = self.snap = None
+        self.bounds = None
 
 
 #: A form's value as plain integers: its bounds times S, S, and the working bits.
@@ -581,7 +585,7 @@ class FormEvaluator:
         """The carried midpoint sum of a form, recomputed if made before a rescale."""
         if form.tag is not self._mids:
             form.mid, form.tag = self._dot(form.coeffs), self._mids
-            form.bounds = form.snap = None
+            form.bounds = None
         return form.mid
 
     def units(self) -> list[_Form]:
@@ -624,19 +628,12 @@ class FormEvaluator:
         return Fraction(lo, self._scale), Fraction(hi, self._scale)
 
     def snapshot(self, coeffs: Form) -> Snapshot:
-        """What ``materialize`` rounds, as integers; a carried form keeps it per rescale.
+        """What ``materialize`` rounds, as integers.
 
         The integers never change, so the value can be built later, at the
         precision of this moment.
         """
-        handle = type(coeffs) is _Form
-        if handle and coeffs.tag is self._mids and coeffs.snap is not None:
-            return coeffs.snap
-        # bounds first: they bring a carried form's tag to this rescale
-        snap = (*self._int_bounds(coeffs), self._scale, self.bits)
-        if handle:
-            coeffs.snap = snap
-        return snap
+        return (*self._int_bounds(coeffs), self._scale, self.bits)
 
     def materialize(self, coeffs: Form) -> ExactNumber:
         """The form's value at the current enclosures."""

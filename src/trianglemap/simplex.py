@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
-                       mat_mul, mat_step_nonneg)
+                       mat_mul, mat_step, mat_step_nonneg)
 from .numeric import (
     ExactNumber,
     FormEvaluator,
@@ -103,22 +103,7 @@ def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
         raise ValueError("pair regions only exist in dimension 3 and up")
     if not (1 <= i <= n - 2 and i < j <= n):
         raise ValueError(f"bad pair symbol ({i},{j})")
-    size = n + 1
-    cols: list[list[int]] = []
-    for c in range(j):
-        col = [0] * size
-        col[c + 1] = 1
-        cols.append(col)
-    mid = [0] * size
-    mid[0] = 1
-    for u in range(1, i + 1):
-        mid[u] = -1
-    cols.append(mid)
-    for c in range(j + 1, size):
-        col = [0] * size
-        col[c] = 1
-        cols.append(col)
-    return mat_from_columns(cols)
+    return mat_step(j, (1,) + (-1,) * i + (0,) * (n - i))
 
 
 def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
@@ -238,19 +223,25 @@ class _Engine:
                 break
         return PairSymbol(i, j), q[i]
 
-    def push(self, symbol: SymbolND, inserted: _Form) -> None:
-        """Drop d_0 and insert the new column at slot j (the end for a floor step)."""
+    def push(self, symbol: SymbolND, inserted: _Form) -> int:
+        """Drop d_0, insert the new column at slot j (the end for a floor step); return j."""
         j = symbol.j if isinstance(symbol, PairSymbol) else self.n
         self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
+        return j
 
     def run(self, max_len: int) -> Iterator[SymbolND]:
         """Yield up to max_len certified symbols, each once its column is pushed.
 
-        Callers read what their records keep from ``cols`` between symbols, at
-        the precision of that step.  When the run stops, ``status`` says why:
-        an exact zero last remainder, max_len, or a step whose last remainder
-        sign or branch raised ``PrecisionExhaustedError``.
+        ``rows`` keeps the columns' snapshots at the start and after each push:
+        the previous row shifted as the columns were, plus the inserted
+        column's, or all of them again after a refinement.  When the run
+        stops, ``status`` says why: an exact zero last remainder, max_len, or
+        a step whose last remainder sign or branch raised
+        ``PrecisionExhaustedError``.
         """
+        ev = self.ev
+        row = tuple(map(ev.snapshot, self.cols))
+        self.rows, bits = [row], ev.bits
         for _ in range(max_len):
             try:
                 if self._sign(self.cols[-1], "last remainder sign is ambiguous") is Sign.ZERO:
@@ -260,39 +251,45 @@ class _Engine:
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
-            self.push(symbol, inserted)
+            j = self.push(symbol, inserted)
+            if ev.bits == bits:
+                row = row[1:j + 1] + (ev.snapshot(inserted),) + row[j + 1:]
+            else:
+                row, bits = tuple(map(ev.snapshot, self.cols)), ev.bits
+            self.rows.append(row)
             yield symbol
-        s_last = self.ev.certified_sign(self.cols[-1])
+        s_last = ev.certified_sign(self.cols[-1])
         self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
 
 
-class _Snapshots(list):
-    """A record's remainders as ``FormEvaluator.snapshot``s, not yet values."""
+class _Snapshots:
+    """A record's remainders as the engine's snapshot rows, not yet values.
+
+    With ``lead`` None the history is the rows themselves (n-D).  Otherwise
+    it is flat, and only its entries are kept: the first row's last ``lead``
+    entries, then each later row's last entry, the column its step inserted
+    (planar ``lead=3``, Gauss ``lead=1``).  Rows share the snapshots of their
+    shifted entries, and their values share the same way.
+    """
+
+    __slots__ = ("flat", "snaps")
+
+    def __init__(self, rows: list[tuple[Snapshot, ...]], lead: int | None = None):
+        self.flat = lead is not None
+        self.snaps = rows[0][-lead:] + tuple(row[-1] for row in rows[1:]) if self.flat else rows
 
     def build(self) -> tuple:
-        return tuple(map(_value, self))
-
-    def tail(self, count: int) -> tuple:
-        return tuple(map(_value, self[-count:]))
-
-
-class _SnapshotRows(_Snapshots):
-    """Remainders in rows, one per step.  Rows share the snapshots of their
-    shifted entries, and their values share the same way."""
-
-    def build(self) -> tuple:
+        if self.flat:
+            return tuple(map(_value, self.snaps))
         values: dict[int, ExactNumber] = {}
-
-        def value(snap: Snapshot) -> ExactNumber:
-            v = values.get(id(snap))
-            if v is None:
-                v = values[id(snap)] = _value(snap)
-            return v
-
-        return tuple(tuple(map(value, row)) for row in self)
+        for row in self.snaps:
+            for snap in row:
+                if id(snap) not in values:
+                    values[id(snap)] = _value(snap)
+        return tuple(tuple(values[id(snap)] for snap in row) for row in self.snaps)
 
     def tail(self, count: int) -> tuple:
-        return tuple(map(_value, self[-1]))
+        return tuple(map(_value, self.snaps[-count:] if self.flat else self.snaps[-1]))
 
 
 class _BuiltOnRead:
@@ -344,22 +341,16 @@ def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:
     """Certified symbol sequence in dimension n with full remainder history.
 
-    The history keeps each step's snapshots and builds its values when it is
-    first read."""
+    The history keeps the engine's snapshot rows, one per step, and builds
+    their values when it is first read."""
     eng = _start(point.coords, cap_bits, max_len=max_len)
-    ev = eng.ev
-    symbols: list[SymbolND] = []
-    d_hist = _SnapshotRows([tuple(map(ev.snapshot, eng.cols))])
-    for symbol in eng.run(max_len):
-        symbols.append(symbol)
-        d_hist.append(tuple(map(ev.snapshot, eng.cols)))
     return SequenceRecordN(
-        symbols=tuple(symbols),
-        d_history=d_hist,
+        symbols=tuple(eng.run(max_len)),
+        d_history=_Snapshots(eng.rows),
         status=eng.status,
         matrix=mat_from_columns([c.coeffs for c in eng.cols]),
-        refinements=ev.refinements,
-        precision_bits=ev.bits,
+        refinements=eng.ev.refinements,
+        precision_bits=eng.ev.bits,
     )
 
 

@@ -88,19 +88,13 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
     """
     eng = _start((point.alpha, point.beta), cap_bits, _PLANAR, max_len=max_len,
                  allow_zero_last=True)
-    ev = eng.ev
-    symbols: list[int] = []
-    d_hist = _Snapshots(map(ev.snapshot, eng.cols))
-    for symbol in eng.run(max_len):
-        symbols.append(symbol.k)
-        d_hist.append(ev.snapshot(eng.cols[2]))
     return SequenceRecord(
-        symbols=tuple(symbols),
-        d_history=d_hist,
+        symbols=tuple(symbol.k for symbol in eng.run(max_len)),
+        d_history=_Snapshots(eng.rows, 3),
         status=eng.status,
         matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
-        refinements=ev.refinements,
-        precision_bits=ev.bits,
+        refinements=eng.ev.refinements,
+        precision_bits=eng.ev.bits,
     )
 
 
@@ -120,10 +114,5 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     exactly as in the 2D map.
     """
     eng = _start((x,), cap_bits, ("x",), max_len=max_len)
-    ev = eng.ev
-    quotients: list[int] = []
-    remainders = _Snapshots([ev.snapshot(eng.cols[1])])
-    for symbol in eng.run(max_len):
-        quotients.append(symbol.k)
-        remainders.append(ev.snapshot(eng.cols[1]))
-    return GaussRecord(tuple(quotients), remainders, eng.status)
+    quotients = tuple(symbol.k for symbol in eng.run(max_len))
+    return GaussRecord(quotients, _Snapshots(eng.rows, 1), eng.status)

@@ -215,6 +215,21 @@ def test_verify_identity_catches_swapped_symbol(capsys, monkeypatch, delta):
     assert lines[-1]["failures"] == 1
 
 
+def test_verify_identity_catches_a_wrong_status(capsys, monkeypatch):
+    # a run that ended on a zero remainder but is recorded as cut at the cap
+    real = simplex._Engine.run
+
+    def run_truncated(self, max_len):
+        yield from real(self, max_len)
+        self.status = numeric.SequenceStatus.TRUNCATED
+
+    monkeypatch.setattr(simplex._Engine, "run", run_truncated)
+    code, lines, _ = run(capsys, "verify", "--suite", "identity", "--cases", "10")
+    assert code == 3
+    # every one of these runs terminates well inside the cap
+    assert not any(r["ok"] for r in lines[:-1]) and lines[-1]["failures"] == 10
+
+
 @pytest.mark.parametrize("delta", [1, -1])
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "reduction", "--cases", "20"],
@@ -280,12 +295,10 @@ def test_certified_floor_decides_a_boundary_branch(capsys, point):
 
 
 def test_identity_certificate_pins_symbols_to_floors():
-    # the matrix identity holds for any stream; the remainder run does not
+    # the matrix identity holds for any stream, floors or not, so the
+    # identity suite also compares each run with the remainder recursion
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert matrices.fundamental_identity_check(half, third, (5, 5, 5))
-    assert cli._remainder_run(half, third, (1, 1)) == (1, half, third, Fraction(1, 6), 0)
-    for wrong in ((5, 5, 5), (0, 1), (2, 1), (1, 2)):
-        assert cli._remainder_run(half, third, wrong) is None
 
 
 def test_verify_suite(capsys):

@@ -37,6 +37,19 @@ def test_from_fraction_rounds_outward():
     assert hi - lo <= Fraction(1, 2 ** 127)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(-2 ** 200, 2 ** 200), st.integers(0, 2 ** 200), st.integers(1, 160),
+       st.one_of(st.integers(0, 320).map(lambda t: 1 << t), st.integers(1, 2 ** 200)))
+@example(-5, 7, 64, 1 << 64)  # shift by zero
+@example(-(1 << 70) - 1, 3, 64, 1 << 70)
+@example(-5, 7, 64, 1 << 10)  # a power of two below 2**prec
+@example(-5, 7, 64, 3 << 70)  # not a power of two
+def test_round_out_by_shifts_equals_division(lo, width, prec, scale):
+    hi = lo + width
+    expected = (lo << prec) // scale, -((-hi << prec) // scale)
+    assert numeric._round_out_scaled(lo, hi, scale, prec) == expected
+
+
 def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
         BigFloat.from_fraction(Fraction(1, 3), 8)

@@ -59,6 +59,23 @@ def test_step_matrix_dets():
             assert det in (-1, 1), (n, sym, det)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_run_matrix_is_the_product_of_its_step_matrices(n):
+    # the engine's columns and the step matrices follow one push rule; a pair
+    # step matrix is otherwise pinned only through determinants and vertices
+    rng = random.Random(n)
+    starts = [NonNegSymbol(k) for k in range(3)] + candidate_symbols(n)
+    points = [tuple(sum(c) / (n + 1) for c in zip(*region_vertices(n, s))) for s in starts]
+    points += [sample_rational_point(rng, n, 10 ** 6) for _ in range(40)]
+    seen = set()
+    for x in points:
+        rec = sequence_nd(PointN(x), 60)
+        assert rec.matrix == product_matrix_nd(rec.symbols, n), x
+        seen.update(rec.symbols)
+    # each region's centroid starts in its region, so every pair symbol ran
+    assert set(candidate_symbols(n)) <= seen
+
+
 def test_matrix_helpers():
     m = product_matrix_nd([NonNegSymbol(1), NonNegSymbol(2)], 3)
     inv = mat_inverse_unimodular(m)
