@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import io_formats, matrices, periodicity, realization, simplex, triangle
 from .errors import DegenerateInputError, PrecisionExhaustedError, TriangleMapError
-from .numeric import MAX_PRECISION, MIN_PRECISION, SequenceStatus
+from .numeric import MAX_PRECISION, SequenceStatus, check_precision
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,9 +66,8 @@ def _add_common(p: argparse.ArgumentParser, bits: bool = True, cap_bits: bool = 
 
 
 def _check_bits(args) -> None:
-    """--bits above the floor, and --cap-bits (where taken) between --bits and the ceiling."""
-    if args.bits < MIN_PRECISION:
-        raise DegenerateInputError(f"--bits must be at least {MIN_PRECISION}")
+    """--bits within the precision limits; --cap-bits (where taken) between --bits and the ceiling."""
+    check_precision(args.bits)
     cap = getattr(args, "cap_bits", None)
     if cap is not None and not args.bits <= cap <= MAX_PRECISION:
         raise DegenerateInputError(f"--cap-bits must be between --bits and {MAX_PRECISION}")
@@ -339,7 +338,12 @@ def _cmd_verify(args) -> int:
     _check_bits(args)
     if args.cases < 1:
         raise DegenerateInputError("--cases must be at least 1")
-    records = list(_SUITES[args.suite](args))
+    records: list[dict] = []
+    try:
+        records.extend(_SUITES[args.suite](args))
+    except ValueError as exc:
+        # the suites make valid input, so a kernel that refuses it fails the suite
+        records.append({"suite": args.suite, "case": "raised", "ok": False, "detail": str(exc)})
     if not records:
         raise DegenerateInputError(f"suite {args.suite} ran no cases")
     failures = sum(1 for r in records if not r["ok"])

@@ -82,7 +82,7 @@ def _round_out_scaled(lo: int, hi: int, scale: int, prec: int) -> tuple[int, int
     return (lo << prec) // scale, -((-hi << prec) // scale)
 
 
-def _check_precision(prec: int) -> None:
+def check_precision(prec: int) -> None:
     if prec < MIN_PRECISION:
         raise ValueError(f"precision below the {MIN_PRECISION}-bit floor")
     if prec > MAX_PRECISION:
@@ -108,7 +108,7 @@ class BigFloat:
 
     @classmethod
     def from_fraction(cls, value, prec: int) -> "BigFloat":
-        _check_precision(prec)
+        check_precision(prec)
         return cls.from_bounds(value, value, prec)
 
     @classmethod
@@ -163,7 +163,7 @@ class BigFloat:
             return None
         if bits <= self.prec:
             return self
-        _check_precision(bits)
+        check_precision(bits)
         return self.source.as_bigfloat(bits)
 
     def __float__(self) -> float:
@@ -206,11 +206,11 @@ class RootSpec:
         object.__setattr__(self, "high", Fraction(self.high))
         if self.low >= self.high:
             raise DegenerateInputError("isolating interval is empty")
-        flo = self.poly.evaluate(self.low)
-        fhi = self.poly.evaluate(self.high)
+        flo = polynomials.sign_at(self.poly.coeffs, self.low)
+        fhi = polynomials.sign_at(self.poly.coeffs, self.high)
         if flo == 0 or fhi == 0:
             raise DegenerateInputError("isolating interval endpoint is a root")
-        if (flo < 0) == (fhi < 0):
+        if flo == fhi:
             raise DegenerateInputError("polynomial does not change sign across the interval")
         roots = polynomials.count_roots(self.poly, self.low, self.high)
         if roots != 1:
@@ -257,7 +257,7 @@ class _RootEnclosure:
         d = spec.poly.degree
         # c_i * den**(d - i), constant first: Q**d * p(m / Q) at Q = den
         self._homog = tuple(c * self.den ** (d - i) for i, c in enumerate(spec.poly.coeffs))
-        self._neg_low = spec.poly.evaluate(spec.low) < 0
+        self._neg_low = polynomials.sign_at(spec.poly.coeffs, spec.low) < 0
         self._squarefree: IntPolynomial | None = None
 
     @property
@@ -435,7 +435,7 @@ def refine_root(spec: RootSpec, precision: int) -> BigFloat:
 
 def root_powers(spec: RootSpec, count: int, precision: int) -> tuple[BigFloat, ...]:
     """(root, root**2, ..., root**count) sharing one bisection cache."""
-    _check_precision(precision)
+    check_precision(precision)
     if count < 1:
         raise ValueError("count must be at least 1")
     enc = _RootEnclosure(spec)
@@ -665,9 +665,12 @@ class FormEvaluator:
         return True
 
     def exact_zero(self, coeffs: Sequence[int]) -> bool | None:
-        """Exact zero test; None when the coordinate structure cannot support one."""
+        """Exact zero test; None when the coordinate structure cannot support one.
+
+        Over the powers of one root x the form is c + a_1 x + a_2 x**2 + ...,
+        c rational; times c's denominator it is one integer polynomial in x."""
         const = Fraction(coeffs[0])
-        monomials: dict[int, Fraction] = {}
+        monomials: dict[int, int] = {}
         enclosure: _RootEnclosure | None = None
         for c, v in zip(coeffs[1:], self.values):
             if c == 0:
@@ -682,15 +685,14 @@ class FormEvaluator:
                 enclosure = src.enclosure
             elif src.enclosure is not enclosure:
                 return None
-            monomials[src.power] = monomials.get(src.power, Fraction(0)) + c
+            monomials[src.power] = monomials.get(src.power, 0) + c
         if enclosure is None:
             return const == 0
+        d, top = const.denominator, max(monomials)
+        g = IntPolynomial((const.numerator, *(d * monomials.get(p, 0) for p in range(1, top + 1))))
         lo, hi = enclosure.lo, enclosure.hi
         if lo == hi:
-            return const + sum(a * lo ** p for p, a in monomials.items()) == 0
-        frac_coeffs = [const] + [monomials.get(p, Fraction(0)) for p in range(1, max(monomials) + 1)]
-        denlcm = math.lcm(*(f.denominator for f in frac_coeffs))
-        g = IntPolynomial(tuple(int(f * denlcm) for f in frac_coeffs))
+            return polynomials.sign_at(g.coeffs, lo) == 0
         return polynomials.vanishes_at_root(g, enclosure.squarefree, lo, hi)
 
     def certified_sign(self, coeffs: Form) -> Sign:
@@ -712,13 +714,18 @@ class FormEvaluator:
                 return Sign.AMBIGUOUS
 
     def certified_floor(self, num: Form, den: Form) -> int:
-        """floor(num/den) with den certified positive; raises when undecidable.
+        """floor(num/den); raises ``ValueError`` on a den certainly not positive,
+        ``PrecisionExhaustedError`` when undecidable.
 
         den's sign is queried only when its bounds do not already show it
         positive: the engine's den is the last remainder, just certified so.
         """
-        if self._int_bounds(den)[0] <= 0 and self.certified_sign(den) is not Sign.POSITIVE:
-            raise PrecisionExhaustedError("denominator form is not certainly positive")
+        if self._int_bounds(den)[0] <= 0:
+            sign = self.certified_sign(den)
+            if sign is Sign.AMBIGUOUS:
+                raise PrecisionExhaustedError("denominator form is not certainly positive")
+            if sign is not Sign.POSITIVE:
+                raise ValueError("denominator form is not positive")
         tested: set[int] = set()
         while True:
             # both bounds carry the factor S, which cancels in the ratios

@@ -91,7 +91,7 @@ def period_one_point(k: int, precision: int) -> Point2:
 def fixed_point_nd(n: int, k: int, precision: int) -> simplex.PointN:
     """(r, r**2, ..., r**n) for the positive root of the dimension-n polynomial."""
     poly = fixed_point_poly(n, k)
-    if poly.evaluate(Fraction(1)) == 0:
+    if polynomials.sign_at(poly.coeffs, 1) == 0:
         raise DegenerateInputError("degenerate index: the root sits on the corner")
     return simplex.PointN.from_root(_unit_interval_spec(poly), n, precision)
 

@@ -11,8 +11,8 @@ remainder sequence, Collins 1967): each is a positive multiple of the
 rational remainder, so it has the same roots, the same vanishing and the
 same signs, and a Sturm chain built from them counts the same sign changes.
 Signs at a rational point ``a/b`` come from ``b**d * f(a/b)``, evaluated by
-homogenised Horner.  Only ``divmod_exact`` and ``exact_quotient`` divide
-over ``Fraction``s.
+homogenised Horner.  ``exact_quotient`` divides on integers too, and only
+``interpolate`` builds ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -117,14 +117,6 @@ class IntPolynomial:
         return f"IntPolynomial({self.coeffs!r})"
 
 
-def divmod_exact(num: IntPolynomial, den: IntPolynomial) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Polynomial division over the rationals: returns (quotient, remainder) coefficient tuples."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo, rem = _divide([Fraction(c) for c in num.coeffs], [Fraction(c) for c in den.coeffs])
-    return tuple(quo), tuple(rem)
-
-
 def divides(den: IntPolynomial, num: IntPolynomial) -> bool:
     """True when den divides num exactly over the rationals."""
     if den.is_zero:
@@ -133,11 +125,23 @@ def divides(den: IntPolynomial, num: IntPolynomial) -> bool:
 
 
 def exact_quotient(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    quo, rem = divmod_exact(num, den)
-    if any(c != 0 for c in rem):
+    """num / den made primitive, dividing by den's primitive part so that (Gauss's
+    lemma) each long-division step of an exact division is an exact ``divmod``."""
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    y = den.primitive().coeffs
+    dd, lead = len(y) - 1, y[-1]
+    r, quo = list(num.coeffs), []
+    for i in range(len(r) - 1, dd - 1, -1):
+        q, m = divmod(r.pop(), lead)
+        if m:
+            raise ValueError("division is not exact")
+        quo.append(q)
+        for j in range(dd):
+            r[i - dd + j] -= q * y[j]
+    if any(r):
         raise ValueError("division is not exact")
-    scale = math.lcm(*(c.denominator for c in quo))
-    return IntPolynomial(tuple(int(c * scale) for c in quo)).primitive()
+    return IntPolynomial(tuple(reversed(quo))).primitive()
 
 
 def interpolate(points: Sequence[tuple[int, int]]) -> IntPolynomial:
@@ -160,23 +164,6 @@ def interpolate(points: Sequence[tuple[int, int]]) -> IntPolynomial:
     if any(c.denominator != 1 for c in out):
         raise ValueError("interpolated polynomial has non-integer coefficients")
     return IntPolynomial(tuple(int(c) for c in out))
-
-
-def _divide(x: list[Fraction], y: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and trimmed remainder of x by a trimmed nonzero y, both constant first."""
-    dd = len(y) - 1
-    lead = y[-1]
-    r = x[:]
-    quo = [Fraction(0)] * max(len(r) - dd, 1)
-    for i in range(len(r) - 1, dd - 1, -1):
-        q = r[i] / lead
-        if q:
-            quo[i - dd] = q
-            for j in range(dd + 1):
-                r[i - dd + j] -= q * y[j]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return quo, r
 
 
 def _prem(x: Sequence[int], y: Sequence[int]) -> list[int]:
@@ -210,7 +197,7 @@ def _prem(x: Sequence[int], y: Sequence[int]) -> list[int]:
     return [v // g for v in r] if g > 1 else r
 
 
-def _sign_at(f: Sequence[int], x: Fraction | int) -> int:
+def sign_at(f: Sequence[int], x: Fraction | int) -> int:
     """The sign of f at x, from the integer b**deg(f) * f(a/b) for x = a/b."""
     a, b = x.numerator, x.denominator
     acc, power = f[-1], 1
@@ -247,7 +234,7 @@ def count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
     chain.pop()
 
     def changes(x: Fraction) -> int:
-        signs = [s for s in (_sign_at(f, x) for f in chain) if s]
+        signs = [s for s in (sign_at(f, x) for f in chain) if s]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return changes(low) - changes(high)
@@ -260,12 +247,12 @@ def vanishes_at_root(g: IntPolynomial, p: IntPolynomial, low: Fraction, high: Fr
     h, a factor of p, has no other root in the interval; with neither
     endpoint a root, h changes sign across the interval exactly then.
     """
-    if _sign_at(p.coeffs, low) == 0 or _sign_at(p.coeffs, high) == 0:
+    if sign_at(p.coeffs, low) == 0 or sign_at(p.coeffs, high) == 0:
         raise DegenerateInputError("isolating interval endpoint is a root")
     if g.is_zero:
         return True
     h = gcd(p, g).coeffs
-    return len(h) > 1 and _sign_at(h, low) != _sign_at(h, high)
+    return len(h) > 1 and sign_at(h, low) != sign_at(h, high)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

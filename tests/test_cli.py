@@ -398,6 +398,22 @@ def test_bits_floor_enforced(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["seq", "--point", "1/2,1/3"],
+    ["classify", "--point", "1/2,1/3"],
+    ["recover", "--point", "1/2,1/3"],
+    ["derive-poly", "--symbols", "2,2,2,2"],
+    ["verify", "--suite", "decomp", "--cases", "1"],
+], ids=["seq", "classify", "recover", "derive-poly", "verify"])
+def test_bits_ceiling_enforced(capsys, command):
+    code, lines, err = run(capsys, *command, "--bits", str(numeric.MAX_PRECISION + 1))
+    assert code == 1 and lines == []
+    assert json.loads(err) == {"error": "degenerate-input",
+                               "detail": "precision above the 1048576-bit ceiling"}
+    code, lines, _ = run(capsys, *command, "--bits", str(numeric.MAX_PRECISION))
+    assert code == 0 and lines
+
+
 @pytest.mark.parametrize("cap", ["-5", "0", "10", "63", str(numeric.MAX_PRECISION + 1)])
 @pytest.mark.parametrize("command", [
     ["seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "200"],

@@ -267,6 +267,19 @@ def test_floor_raises_on_a_decimal_den_that_straddles_zero():
         ev.certified_floor((1, 0), (-3, 10))
 
 
+def test_floor_refuses_a_den_certainly_not_positive():
+    # a certain zero or negative den is an input error, as it is for ratio;
+    # only an ambiguous one exhausts precision
+    ev = FormEvaluator([Fraction(1, 2), Fraction(1, 3)])
+    for den in ((0, 0, 0), (-1, 0, 0), (0, -1, 1)):
+        with pytest.raises(ValueError, match="denominator form is not positive"):
+            ev.certified_floor((1, 0, 0), den)
+    # -1 + g + g^2 = 0, certified by the exact zero test
+    ev = FormEvaluator(list(root_powers(GOLDEN, 2, 64)))
+    with pytest.raises(ValueError, match="denominator form is not positive"):
+        ev.certified_floor((1, 0, 0), (-1, 1, 1))
+
+
 def test_carried_bounds_kept_per_rescale():
     ev = FormEvaluator(list(root_powers(GOLDEN, 2, 64)))
     one, g, g2 = ev.units()
@@ -294,6 +307,16 @@ def test_exact_zero_on_a_collapsed_enclosure():
     assert enc.lo == enc.hi == Fraction(1, 2)
     assert ev.exact_zero((-1, 2)) is True
     assert ev.exact_zero((-1, 3)) is False
+
+
+def test_exact_zero_on_a_collapsed_enclosure_beside_a_rational():
+    # x = 1/2 (the root of 2x - 1, hit by bisection) next to 1/3
+    x = refine_root(RootSpec(IntPolynomial((-1, 2)), Fraction(0), Fraction(1)), 64)
+    ev = FormEvaluator([x, Fraction(1, 3)])
+    assert ev.exact_zero((-4, 6, 3)) is True
+    assert ev.exact_zero((-5, 6, 3)) is False
+    # 2x - 1/3: the rational constant's denominator scales the monomials too
+    assert ev.exact_zero((0, 2, -1)) is False
 
 
 def test_even_power_of_a_root_straddling_zero():

@@ -9,7 +9,6 @@ from trianglemap.polynomials import (
     IntPolynomial,
     count_roots,
     divides,
-    divmod_exact,
     exact_quotient,
     gcd,
     interpolate,
@@ -80,11 +79,16 @@ def test_divides_and_quotient():
     assert divides(poly(-1, 1, 1, 1), num)
     assert not divides(poly(1, 1), num)
     assert exact_quotient(num, poly(-1, 1, 1, 1)) == poly(3, 5)
+    # x = (2x + 1)/2 - 1/2: the one quotient step divides 1 by 2
+    with pytest.raises(ValueError, match="division is not exact"):
+        exact_quotient(X, poly(1, 2))
 
 
 def test_divide_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         divmod_exact(poly(1, 1), poly(0))
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(poly(1, 1), poly(0))
 
 
 def test_gcd_known():
@@ -191,20 +195,43 @@ def test_interpolate_rejects_non_integer():
         interpolate([(0, 0), (2, 1)])
 
 
-# Fraction oracles: Euclid and the Sturm chain over the rationals -------------
+# Fraction oracles: long division, Euclid and the Sturm chain over the rationals
+
+
+def _divide(x: list[Fraction], y: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of x by a trimmed nonzero y, both constant first."""
+    dd = len(y) - 1
+    lead = y[-1]
+    r = x[:]
+    quo = [Fraction(0)] * max(len(r) - dd, 1)
+    for i in range(len(r) - 1, dd - 1, -1):
+        q = r[i] / lead
+        if q:
+            quo[i - dd] = q
+            for j in range(dd + 1):
+                r[i - dd + j] -= q * y[j]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return quo, r
+
+
+def divmod_exact(num: IntPolynomial, den: IntPolynomial) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Polynomial division over the rationals: returns (quotient, remainder) coefficient tuples."""
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo, rem = _divide([Fraction(c) for c in num.coeffs], [Fraction(c) for c in den.coeffs])
+    return tuple(quo), tuple(rem)
 
 
 def _fraction_rem(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
     """The trimmed remainder of x by a trimmed nonzero y over the rationals."""
-    dd = len(y) - 1
-    r = x[:]
-    for i in range(len(r) - 1, dd - 1, -1):
-        q = r[i] / y[-1]
-        for j in range(dd + 1):
-            r[i - dd + j] -= q * y[j]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return r
+    return _divide(x, y)[1]
+
+
+def _made_primitive(coeffs) -> IntPolynomial:
+    """The primitive integer polynomial with rational coefficients proportional to coeffs."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return IntPolynomial(tuple(int(c * scale) for c in coeffs)).primitive()
 
 
 def oracle_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -215,8 +242,7 @@ def oracle_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     x, y = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
     while y != [0]:
         x, y = y, _fraction_rem(x, y)
-    scale = math.lcm(*(c.denominator for c in x))
-    return IntPolynomial(tuple(int(c * scale) for c in x)).primitive()
+    return _made_primitive(x)
 
 
 def oracle_count_roots(p: IntPolynomial, low: Fraction, high: Fraction) -> int:
@@ -263,6 +289,29 @@ def test_divides_matches_fraction_remainder(den, num):
     rem = _fraction_rem([Fraction(v) for v in num.coeffs], [Fraction(v) for v in den.coeffs])
     assert divides(den, num) is (rem == [0])
     assert divides(den, num * den)
+
+
+@given(factors, factors, st.integers(-12, 12).filter(bool), st.lists(st.integers(-9, 9), max_size=5))
+def test_exact_quotient_matches_fraction_division(f, base, content, low):
+    # content makes g non-primitive, and a negative one flips its lead; g
+    # divides f * base over the rationals, though not always over the integers
+    g = base.scale(content)
+    assume(not g.is_zero)
+    for num in (f * g, f * base):
+        quo, rem = divmod_exact(num, g)
+        assert all(c == 0 for c in rem)
+        assert exact_quotient(num, g) == _made_primitive(quo)
+    # a nonzero remainder of lower degree than g makes the division inexact
+    r = IntPolynomial(tuple(low[:g.degree]))
+    if not r.is_zero:
+        with pytest.raises(ValueError, match="division is not exact"):
+            exact_quotient(f * g + r, g)
+    # so does any f that g does not divide, where a step or the remainder shows it
+    if any(divmod_exact(f, g)[1]):
+        with pytest.raises(ValueError, match="division is not exact"):
+            exact_quotient(f, g)
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(f, poly(0))
 
 
 big_endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=10 ** 40)

@@ -117,6 +117,16 @@ def test_tie_orbit_through_top_facet_terminates():
     assert rec.status is SequenceStatus.TERMINATED
 
 
+@pytest.mark.parametrize("run", [
+    lambda: sequence(Point2(F(1, 2), F(1, 3)), -1),
+    lambda: gauss_sequence(F(1, 3), -1),
+    lambda: sequence_nd(PointN((F(3, 4), F(1, 2), F(1, 4))), -1),
+], ids=["sequence", "gauss_sequence", "sequence_nd"])
+def test_negative_max_len_rejected(run):
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        run()
+
+
 def test_sequence_nd_rational_terminates():
     rec = sequence_nd(PointN((F(1, 2), F(1, 3), F(1, 4))), 200)
     assert rec.status is SequenceStatus.TERMINATED
