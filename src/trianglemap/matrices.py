@@ -103,18 +103,26 @@ def mat_apply_row(vec: Sequence, m: Matrix) -> tuple:
     return tuple(sum(vec[i] * m[i][j] for i in range(size)) for j in range(size))
 
 
+def push_column(cols: Sequence, j: int, inserted) -> tuple:
+    """The engine's push: drop column 0, keep columns 1..j and put ``inserted`` at slot j."""
+    return (*cols[1:j + 1], inserted, *cols[j + 1:])
+
+
 def mat_step(j: int, inserted: Column) -> Matrix:
-    """The step matrix that drops column 0, keeps columns 1..j and puts
-    ``inserted`` at slot j: the engine's push applied to the identity."""
-    unit = mat_identity(len(inserted))
-    return mat_from_columns(unit[1:j + 1] + (inserted,) + unit[j + 1:])
+    """The step matrix whose columns are the push applied to the identity's."""
+    return mat_from_columns(push_column(mat_identity(len(inserted)), j, inserted))
+
+
+def nonneg_column(k: int, n: int) -> Column:
+    """The inserted column of the nonnegative symbol k over n + 1 columns: (1, -1, ..., -1, -k)."""
+    if k < 0:
+        raise ValueError("nonnegative symbol index must be >= 0")
+    return (1,) + (-1,) * (n - 1) + (-k,)
 
 
 def mat_step_nonneg(k: int, n: int) -> Matrix:
     """The (n+1)x(n+1) step matrix of the nonnegative symbol k."""
-    if k < 0:
-        raise ValueError("nonnegative symbol index must be >= 0")
-    return mat_step(n, (1,) + (-1,) * (n - 1) + (-k,))
+    return mat_step(n, nonneg_column(k, n))
 
 
 # the 3x3 view of the planar map ----------------------------------------------

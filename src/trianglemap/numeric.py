@@ -489,6 +489,15 @@ def _value(snap: Snapshot) -> ExactNumber:
     return BigFloat(*_round_out_scaled(lo, hi, scale, bits), bits)
 
 
+def _form_bounds(mid: int, coeffs: Sequence[int], rads: list[int] | None) -> tuple[int, int]:
+    """A form's bounds times S from its midpoint sum and the radii, None on an exact point."""
+    if rads is None:
+        m = mid >> 1
+        return m, m
+    r = sum(map(mul, map(abs, coeffs), rads))
+    return (mid - r) >> 1, (mid + r) >> 1
+
+
 Form = Union[Sequence[int], _Form]
 
 
@@ -581,12 +590,11 @@ class FormEvaluator:
         """The full midpoint sum of a form: its one big-by-big dot product."""
         return sum(map(mul, coeffs, self._mids))
 
-    def _mid(self, form: _Form) -> int:
-        """The carried midpoint sum of a form, recomputed if made before a rescale."""
-        if form.tag is not self._mids:
-            form.mid, form.tag = self._dot(form.coeffs), self._mids
-            form.bounds = None
-        return form.mid
+    def _rebase(self, form: _Form) -> None:
+        """Bring a form made before the last rescale to the current one: its
+        full midpoint sum again, and no bounds until next asked."""
+        form.mid, form.tag = self._dot(form.coeffs), self._mids
+        form.bounds = None
 
     def units(self) -> list[_Form]:
         """The unit forms 1, v1, ..., vn, whose midpoint sums are the evaluator's own."""
@@ -595,32 +603,37 @@ class FormEvaluator:
 
     def sub(self, a: _Form, b: _Form) -> _Form:
         """The form a - b, carrying its midpoint sum."""
-        return _Form(tuple(map(subtract, a.coeffs, b.coeffs)), self._mid(a) - self._mid(b), self._mids)
+        mids = self._mids
+        if a.tag is not mids:
+            self._rebase(a)
+        if b.tag is not mids:
+            self._rebase(b)
+        return _Form(tuple(map(subtract, a.coeffs, b.coeffs)), a.mid - b.mid, mids)
 
     def addmul(self, a: _Form, c: int, b: _Form) -> _Form:
         """The form a + c*b, carrying its midpoint sum."""
-        return _Form(tuple(x + c * y for x, y in zip(a.coeffs, b.coeffs)),
-                     self._mid(a) + c * self._mid(b), self._mids)
+        mids = self._mids
+        if a.tag is not mids:
+            self._rebase(a)
+        if b.tag is not mids:
+            self._rebase(b)
+        coeffs = tuple([x + c * y for x, y in zip(a.coeffs, b.coeffs)])
+        return _Form(coeffs, a.mid + c * b.mid, mids)
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:
         """Bounds of the form times S; a carried form keeps them per rescale."""
-        rads = self._rads
         if type(form) is not _Form:
-            m = self._dot(form)
-            if rads is None:
-                m >>= 1
-                return m, m
-            r = sum(map(mul, map(abs, form), rads))
-            return (m - r) >> 1, (m + r) >> 1
+            return _form_bounds(self._dot(form), form, self._rads)
+        if form.tag is not self._mids:
+            self._rebase(form)
+        elif form.bounds is not None:
+            return form.bounds
+        rads = self._rads
         if rads is None:
             # on an exact point a bound is one shift: not worth keeping
-            m = self._mid(form) >> 1
+            m = form.mid >> 1
             return m, m
-        if form.tag is self._mids and form.bounds is not None:
-            return form.bounds
-        m = self._mid(form)
-        r = sum(map(mul, map(abs, form.coeffs), rads))
-        form.bounds = bounds = (m - r) >> 1, (m + r) >> 1
+        form.bounds = bounds = _form_bounds(form.mid, form.coeffs, rads)
         return bounds
 
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
@@ -697,8 +710,15 @@ class FormEvaluator:
 
     def certified_sign(self, coeffs: Form) -> Sign:
         """Sign of the form, refining as needed; AMBIGUOUS only when exhausted."""
-        zero_checked = False
-        while True:
+        lo, hi = self._int_bounds(coeffs)
+        # almost every query is decided here, before the zero test and refinement
+        if lo > 0:
+            return Sign.POSITIVE
+        if hi < 0:
+            return Sign.NEGATIVE
+        if lo == hi or self.exact_zero(_coeffs(coeffs)) is True:
+            return Sign.ZERO
+        while self.refine():
             lo, hi = self._int_bounds(coeffs)
             if lo > 0:
                 return Sign.POSITIVE
@@ -706,12 +726,7 @@ class FormEvaluator:
                 return Sign.NEGATIVE
             if lo == hi:
                 return Sign.ZERO
-            if not zero_checked:
-                zero_checked = True
-                if self.exact_zero(_coeffs(coeffs)) is True:
-                    return Sign.ZERO
-            if not self.refine():
-                return Sign.AMBIGUOUS
+        return Sign.AMBIGUOUS
 
     def certified_floor(self, num: Form, den: Form) -> int:
         """floor(num/den); raises ``ValueError`` on a den certainly not positive,
@@ -720,7 +735,14 @@ class FormEvaluator:
         den's sign is queried only when its bounds do not already show it
         positive: the engine's den is the last remainder, just certified so.
         """
-        if self._int_bounds(den)[0] <= 0:
+        dlo, dhi = self._int_bounds(den)
+        if dlo > 0:
+            # almost every floor is decided by the first bounds, before the loop
+            nlo, nhi = self._int_bounds(num)
+            fl = nlo // dhi if nlo >= 0 else nlo // dlo
+            if fl == (nhi // dlo if nhi >= 0 else nhi // dhi):
+                return fl
+        else:
             sign = self.certified_sign(den)
             if sign is Sign.AMBIGUOUS:
                 raise PrecisionExhaustedError("denominator form is not certainly positive")

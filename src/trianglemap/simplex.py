@@ -26,15 +26,16 @@ through ``_start`` too, with their own coordinate names and records.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
-                       mat_mul, mat_step, mat_step_nonneg)
+                       mat_mul, mat_step, nonneg_column, push_column)
 from .numeric import (
     ExactNumber,
     FormEvaluator,
@@ -43,6 +44,7 @@ from .numeric import (
     Sign,
     Snapshot,
     _Form,
+    _form_bounds,
     _unit_coeffs,
     _value,
     root_powers,
@@ -71,6 +73,9 @@ class PairSymbol:
 
 SymbolND = NonNegSymbol | PairSymbol
 
+#: The symbols of the small floors, made once: nearly every step emits one.
+_NONNEG = tuple(NonNegSymbol(k) for k in range(256))
+
 
 # points ---------------------------------------------------------------------
 
@@ -92,18 +97,25 @@ class PointN:
 # step matrices -------------------------------------------------------------
 
 
-def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
-    """The (n+1)x(n+1) integer matrix whose row action performs one d-update.
+def _push_rule(symbol: SymbolND, n: int) -> tuple[int, Column]:
+    """The slot j of a step's push and its inserted column over the current ones.
 
     A pair symbol must be one of ``candidate_symbols(n)``."""
     if isinstance(symbol, NonNegSymbol):
-        return mat_step_nonneg(symbol.k, n)
+        return n, nonneg_column(symbol.k, n)
     i, j = symbol.i, symbol.j
     if n < 3:
         raise ValueError("pair regions only exist in dimension 3 and up")
     if not (1 <= i <= n - 2 and i < j <= n):
         raise ValueError(f"bad pair symbol ({i},{j})")
-    return mat_step(j, (1,) + (-1,) * i + (0,) * (n - i))
+    return j, (1,) + (-1,) * i + (0,) * (n - i)
+
+
+def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
+    """The (n+1)x(n+1) integer matrix whose row action performs one d-update.
+
+    A pair symbol must be one of ``candidate_symbols(n)``."""
+    return mat_step(*_push_rule(symbol, n))
 
 
 def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
@@ -185,7 +197,7 @@ class _Engine:
     def __init__(self, ev: FormEvaluator, n: int):
         self.ev = ev
         self.n = n
-        self.cols: list[_Form] = ev.units()
+        self.cols: Sequence[_Form] = ev.units()
         self.status: SequenceStatus | None = None
 
     def _sign(self, form: _Form, ambiguous: str) -> Sign:
@@ -203,14 +215,18 @@ class _Engine:
         the window j over x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.
         """
         ev, n, cols = self.ev, self.n, self.cols
-        q = [cols[0]]
-        for col in cols[1:n]:
-            q.append(ev.sub(q[-1], col))
-        slack = q[n - 1]
-        # below n = 3 the slack is d_0 or q_1, never negative: no pair regions
+        if n < 3:
+            # the slack is d_0 or q_1, never negative: no pair regions
+            slack = cols[0] if n == 1 else ev.sub(cols[0], cols[1])
+        else:
+            q = [cols[0]]
+            for col in cols[1:n]:
+                q.append(ev.sub(q[-1], col))
+            slack = q[n - 1]
         if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
             a = ev.certified_floor(slack, cols[n])
-            return NonNegSymbol(a), ev.addmul(slack, -a, cols[n])
+            symbol = _NONNEG[a] if a < len(_NONNEG) else NonNegSymbol(a)
+            return symbol, ev.addmul(slack, -a, cols[n])
         i = 1
         while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
             i += 1
@@ -223,73 +239,107 @@ class _Engine:
                 break
         return PairSymbol(i, j), q[i]
 
-    def push(self, symbol: SymbolND, inserted: _Form) -> int:
-        """Drop d_0, insert the new column at slot j (the end for a floor step); return j."""
-        j = symbol.j if isinstance(symbol, PairSymbol) else self.n
-        self.cols = self.cols[1:j + 1] + [inserted] + self.cols[j + 1:]
-        return j
-
     def run(self, max_len: int) -> Iterator[SymbolND]:
         """Yield up to max_len certified symbols, each once its column is pushed.
 
-        ``rows`` keeps the columns' snapshots at the start and after each push:
-        the previous row shifted as the columns were, plus the inserted
-        column's, or all of them again after a refinement.  When the run
+        The run keeps only what a replay of its history needs: ``symbols``,
+        and ``epochs``, the evaluator's shared scale as ``(step, mids, rads,
+        scale, bits)`` at the start (step 0) and after each push that
+        followed a refinement (step = the pushes made so far).  When the run
         stops, ``status`` says why: an exact zero last remainder, max_len, or
-        a step whose last remainder sign or branch raised
-        ``PrecisionExhaustedError``.
+        a step whose last remainder sign or branch was undecidable.
         """
-        ev = self.ev
-        row = tuple(map(ev.snapshot, self.cols))
-        self.rows, bits = [row], ev.bits
+        ev, n = self.ev, self.n
+        sign = ev.certified_sign
+        mids = ev._mids
+        symbols: list[SymbolND] = []
+        self.symbols, self.epochs = symbols, [(0, mids, ev._rads, ev._scale, ev.bits)]
         for _ in range(max_len):
+            # the remainders stay nonnegative: a last one not positive ends the run
+            s = sign(self.cols[-1])
+            if s is not Sign.POSITIVE:
+                self.status = (SequenceStatus.TERMINATED if s is Sign.ZERO
+                               else SequenceStatus.PRECISION_EXHAUSTED)
+                return
             try:
-                if self._sign(self.cols[-1], "last remainder sign is ambiguous") is Sign.ZERO:
-                    self.status = SequenceStatus.TERMINATED
-                    return
                 symbol, inserted = self.classify_once()
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
-            j = self.push(symbol, inserted)
-            if ev.bits == bits:
-                row = row[1:j + 1] + (ev.snapshot(inserted),) + row[j + 1:]
-            else:
-                row, bits = tuple(map(ev.snapshot, self.cols)), ev.bits
-            self.rows.append(row)
+            j = symbol.j if type(symbol) is PairSymbol else n
+            self.cols = push_column(self.cols, j, inserted)
+            symbols.append(symbol)
+            if ev._mids is not mids:
+                mids = ev._mids
+                self.epochs.append((len(symbols), mids, ev._rads, ev._scale, ev.bits))
             yield symbol
-        s_last = ev.certified_sign(self.cols[-1])
+        s_last = sign(self.cols[-1])
         self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
 
 
 class _Snapshots:
-    """A record's remainders as the engine's snapshot rows, not yet values.
+    """A record's remainders as a replay of its run, not yet values.
+
+    The handle keeps the run's dimension, symbols and rescale epochs, and no
+    evaluator.  Reading it pushes the symbols from the unit columns by the
+    run's own push rule, carries each column's midpoint sum through the
+    push as the evaluator's ``sub``/``addmul`` do, and takes a full dot
+    product only at an epoch's start, so it makes no certified query.  Each
+    row is the previous one shifted, plus the inserted column's snapshot at
+    the epoch in force, or the whole row again at an epoch's start: the
+    integers the run's evaluator had for those columns at that step.
 
     With ``lead`` None the history is the rows themselves (n-D).  Otherwise
-    it is flat, and only its entries are kept: the first row's last ``lead``
-    entries, then each later row's last entry, the column its step inserted
-    (planar ``lead=3``, Gauss ``lead=1``).  Rows share the snapshots of their
-    shifted entries, and their values share the same way.
+    it is flat: the first row's last ``lead`` entries, then each later row's
+    last entry, the column its step inserted (planar ``lead=3``, Gauss
+    ``lead=1``).  Rows share the values of their shifted entries.
     """
 
-    __slots__ = ("flat", "snaps")
+    __slots__ = ("n", "symbols", "epochs", "lead")
 
-    def __init__(self, rows: list[tuple[Snapshot, ...]], lead: int | None = None):
-        self.flat = lead is not None
-        self.snaps = rows[0][-lead:] + tuple(row[-1] for row in rows[1:]) if self.flat else rows
+    def __init__(self, eng: _Engine, lead: int | None = None):
+        self.n, self.symbols, self.epochs, self.lead = eng.n, eng.symbols, eng.epochs, lead
+
+    def _rows(self, take=None) -> Iterator[tuple]:
+        """Each row's entries: snapshots, or ``take`` of each new snapshot."""
+        symbols, epochs = self.symbols, iter(self.epochs)
+        cols = _unit_coeffs(self.n + 1)
+        epoch = next(epochs)
+        for t in range(len(symbols) + 1):
+            if t:
+                j, w = _push_rule(symbols[t - 1], self.n)
+                c = tuple(sum(map(mul, w, coord)) for coord in zip(*cols))
+                cols = push_column(cols, j, c)
+            if epoch is not None and epoch[0] == t:
+                _, emids, rads, scale, bits = epoch
+                epoch = next(epochs, None)
+                mids = tuple(sum(map(mul, c, emids)) for c in cols)
+                row = tuple((*_form_bounds(m, c, rads), scale, bits) for c, m in zip(cols, mids))
+                if take is not None:
+                    row = tuple(map(take, row))
+            else:
+                m = sum(map(mul, w, mids))
+                mids = push_column(mids, j, m)
+                snap = (*_form_bounds(m, c, rads), scale, bits)
+                row = push_column(row, j, snap if take is None else take(snap))
+            yield row
+
+    def _flat(self) -> Iterator[Snapshot]:
+        rows = self._rows()
+        yield from next(rows)[-self.lead:]
+        for row in rows:
+            yield row[-1]
 
     def build(self) -> tuple:
-        if self.flat:
-            return tuple(map(_value, self.snaps))
-        values: dict[int, ExactNumber] = {}
-        for row in self.snaps:
-            for snap in row:
-                if id(snap) not in values:
-                    values[id(snap)] = _value(snap)
-        return tuple(tuple(values[id(snap)] for snap in row) for row in self.snaps)
+        if self.lead is None:
+            return tuple(self._rows(_value))
+        return tuple(map(_value, self._flat()))
 
     def tail(self, count: int) -> tuple:
-        return tuple(map(_value, self.snaps[-count:] if self.flat else self.snaps[-1]))
+        """The final row's values (n-D) or the last ``count`` (flat), keeping no other row."""
+        if self.lead is None:
+            return tuple(map(_value, deque(self._rows(), maxlen=1)[0]))
+        return tuple(map(_value, deque(self._flat(), maxlen=count)))
 
 
 class _BuiltOnRead:
@@ -341,12 +391,11 @@ def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:
     """Certified symbol sequence in dimension n with full remainder history.
 
-    The history keeps the engine's snapshot rows, one per step, and builds
-    their values when it is first read."""
+    The history is a replay of the run, made when it is first read."""
     eng = _start(point.coords, cap_bits, max_len=max_len)
     return SequenceRecordN(
         symbols=tuple(eng.run(max_len)),
-        d_history=_Snapshots(eng.rows),
+        d_history=_Snapshots(eng),
         status=eng.status,
         matrix=mat_from_columns([c.coeffs for c in eng.cols]),
         refinements=eng.ev.refinements,

@@ -90,7 +90,7 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
                  allow_zero_last=True)
     return SequenceRecord(
         symbols=tuple(symbol.k for symbol in eng.run(max_len)),
-        d_history=_Snapshots(eng.rows, 3),
+        d_history=_Snapshots(eng, 3),
         status=eng.status,
         matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
         refinements=eng.ev.refinements,
@@ -115,4 +115,4 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     """
     eng = _start((x,), cap_bits, ("x",), max_len=max_len)
     quotients = tuple(symbol.k for symbol in eng.run(max_len))
-    return GaussRecord(quotients, _Snapshots(eng.rows, 1), eng.status)
+    return GaussRecord(quotients, _Snapshots(eng, 1), eng.status)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
 from trianglemap.io_formats import parse_point
-from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus
+from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, _value
 from trianglemap.periodicity import (
     fixed_point_nd,
     fixed_point_poly,
@@ -31,6 +33,7 @@ from trianglemap.simplex import (
     region_vertices,
     sample_rational_point,
     sequence_nd,
+    _last_remainders,
     _start,
     step_matrix_nd,
 )
@@ -660,11 +663,13 @@ def test_sampler_draws_are_pinned():
 @pytest.mark.parametrize("n, k, bits, lengths", [
     (2, 2, 512, (100, 200)),
     (3, 1, 512, (100, 200)),
-    (3, 1, 64, (200, 400)),
+    # refines at steps 48, 100 and 200: both lengths run n + 1 steps past the
+    # last, so every column has been brought to the last rescale
+    (3, 1, 64, (300, 400)),
 ], ids=["n2", "n3", "n3-refining"])
 def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, lengths):
     # carried forms pay a full-width dot product only in the domain check and
-    # once per column after each rescale, never per query
+    # at most once per column after each rescale, never per query
     real = FormEvaluator._dot
     calls = []
 
@@ -792,3 +797,92 @@ def test_history_rows_share_shifted_values():
     # each step keeps every column but d_0, and between refinements its value too
     shared = sum(any(v is w for w in prev) for prev, row in zip(rows, rows[1:]) for v in row)
     assert shared == 3 * (len(rows) - 1)
+
+
+def _eager_rows(coords, max_len, cap_bits, allow_zero_last):
+    """The snapshot of every column at each yield of a run: what a record
+    that collected its history while running would hold."""
+    eng = _start(coords, cap_bits, max_len=max_len, allow_zero_last=allow_zero_last)
+    rows = [tuple(map(eng.ev.snapshot, eng.cols))]
+    for _ in eng.run(max_len):
+        rows.append(tuple(map(eng.ev.snapshot, eng.cols)))
+    return rows, eng.status, eng.ev.refinements
+
+
+_TERMINATED, _TRUNCATED, _EXHAUSTED = (SequenceStatus.TERMINATED, SequenceStatus.TRUNCATED,
+                                       SequenceStatus.PRECISION_EXHAUSTED)
+
+
+@pytest.mark.parametrize("text, max_len, cap_bits, status, refines", [
+    ("5/7", 40, None, _TERMINATED, False),
+    ("dec:0.6180339887498948482045868343656:96", 100, None, _EXHAUSTED, False),
+    ("root:-1,1,1:0,1:pow1", 150, None, _TRUNCATED, True),
+    ("root:-1,1,1:0,1:pow1", 400, 128, _EXHAUSTED, True),
+    ("17/19,4/19", 40, None, _TERMINATED, False),
+    ("dec:0.54,0.29:128", 80, None, _EXHAUSTED, False),
+    ("root:-1,1,2,1:0,1:pow2", 200, None, _TRUNCATED, True),
+    ("root:-1,1,2,1:0,1:pow2", 400, 128, _EXHAUSTED, True),
+    ("11/13,9/13,3/13", 40, None, _TERMINATED, False),
+    ("dec:0.9,0.7,0.30000000000000000000001:64", 40, None, _EXHAUSTED, False),
+    ("root:-1,1,1,2,1:0,1:pow3", 32, None, _TRUNCATED, True),
+    ("root:-1,1,1,2,1:0,1:pow3", 400, 128, _EXHAUSTED, True),
+])
+def test_replayed_history_equals_eager_collection(text, max_len, cap_bits, status, refines):
+    coords = parse_point(text, 64)
+    n = len(coords)
+    rows, got_status, refinements = _eager_rows(coords, max_len, cap_bits, n == 2)
+    assert got_status is status and (refinements > 0) is refines
+    if refines:
+        # some step refined between two yields, so the rows mix two precisions
+        assert len({row[-1][3] for row in rows}) > 1
+    values = tuple(tuple(map(_value, row)) for row in rows)
+
+    def run_nd():
+        return sequence_nd(PointN(parse_point(text, 64)), max_len, cap_bits=cap_bits)
+
+    assert _same_values(run_nd().d_history, values)
+    assert _same_values(_last_remainders(run_nd(), n + 1), values[-1])
+    # a flat history: the seed remainders, the planar one from d_0 = 1 and the
+    # continued fraction's from x, then each step's inserted one
+    inserted = tuple(row[-1] for row in values[1:])
+    if n == 2:
+        flat = values[0] + inserted
+        def run_planar():
+            return sequence(Point2(*parse_point(text, 64)), max_len, cap_bits=cap_bits)
+
+        assert _same_values(run_planar().d_history, flat)
+        assert _same_values(_last_remainders(run_planar(), 3), flat[-3:])
+    if n == 1:
+        rec = gauss_sequence(parse_point(text, 64)[0], max_len, cap_bits=cap_bits)
+        assert _same_values(rec.remainders, values[0][1:] + inserted)
+
+
+def _history(rec):
+    return rec.remainders if isinstance(rec, GaussRecord) else rec.d_history
+
+
+def test_history_read_makes_no_query(monkeypatch):
+    coords = parse_point("root:-1,1,1,2,1:0,1:pow3", 64)
+    records = [sequence_nd(PointN(coords), 120), sequence(Point2(*coords[:2]), 120),
+               gauss_sequence(coords[0], 120)]
+    fresh = sequence_nd(PointN(coords), 120)
+    assert all(rec.refinements > 0 for rec in (records[0], records[1], fresh))
+    # pickled and deep-copied records, their histories still unread
+    copies = [pickle.loads(pickle.dumps(rec)) for rec in records]
+    copies += [copy.deepcopy(rec) for rec in records]
+    assert not any(isinstance(v, tuple) for rec in copies
+                   for k, v in vars(rec).items() if k in ("d_history", "remainders"))
+    calls = []
+    for name in ("certified_sign", "certified_floor", "refine", "exact_zero", "materialize",
+                 "eval_bounds"):
+        real = getattr(FormEvaluator, name)
+        monkeypatch.setattr(FormEvaluator, name,
+                            lambda self, *args, _name=name, _real=real: calls.append(_name)
+                            or _real(self, *args))
+    tail = _last_remainders(fresh, 4)
+    histories = [_history(rec) for rec in records]
+    copied = [_history(rec) for rec in copies]
+    assert calls == []
+    assert _same_values(tail, histories[0][-1])
+    for rec, orig, history, got in zip(copies, records * 2, histories * 2, copied):
+        assert _same_values(got, history) and rec == orig
