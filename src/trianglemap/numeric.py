@@ -710,15 +710,8 @@ class FormEvaluator:
 
     def certified_sign(self, coeffs: Form) -> Sign:
         """Sign of the form, refining as needed; AMBIGUOUS only when exhausted."""
-        lo, hi = self._int_bounds(coeffs)
-        # almost every query is decided here, before the zero test and refinement
-        if lo > 0:
-            return Sign.POSITIVE
-        if hi < 0:
-            return Sign.NEGATIVE
-        if lo == hi or self.exact_zero(_coeffs(coeffs)) is True:
-            return Sign.ZERO
-        while self.refine():
+        zero_checked = False
+        while True:
             lo, hi = self._int_bounds(coeffs)
             if lo > 0:
                 return Sign.POSITIVE
@@ -726,7 +719,12 @@ class FormEvaluator:
                 return Sign.NEGATIVE
             if lo == hi:
                 return Sign.ZERO
-        return Sign.AMBIGUOUS
+            if not zero_checked:
+                zero_checked = True
+                if self.exact_zero(_coeffs(coeffs)) is True:
+                    return Sign.ZERO
+            if not self.refine():
+                return Sign.AMBIGUOUS
 
     def certified_floor(self, num: Form, den: Form) -> int:
         """floor(num/den); raises ``ValueError`` on a den certainly not positive,
@@ -735,20 +733,13 @@ class FormEvaluator:
         den's sign is queried only when its bounds do not already show it
         positive: the engine's den is the last remainder, just certified so.
         """
-        dlo, dhi = self._int_bounds(den)
-        if dlo > 0:
-            # almost every floor is decided by the first bounds, before the loop
-            nlo, nhi = self._int_bounds(num)
-            fl = nlo // dhi if nlo >= 0 else nlo // dlo
-            if fl == (nhi // dlo if nhi >= 0 else nhi // dhi):
-                return fl
-        else:
+        if self._int_bounds(den)[0] <= 0:
             sign = self.certified_sign(den)
             if sign is Sign.AMBIGUOUS:
                 raise PrecisionExhaustedError("denominator form is not certainly positive")
             if sign is not Sign.POSITIVE:
                 raise ValueError("denominator form is not positive")
-        tested: set[int] = set()
+        tested: tuple[int, ...] = ()
         while True:
             # both bounds carry the factor S, which cancels in the ratios
             nlo, nhi = self._int_bounds(num)
@@ -760,7 +751,7 @@ class FormEvaluator:
             # a ratio exactly equal to an integer m keeps the enclosure
             # straddling m forever; recognise that case exactly
             if fh == fl + 1 and fh not in tested:
-                tested.add(fh)
+                tested += (fh,)
                 boundary = tuple(a - fh * b for a, b in zip(_coeffs(num), _coeffs(den)))
                 if self.exact_zero(boundary) is True:
                     return fh

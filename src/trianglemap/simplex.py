@@ -29,8 +29,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
@@ -225,7 +226,7 @@ class _Engine:
             slack = q[n - 1]
         if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
             a = ev.certified_floor(slack, cols[n])
-            symbol = _NONNEG[a] if a < len(_NONNEG) else NonNegSymbol(a)
+            symbol = _NONNEG[a] if 0 <= a < len(_NONNEG) else NonNegSymbol(a)
             return symbol, ev.addmul(slack, -a, cols[n])
         i = 1
         while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
@@ -242,52 +243,69 @@ class _Engine:
     def run(self, max_len: int) -> Iterator[SymbolND]:
         """Yield up to max_len certified symbols, each once its column is pushed.
 
-        The run keeps only what a replay of its history needs: ``symbols``,
-        and ``epochs``, the evaluator's shared scale as ``(step, mids, rads,
-        scale, bits)`` at the start (step 0) and after each push that
-        followed a refinement (step = the pushes made so far).  When the run
-        stops, ``status`` says why: an exact zero last remainder, max_len, or
-        a step whose last remainder sign or branch was undecidable.
+        For a replay of its history the run keeps, besides the symbols its
+        caller collects, only ``epochs``: the evaluator's enclosures as
+        ``(step, mids, rads, bits)`` at the start (step 0) and after each
+        push that followed a refinement (step = the pushes made so far); the
+        scale is ``mids[0] >> 1``.  When the run stops, ``status`` says why:
+        an exact zero last remainder, max_len, or a step whose last remainder
+        sign or branch was undecidable.  A last remainder certified negative
+        breaks the remainders' order, a fault of the kernel, and raises
+        ``ValueError``.
         """
         ev, n = self.ev, self.n
         sign = ev.certified_sign
         mids = ev._mids
-        symbols: list[SymbolND] = []
-        self.symbols, self.epochs = symbols, [(0, mids, ev._rads, ev._scale, ev.bits)]
-        for _ in range(max_len):
-            # the remainders stay nonnegative: a last one not positive ends the run
+        self.epochs = [(0, mids, ev._rads, ev.bits)]
+        for step in range(max_len + 1):
             s = sign(self.cols[-1])
-            if s is not Sign.POSITIVE:
-                self.status = (SequenceStatus.TERMINATED if s is Sign.ZERO
-                               else SequenceStatus.PRECISION_EXHAUSTED)
+            if s is Sign.NEGATIVE:
+                raise ValueError("last remainder is negative")
+            if s is Sign.ZERO:
+                self.status = SequenceStatus.TERMINATED
+                return
+            if step == max_len:
+                self.status = SequenceStatus.TRUNCATED
                 return
             try:
+                if s is Sign.AMBIGUOUS:
+                    raise PrecisionExhaustedError("last remainder sign is ambiguous")
                 symbol, inserted = self.classify_once()
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
             j = symbol.j if type(symbol) is PairSymbol else n
             self.cols = push_column(self.cols, j, inserted)
-            symbols.append(symbol)
             if ev._mids is not mids:
                 mids = ev._mids
-                self.epochs.append((len(symbols), mids, ev._rads, ev._scale, ev.bits))
+                self.epochs.append((step + 1, mids, ev._rads, ev.bits))
             yield symbol
-        s_last = sign(self.cols[-1])
-        self.status = SequenceStatus.TERMINATED if s_last is Sign.ZERO else SequenceStatus.TRUNCATED
+
+
+def _combine(w: Column, cols: Sequence[tuple]) -> tuple:
+    """The column sum of w_t * cols[t], entry by entry; every push rule has w_0 = 1."""
+    acc = iter(cols[0])
+    for wt, col in zip(w[1:], cols[1:]):
+        if wt == -1:
+            acc = map(sub, acc, col)
+        elif wt:
+            acc = map(add, acc, map(mul, repeat(wt), col))
+    return tuple(acc)
 
 
 class _Snapshots:
     """A record's remainders as a replay of its run, not yet values.
 
-    The handle keeps the run's dimension, symbols and rescale epochs, and no
-    evaluator.  Reading it pushes the symbols from the unit columns by the
-    run's own push rule, carries each column's midpoint sum through the
-    push as the evaluator's ``sub``/``addmul`` do, and takes a full dot
-    product only at an epoch's start, so it makes no certified query.  Each
-    row is the previous one shifted, plus the inserted column's snapshot at
-    the epoch in force, or the whole row again at an epoch's start: the
-    integers the run's evaluator had for those columns at that step.
+    The handle keeps the run's dimension, the record's symbols and the run's
+    epochs, and no evaluator.  Reading it pushes the symbols from the unit
+    columns by the run's own push rule and carries each column's midpoint
+    sum through the push as the evaluator's ``sub``/``addmul`` do, so it
+    makes no certified query.  A column carries its coefficients too, ahead
+    of its midpoint sum, only where a bound needs them: on a point with
+    radii, or for the full dot products at a later epoch's start.  Each row
+    is the previous one shifted, plus the inserted column's snapshot at the
+    epoch in force, or the whole row again at an epoch's start: the integers
+    the run's evaluator had for those columns at that step.
 
     With ``lead`` None the history is the rows themselves (n-D).  Otherwise
     it is flat: the first row's last ``lead`` entries, then each later row's
@@ -297,38 +315,63 @@ class _Snapshots:
 
     __slots__ = ("n", "symbols", "epochs", "lead")
 
-    def __init__(self, eng: _Engine, lead: int | None = None):
-        self.n, self.symbols, self.epochs, self.lead = eng.n, eng.symbols, eng.epochs, lead
+    def __init__(self, n: int, symbols: tuple, epochs: list[tuple], lead: int | None = None):
+        self.n, self.symbols, self.epochs, self.lead = n, symbols, epochs, lead
+
+    def _replay(self) -> Iterator[tuple]:
+        """The start row's snapshots, then per step ``(j, the inserted column's
+        snapshot)``, or ``(None, the whole row's)`` where an epoch starts."""
+        n, epochs = self.n, self.epochs
+        _, mids, rads, bits = epochs[0]
+        scale, later = mids[0] >> 1, iter(epochs[1:])
+        upcoming = next(later, None)
+        full = upcoming is not None or rads is not None
+
+        def snap(col) -> Snapshot:
+            if full:
+                return (*_form_bounds(col[-1], col[:-1], rads), scale, bits)
+            return (*_form_bounds(col, (), None), scale, bits)
+
+        # the unit columns, whose midpoint sums are the first epoch's own
+        units = _unit_coeffs(n + 1)
+        cols = tuple(u + (m,) for u, m in zip(units, mids)) if full else tuple(mids)
+        yield tuple(map(snap, cols))
+        rules: dict = {}
+        for t, s in enumerate(self.symbols, 1):
+            rule = rules.get(s)
+            if rule is None:
+                # a planar or Gauss record holds its floors as ints
+                rule = rules[s] = _push_rule(NonNegSymbol(s) if type(s) is int else s, n)
+            j, w = rule
+            col = _combine(w, cols) if full else sum(map(mul, w, cols))
+            cols = push_column(cols, j, col)
+            if upcoming is not None and upcoming[0] == t:
+                _, mids, rads, bits = upcoming
+                scale, upcoming = mids[0] >> 1, next(later, None)
+                cols = tuple(c[:-1] + (sum(map(mul, c[:-1], mids)),) for c in cols)
+                yield None, tuple(map(snap, cols))
+            else:
+                yield j, snap(col)
 
     def _rows(self, take=None) -> Iterator[tuple]:
         """Each row's entries: snapshots, or ``take`` of each new snapshot."""
-        symbols, epochs = self.symbols, iter(self.epochs)
-        cols = _unit_coeffs(self.n + 1)
-        epoch = next(epochs)
-        for t in range(len(symbols) + 1):
-            if t:
-                j, w = _push_rule(symbols[t - 1], self.n)
-                c = tuple(sum(map(mul, w, coord)) for coord in zip(*cols))
-                cols = push_column(cols, j, c)
-            if epoch is not None and epoch[0] == t:
-                _, emids, rads, scale, bits = epoch
-                epoch = next(epochs, None)
-                mids = tuple(sum(map(mul, c, emids)) for c in cols)
-                row = tuple((*_form_bounds(m, c, rads), scale, bits) for c, m in zip(cols, mids))
-                if take is not None:
-                    row = tuple(map(take, row))
+        replay = self._replay()
+        row = next(replay)
+        if take is not None:
+            row = tuple(map(take, row))
+        yield row
+        for j, new in replay:
+            if j is None:
+                row = new if take is None else tuple(map(take, new))
             else:
-                m = sum(map(mul, w, mids))
-                mids = push_column(mids, j, m)
-                snap = (*_form_bounds(m, c, rads), scale, bits)
-                row = push_column(row, j, snap if take is None else take(snap))
+                row = push_column(row, j, new if take is None else take(new))
             yield row
 
     def _flat(self) -> Iterator[Snapshot]:
-        rows = self._rows()
-        yield from next(rows)[-self.lead:]
-        for row in rows:
-            yield row[-1]
+        replay = self._replay()
+        yield from next(replay)[-self.lead:]
+        for j, new in replay:
+            yield new if j is not None else new[-1]
 
     def build(self) -> tuple:
         if self.lead is None:
@@ -393,9 +436,10 @@ def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> 
 
     The history is a replay of the run, made when it is first read."""
     eng = _start(point.coords, cap_bits, max_len=max_len)
+    symbols = tuple(eng.run(max_len))
     return SequenceRecordN(
-        symbols=tuple(eng.run(max_len)),
-        d_history=_Snapshots(eng),
+        symbols=symbols,
+        d_history=_Snapshots(eng.n, symbols, eng.epochs),
         status=eng.status,
         matrix=mat_from_columns([c.coeffs for c in eng.cols]),
         refinements=eng.ev.refinements,

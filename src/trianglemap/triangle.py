@@ -88,9 +88,10 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
     """
     eng = _start((point.alpha, point.beta), cap_bits, _PLANAR, max_len=max_len,
                  allow_zero_last=True)
+    symbols = tuple(symbol.k for symbol in eng.run(max_len))
     return SequenceRecord(
-        symbols=tuple(symbol.k for symbol in eng.run(max_len)),
-        d_history=_Snapshots(eng, 3),
+        symbols=symbols,
+        d_history=_Snapshots(2, symbols, eng.epochs, 3),
         status=eng.status,
         matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
         refinements=eng.ev.refinements,
@@ -115,4 +116,4 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     """
     eng = _start((x,), cap_bits, ("x",), max_len=max_len)
     quotients = tuple(symbol.k for symbol in eng.run(max_len))
-    return GaussRecord(quotients, _Snapshots(eng, 1), eng.status)
+    return GaussRecord(quotients, _Snapshots(1, quotients, eng.epochs, 1), eng.status)

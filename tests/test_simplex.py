@@ -886,3 +886,33 @@ def test_history_read_makes_no_query(monkeypatch):
     assert _same_values(tail, histories[0][-1])
     for rec, orig, history, got in zip(copies, records * 2, histories * 2, copied):
         assert _same_values(got, history) and rec == orig
+
+
+def _off_by(monkeypatch, delta: int) -> None:
+    real = FormEvaluator.certified_floor
+    monkeypatch.setattr(FormEvaluator, "certified_floor",
+                        lambda self, num, den: real(self, num, den) + delta)
+
+
+def test_negative_last_remainder_is_a_kernel_fault(monkeypatch):
+    # a floor one too high leaves 1/2 - 2 * 1/3 as the last remainder: the
+    # remainders' order is broken, which no precision would mend
+    point = PointN((F(1, 2), F(1, 3)))
+    assert sequence_nd(point, 10).symbols[0] == NonNegSymbol(1)
+    _off_by(monkeypatch, 1)
+    # found before the next step, and at the end of a run as well
+    for max_len in (10, 1):
+        with pytest.raises(ValueError, match="last remainder is negative"):
+            sequence_nd(point, max_len)
+
+
+def test_negative_floor_is_recorded_as_it_was_pushed(monkeypatch):
+    # at (3/5, 1/2) the first floor is 0; one too low must stay -1, and the
+    # replay refuses it rather than pushing some other column
+    point = PointN((F(3, 5), F(1, 2)))
+    assert sequence_nd(point, 1).symbols == (NonNegSymbol(0),)
+    _off_by(monkeypatch, -1)
+    rec = sequence_nd(point, 1)
+    assert rec.symbols == (NonNegSymbol(-1),)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        rec.d_history
