@@ -112,7 +112,7 @@ def _cmd_seq(args) -> int:
     if args.d_values:
         # the whole history in the plane, the final remainders otherwise
         d_values = (rec.d_history if isinstance(rec, triangle.SequenceRecord)
-                    else simplex._last_remainders(rec, len(rows)))
+                    else simplex._last_remainders(rec))
         summary["d_values"] = [io_formats.format_exact(d) for d in d_values]
     records.append(summary)
     _emit(records, args.format)
@@ -148,7 +148,7 @@ def _cmd_recover(args) -> int:
     if rec.status is SequenceStatus.PRECISION_EXHAUSTED:
         _emit([out], args.format)
         raise _exhausted(rec)
-    leading = simplex._last_remainders(rec, len(rows))[:-1] if rec.terminated else ()
+    leading = simplex._last_remainders(rec)[:-1] if rec.terminated else ()
     if rec.terminated and all(isinstance(d, Fraction) for d in leading):
         out["method"] = "terminated-exact"
         estimates = matrices.recover_terminated(rows, *leading)

@@ -519,7 +519,7 @@ class FormEvaluator:
     ``M`` is linear in the coefficients, so forms built with ``units``,
     ``sub`` and ``addmul`` carry it along, and a carried form keeps its
     bounds too: it pays for the radius sum once per rescale, however many
-    queries and snapshots read it.  On exact points ``R`` is zero and a
+    queries and materializations read it.  On exact points ``R`` is zero and a
     bound is one shift, so nothing is kept.  Plain tuples are accepted
     everywhere and pay the full dot product each time.  When a query cannot
     be decided, root-backed coordinates are refined (doubling the working
@@ -641,11 +641,8 @@ class FormEvaluator:
         return Fraction(lo, self._scale), Fraction(hi, self._scale)
 
     def snapshot(self, coeffs: Form) -> Snapshot:
-        """What ``materialize`` rounds, as integers.
-
-        The integers never change, so the value can be built later, at the
-        precision of this moment.
-        """
+        """What ``materialize`` rounds, as integers: the form's bounds times S,
+        S and the working bits, at the current enclosures."""
         return (*self._int_bounds(coeffs), self._scale, self.bits)
 
     def materialize(self, coeffs: Form) -> ExactNumber:
@@ -662,13 +659,16 @@ class FormEvaluator:
         return lo if lo == hi else BigFloat.from_bounds(lo, hi, self.bits)
 
     def refine(self) -> bool:
+        """Double the working bits up to the cap; False, changing nothing, if no value tightens."""
         if self.bits >= self.cap:
             return False
         new_bits = min(self.cap, self.bits * 2)
         improved = False
         for i, v in enumerate(self.values):
-            if isinstance(v, BigFloat) and v.refinable:
-                self.values[i] = v.refined(new_bits)
+            # a value already held at new_bits or more comes back as itself
+            tighter = v.refined(new_bits) if isinstance(v, BigFloat) else None
+            if tighter is not None and tighter is not v:
+                self.values[i] = tighter
                 improved = True
         if not improved:
             return False

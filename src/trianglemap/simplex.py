@@ -26,7 +26,6 @@ through ``_start`` too, with their own coordinate names and records.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -43,7 +42,6 @@ from .numeric import (
     RootSpec,
     SequenceStatus,
     Sign,
-    Snapshot,
     _Form,
     _form_bounds,
     _unit_coeffs,
@@ -98,16 +96,24 @@ class PointN:
 # step matrices -------------------------------------------------------------
 
 
+def _names_region(symbol: SymbolND, n: int) -> bool:
+    """Whether a symbol names a nonempty region in dimension n: a floor k >= 0,
+    save k = 0 at n = 1 (it needs x_1 > 1), or one of ``candidate_symbols(n)``."""
+    if type(symbol) is NonNegSymbol:
+        return symbol.k >= (n == 1)
+    return 1 <= symbol.i <= n - 2 and symbol.i < symbol.j <= n
+
+
 def _push_rule(symbol: SymbolND, n: int) -> tuple[int, Column]:
     """The slot j of a step's push and its inserted column over the current ones.
 
-    A pair symbol must be one of ``candidate_symbols(n)``."""
+    A pair symbol must name a region; a floor need only be nonnegative."""
     if isinstance(symbol, NonNegSymbol):
         return n, nonneg_column(symbol.k, n)
     i, j = symbol.i, symbol.j
     if n < 3:
         raise ValueError("pair regions only exist in dimension 3 and up")
-    if not (1 <= i <= n - 2 and i < j <= n):
+    if not _names_region(symbol, n):
         raise ValueError(f"bad pair symbol ({i},{j})")
     return j, (1,) + (-1,) * i + (0,) * (n - i)
 
@@ -297,45 +303,46 @@ class _Snapshots:
     """A record's remainders as a replay of its run, not yet values.
 
     The handle keeps the run's dimension, the record's symbols and the run's
-    epochs, and no evaluator.  Reading it pushes the symbols from the unit
-    columns by the run's own push rule and carries each column's midpoint
-    sum through the push as the evaluator's ``sub``/``addmul`` do, so it
-    makes no certified query.  A column carries its coefficients too, ahead
-    of its midpoint sum, only where a bound needs them: on a point with
-    radii, or for the full dot products at a later epoch's start.  Each row
-    is the previous one shifted, plus the inserted column's snapshot at the
-    epoch in force, or the whole row again at an epoch's start: the integers
-    the run's evaluator had for those columns at that step.
+    epochs, and its final columns as the record's matrix rows; no evaluator.
+    ``_rows`` pushes the symbols from the unit columns by the run's push rule
+    and carries each column's midpoint sum as the evaluator's ``sub`` and
+    ``addmul`` do, so it makes no certified query.  A column carries its
+    coefficients too only where a bound needs them: on a point with radii,
+    or for the full dot products at a later epoch's start.  Each row is the
+    previous one shifted plus the inserted column's value at the epoch in
+    force, or the whole row again at an epoch's start: the values the run's
+    evaluator had for those columns at that step.  ``tail`` reads the final
+    row off the final columns.
 
-    With ``lead`` None the history is the rows themselves (n-D).  Otherwise
-    it is flat: the first row's last ``lead`` entries, then each later row's
-    last entry, the column its step inserted (planar ``lead=3``, Gauss
-    ``lead=1``).  Rows share the values of their shifted entries.
+    With ``lead`` None the history is the rows (n-D).  Otherwise it is flat:
+    the first row's last ``lead`` entries, then each later row's last entry,
+    the column its step inserted (planar ``lead=3``, Gauss ``lead=1``).
+    Rows share the values of their shifted entries.
     """
 
-    __slots__ = ("n", "symbols", "epochs", "lead")
+    __slots__ = ("n", "symbols", "epochs", "final", "lead")
 
-    def __init__(self, n: int, symbols: tuple, epochs: list[tuple], lead: int | None = None):
-        self.n, self.symbols, self.epochs, self.lead = n, symbols, epochs, lead
+    def __init__(self, n: int, symbols: tuple, epochs: list[tuple], final: Matrix,
+                 lead: int | None = None):
+        self.n, self.symbols, self.epochs, self.final, self.lead = n, symbols, epochs, final, lead
 
-    def _replay(self) -> Iterator[tuple]:
-        """The start row's snapshots, then per step ``(j, the inserted column's
-        snapshot)``, or ``(None, the whole row's)`` where an epoch starts."""
+    def _rows(self) -> Iterator[tuple]:
+        """The start row's values, then the row after each step."""
         n, epochs = self.n, self.epochs
         _, mids, rads, bits = epochs[0]
         scale, later = mids[0] >> 1, iter(epochs[1:])
         upcoming = next(later, None)
         full = upcoming is not None or rads is not None
 
-        def snap(col) -> Snapshot:
-            if full:
-                return (*_form_bounds(col[-1], col[:-1], rads), scale, bits)
-            return (*_form_bounds(col, (), None), scale, bits)
+        def value(col) -> ExactNumber:
+            mid, coeffs = (col[-1], col[:-1]) if full else (col, ())
+            return _value((*_form_bounds(mid, coeffs, rads), scale, bits))
 
         # the unit columns, whose midpoint sums are the first epoch's own
         units = _unit_coeffs(n + 1)
         cols = tuple(u + (m,) for u, m in zip(units, mids)) if full else tuple(mids)
-        yield tuple(map(snap, cols))
+        row = tuple(map(value, cols))
+        yield row
         rules: dict = {}
         for t, s in enumerate(self.symbols, 1):
             rule = rules.get(s)
@@ -349,40 +356,26 @@ class _Snapshots:
                 _, mids, rads, bits = upcoming
                 scale, upcoming = mids[0] >> 1, next(later, None)
                 cols = tuple(c[:-1] + (sum(map(mul, c[:-1], mids)),) for c in cols)
-                yield None, tuple(map(snap, cols))
+                row = tuple(map(value, cols))
             else:
-                yield j, snap(col)
-
-    def _rows(self, take=None) -> Iterator[tuple]:
-        """Each row's entries: snapshots, or ``take`` of each new snapshot."""
-        replay = self._replay()
-        row = next(replay)
-        if take is not None:
-            row = tuple(map(take, row))
-        yield row
-        for j, new in replay:
-            if j is None:
-                row = new if take is None else tuple(map(take, new))
-            else:
-                row = push_column(row, j, new if take is None else take(new))
+                row = push_column(row, j, value(col))
             yield row
 
-    def _flat(self) -> Iterator[Snapshot]:
-        replay = self._replay()
-        yield from next(replay)[-self.lead:]
-        for j, new in replay:
-            yield new if j is not None else new[-1]
-
     def build(self) -> tuple:
+        rows = self._rows()
         if self.lead is None:
-            return tuple(self._rows(_value))
-        return tuple(map(_value, self._flat()))
+            return tuple(rows)
+        return (*next(rows)[-self.lead:], *(row[-1] for row in rows))
 
-    def tail(self, count: int) -> tuple:
-        """The final row's values (n-D) or the last ``count`` (flat), keeping no other row."""
-        if self.lead is None:
-            return tuple(map(_value, deque(self._rows(), maxlen=1)[0]))
-        return tuple(map(_value, deque(self._flat(), maxlen=count)))
+    def tail(self) -> tuple:
+        """The final row's values, with no replay: each final column's full
+        dot product at the last epoch, the one in force at the run's last
+        yield.  It is the row the replay ends on, since an epoch's start
+        retakes the whole row and every later column is inserted at it."""
+        _, mids, rads, bits = self.epochs[-1]
+        scale = mids[0] >> 1
+        return tuple(_value((*_form_bounds(sum(map(mul, col, mids)), col, rads), scale, bits))
+                     for col in zip(*self.final))
 
 
 class _BuiltOnRead:
@@ -406,10 +399,11 @@ class _BuiltOnRead:
         obj.__dict__[self.name] = value
 
 
-def _last_remainders(rec, count: int) -> tuple[ExactNumber, ...]:
-    """The final remainders of a fresh run: the last row of an n-D ``d_history``,
-    the last ``count`` entries of a flat one.  The unread history stays unbuilt."""
-    return rec.__dict__["d_history"].tail(count)
+def _last_remainders(rec) -> tuple[ExactNumber, ...]:
+    """The final remainders of a fresh run of any kind: the values of its final
+    columns, with its history left unbuilt."""
+    fields = vars(rec)
+    return fields.get("d_history", fields.get("remainders")).tail()
 
 
 @dataclass(frozen=True)
@@ -437,11 +431,12 @@ def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> 
     The history is a replay of the run, made when it is first read."""
     eng = _start(point.coords, cap_bits, max_len=max_len)
     symbols = tuple(eng.run(max_len))
+    matrix = mat_from_columns([c.coeffs for c in eng.cols])
     return SequenceRecordN(
         symbols=symbols,
-        d_history=_Snapshots(eng.n, symbols, eng.epochs),
+        d_history=_Snapshots(eng.n, symbols, eng.epochs, matrix),
         status=eng.status,
-        matrix=mat_from_columns([c.coeffs for c in eng.cols]),
+        matrix=matrix,
         refinements=eng.ev.refinements,
         precision_bits=eng.ev.bits,
     )
@@ -505,16 +500,14 @@ def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: Symbol
     for t in range(n - 1):
         if xs[t] < xs[t + 1]:
             return False
+    if not _names_region(symbol, n):
+        return False
     slack = q[n - 2] if n >= 2 else den
     if isinstance(symbol, NonNegSymbol):
-        if symbol.k < 0:
-            return False
         hi = slack - symbol.k * last
         lo_next = hi - last
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
     i, j = symbol.i, symbol.j
-    if n < 3 or not (1 <= i < j <= n):
-        return False
     qi = q[i - 1]
     qi1 = q[i]
     xj = xs[j - 1]
@@ -545,7 +538,8 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     boundaries); closed=True relaxes every strict inequality, giving the
     closure, which is what region vertices satisfy.  The inequalities are
     tested in integer arithmetic over the point's common denominator.  A
-    symbol that names no region (k < 0, or an invalid pair) has no members.
+    symbol that names no region (k < 0, k = 0 at n = 1, or a pair outside
+    ``candidate_symbols(n)``) has no members, open or closed.
     """
     x = [Fraction(v) for v in point]
     if not x:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import IntMatrix
+from .matrices import IntMatrix, mat_from_columns
 from .numeric import (
     ExactNumber,
     RootSpec,
@@ -89,11 +89,12 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
     eng = _start((point.alpha, point.beta), cap_bits, _PLANAR, max_len=max_len,
                  allow_zero_last=True)
     symbols = tuple(symbol.k for symbol in eng.run(max_len))
+    matrix = IntMatrix.from_columns([c.coeffs for c in eng.cols])
     return SequenceRecord(
         symbols=symbols,
-        d_history=_Snapshots(2, symbols, eng.epochs, 3),
+        d_history=_Snapshots(2, symbols, eng.epochs, matrix.rows, 3),
         status=eng.status,
-        matrix=IntMatrix.from_columns([c.coeffs for c in eng.cols]),
+        matrix=matrix,
         refinements=eng.ev.refinements,
         precision_bits=eng.ev.bits,
     )
@@ -116,4 +117,5 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     """
     eng = _start((x,), cap_bits, ("x",), max_len=max_len)
     quotients = tuple(symbol.k for symbol in eng.run(max_len))
-    return GaussRecord(quotients, _Snapshots(1, quotients, eng.epochs, 1), eng.status)
+    final = mat_from_columns([c.coeffs for c in eng.cols])
+    return GaussRecord(quotients, _Snapshots(1, quotients, eng.epochs, final, 1), eng.status)

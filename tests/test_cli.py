@@ -503,3 +503,17 @@ def test_determinism(capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cap_that_leaves_nothing_to_tighten(capsys):
+    # caps 133 and 134 sit below the 134 bits a refined root value already
+    # holds: no further refinement is counted, and the output is cap 132's
+    def seq(cap):
+        code = main(["seq", "--point", "root:-1,1,1:0,1:pow1", "--bits", "64",
+                     "--cap-bits", cap, "--max", "400"])
+        return code, capsys.readouterr()
+
+    code, out = seq("132")
+    summary = json.loads(out.out)
+    assert code == 2 and (summary["refinements"], summary["bits"], summary["length"]) == (1, 132, 95)
+    assert seq("133") == seq("134") == (code, out)

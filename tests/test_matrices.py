@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from trianglemap import matrices
 from trianglemap.errors import InconsistentInputError, NotYetConvergedError
 from trianglemap.matrices import (
     IntMatrix,
@@ -50,6 +51,21 @@ def test_fundamental_identity_rational():
     assert fundamental_identity_check(Fraction(1, 2), Fraction(1, 3), (1, 1))
     rec = sequence(Point2(Fraction(9, 10), Fraction(2, 5)), 50)
     assert fundamental_identity_check(Fraction(9, 10), Fraction(2, 5), rec.symbols)
+
+
+def test_fundamental_identity_catches_a_wrong_step_matrix(monkeypatch):
+    alpha, beta = Fraction(9, 10), Fraction(2, 5)
+    symbols = (1, 0, 2)
+    assert fundamental_identity_check(alpha, beta, symbols)
+    real = matrices.mat_step_nonneg
+
+    def flipped(k, n):
+        # one entry of the top row toggled between 0 and 1
+        rows = real(k, n)
+        return ((1 - rows[0][0], *rows[0][1:]), *rows[1:])
+
+    monkeypatch.setattr(matrices, "mat_step_nonneg", flipped)
+    assert fundamental_identity_check(alpha, beta, symbols) is False
 
 
 @given(st.integers(2, 400).flatmap(

@@ -17,7 +17,9 @@ from trianglemap.numeric import (
     root_powers,
     sign_of,
 )
+from trianglemap.periodicity import eliminant_from_portion
 from trianglemap.polynomials import IntPolynomial
+from trianglemap.simplex import decomposition_check
 
 GOLDEN = RootSpec(IntPolynomial((-1, 1, 1)), Fraction(0), Fraction(1))
 CUBIC1 = RootSpec(IntPolynomial((-1, 1, 1, 1)), Fraction(0), Fraction(1))
@@ -208,11 +210,42 @@ def test_form_evaluator_cap_limits_refinement():
     assert ev.certified_sign((mid.numerator, -mid.denominator, 0)) is Sign.AMBIGUOUS
 
 
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: BigFloat(1, 2, 0), ValueError, "precision must be positive"),
+    (lambda: BigFloat(3, 2, 64), ValueError, "empty interval"),
+    (lambda: BigFloat.from_bounds(Fraction(1, 2), Fraction(1, 3), 64), ValueError,
+     "lower bound above upper bound"),
+    (lambda: RootSpec(IntPolynomial((-1, 2)), Fraction(0), Fraction(1, 2)), DegenerateInputError,
+     "endpoint is a root"),
+    (lambda: root_powers(GOLDEN, 0, 64), ValueError, "count must be at least 1"),
+    (lambda: decomposition_check(0, 1), ValueError, "dimension must be at least 1"),
+    (lambda: eliminant_from_portion(((1, 0), (0, 1)), 2), ValueError,
+     "portion matrix has the wrong shape"),
+], ids=["bigfloat-prec", "bigfloat-empty", "from-bounds", "root-endpoint", "no-powers",
+        "decomposition-dimension", "portion-shape"])
+def test_inputs_refused(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 def test_form_evaluator_refine_without_a_source():
     # a decimal enclosure cannot tighten, whatever room the cap leaves
     ev = FormEvaluator([BigFloat.from_decimal("0.3", 64)], cap_bits=256)
     assert ev.refine() is False
     assert (ev.bits, ev.refinements) == (64, 0)
+
+
+@pytest.mark.parametrize("cap", [133, 134])
+def test_form_evaluator_refine_that_tightens_nothing(cap):
+    # a root value is held at two guard bits over the working bits: at 132
+    # working bits it already carries 134, so a cap of 133 or 134 leaves
+    # nothing to tighten
+    ev = FormEvaluator(root_powers(GOLDEN, 1, 64), cap_bits=cap)
+    assert ev.refine() is True
+    assert (ev.bits, ev.refinements, ev.values[0].prec) == (132, 1, 134)
+    held = ev.values[0]
+    assert ev.refine() is False
+    assert (ev.bits, ev.refinements) == (132, 1) and ev.values[0] is held
 
 
 def _count_sign_queries(monkeypatch) -> list:
@@ -792,3 +825,15 @@ def test_carried_forms_match_tuple_bounds(case):
             x, y = forms[a % len(forms)], forms[b % len(forms)]
             forms.append(ev.sub(x, y) if name == "sub" else ev.addmul(x, c, y))
         _carried_agree(ev, forms)
+
+
+def test_ops_rebase_forms_made_before_a_refinement():
+    # sub and addmul on forms no query read since the rescale: each op
+    # brings its operands to the new enclosures itself
+    ev = FormEvaluator(root_powers(CUBIC1, 2, 64))
+    one, x, y = ev.units()
+    a, b = ev.sub(one, x), ev.addmul(x, -3, y)
+    assert ev.refine() is True
+    forms = [ev.addmul(a, 5, b), ev.addmul(x, -2, y), ev.sub(one, y), ev.sub(b, a)]
+    assert all(form.tag is ev._mids for form in (one, x, y, a, b))
+    _carried_agree(ev, [one, x, y, a, b, *forms])

@@ -449,14 +449,15 @@ def _fraction_membership(point, symbol, *, closed=False) -> bool:
     slack = q[n - 2] if n >= 2 else Fraction(1)
     if isinstance(symbol, NonNegSymbol):
         k = symbol.k
-        if k < 0:
+        # k = 0 at n = 1 would need x_1 > 1: its closure is empty too
+        if k < 0 or (k == 0 and n == 1):
             return False
         hi = slack - k * x[n - 1]
         lo_next = hi - x[n - 1]
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
-    i, j = symbol.i, symbol.j
-    if n < 3 or not (1 <= i < j <= n):
+    if symbol not in candidate_symbols(n):
         return False
+    i, j = symbol.i, symbol.j
     qi = q[i - 1]
     qi1 = q[i]
     xj = x[j - 1]
@@ -525,6 +526,21 @@ def test_classify_nd_lands_in_its_region_on_grid(n):
     # denominators, where the half-open convention decides the symbol
     for point in filter(_in_domain, _grid(n)):
         assert region_membership(point, classify_nd(PointN(point))), point
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_MAX_DEN))
+def test_symbols_naming_no_region_have_no_members(n):
+    # the pairs outside the subdivision's alphabet, and k = 0 at n = 1, name
+    # no region: not even their closures hold a point
+    valid = set(candidate_symbols(n))
+    outside = [PairSymbol(i, j) for i in range(n + 2) for j in range(n + 2)
+               if PairSymbol(i, j) not in valid]
+    if n == 1:
+        outside.append(NonNegSymbol(0))
+    for point in _grid(n):
+        for sym in outside:
+            for closed in (False, True):
+                assert not region_membership(point, sym, closed=closed), (point, sym, closed)
 
 
 @st.composite
@@ -821,6 +837,8 @@ _TERMINATED, _TRUNCATED, _EXHAUSTED = (SequenceStatus.TERMINATED, SequenceStatus
     ("17/19,4/19", 40, None, _TERMINATED, False),
     ("dec:0.54,0.29:128", 80, None, _EXHAUSTED, False),
     ("root:-1,1,2,1:0,1:pow2", 200, None, _TRUNCATED, True),
+    # refines in its last two steps: the final row is one precision throughout
+    ("root:-1,1,2,1:0,1:pow2", 38, None, _TRUNCATED, True),
     ("root:-1,1,2,1:0,1:pow2", 400, 128, _EXHAUSTED, True),
     ("11/13,9/13,3/13", 40, None, _TERMINATED, False),
     ("dec:0.9,0.7,0.30000000000000000000001:64", 40, None, _EXHAUSTED, False),
@@ -841,7 +859,7 @@ def test_replayed_history_equals_eager_collection(text, max_len, cap_bits, statu
         return sequence_nd(PointN(parse_point(text, 64)), max_len, cap_bits=cap_bits)
 
     assert _same_values(run_nd().d_history, values)
-    assert _same_values(_last_remainders(run_nd(), n + 1), values[-1])
+    assert _same_values(_last_remainders(run_nd()), values[-1])
     # a flat history: the seed remainders, the planar one from d_0 = 1 and the
     # continued fraction's from x, then each step's inserted one
     inserted = tuple(row[-1] for row in values[1:])
@@ -851,10 +869,21 @@ def test_replayed_history_equals_eager_collection(text, max_len, cap_bits, statu
             return sequence(Point2(*parse_point(text, 64)), max_len, cap_bits=cap_bits)
 
         assert _same_values(run_planar().d_history, flat)
-        assert _same_values(_last_remainders(run_planar(), 3), flat[-3:])
+        assert _same_values(_last_remainders(run_planar()), values[-1])
     if n == 1:
-        rec = gauss_sequence(parse_point(text, 64)[0], max_len, cap_bits=cap_bits)
-        assert _same_values(rec.remainders, values[0][1:] + inserted)
+        def run_gauss():
+            return gauss_sequence(parse_point(text, 64)[0], max_len, cap_bits=cap_bits)
+
+        assert _same_values(run_gauss().remainders, values[0][1:] + inserted)
+        assert _same_values(_last_remainders(run_gauss()), values[-1])
+
+
+def test_final_row_after_a_late_refinement():
+    # a refinement in the run's last two steps: the flat history's last three
+    # entries mix precisions, while the final columns are all read at the last one
+    rec = sequence(Point2(*parse_point("root:-1,1,2,1:0,1:pow2", 64)), 38)
+    assert [d.prec for d in _last_remainders(rec)] == [132, 132, 132]
+    assert [d.prec for d in rec.d_history[-3:]] == [66, 66, 132]
 
 
 def _history(rec):
@@ -879,7 +908,7 @@ def test_history_read_makes_no_query(monkeypatch):
         monkeypatch.setattr(FormEvaluator, name,
                             lambda self, *args, _name=name, _real=real: calls.append(_name)
                             or _real(self, *args))
-    tail = _last_remainders(fresh, 4)
+    tail = _last_remainders(fresh)
     histories = [_history(rec) for rec in records]
     copied = [_history(rec) for rec in copies]
     assert calls == []
