@@ -457,45 +457,56 @@ def _unit_coeffs(size: int) -> tuple[tuple[int, ...], ...]:
     return units
 
 
+class _Epoch:
+    """An evaluator's enclosures from one refinement to the next: the midpoint
+    sums ``mids`` (index 0 holds the constant 1 as 2·S), the radii ``rads``
+    (None on an exact point), S as ``scale`` and the working ``bits``.  A
+    refinement makes a new epoch, so identity tells a stale carried sum.
+    """
+
+    __slots__ = ("mids", "rads", "scale", "bits")
+
+    def __init__(self, mids: list[int], rads: list[int] | None, scale: int, bits: int):
+        self.mids, self.rads, self.scale, self.bits = mids, rads, scale, bits
+
+    def dot(self, coeffs: Sequence[int]) -> int:
+        """The full midpoint sum of a form: its one big-by-big dot product."""
+        return sum(map(mul, coeffs, self.mids))
+
+    def bounds(self, mid: int, coeffs: Sequence[int]) -> tuple[int, int]:
+        """A form's bounds times S from its midpoint sum; an exact point reads no coeffs."""
+        rads = self.rads
+        if rads is None:
+            m = mid >> 1
+            return m, m
+        r = sum(map(mul, map(abs, coeffs), rads))
+        return (mid - r) >> 1, (mid + r) >> 1
+
+    def value(self, lo: int, hi: int) -> ExactNumber:
+        """What the bounds ``lo`` and ``hi`` times S stand for: a Fraction, or a
+        BigFloat rounded outward at the bits."""
+        if lo == hi:
+            return Fraction(lo, self.scale)
+        return BigFloat(*_round_out_scaled(lo, hi, self.scale, self.bits), self.bits)
+
+
 class _Form:
     """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
 
-    ``mid`` is Σ c_i·(lo_i + hi_i) against the midpoint list ``tag``, one list
-    per rescale, so the tag is the rescale epoch.  ``bounds``, the form's
-    integer bounds times S, belongs to the same epoch; it is kept only on
-    points with a radius sum, and is None until first asked.  A form whose
-    tag is not the evaluator's current list has its sum recomputed on first
-    use, which drops its bounds.
+    ``mid`` is Σ c_i·(lo_i + hi_i) at the epoch ``tag``.  ``bounds``, the
+    form's integer bounds times S, belongs to the same epoch; it is kept
+    only on points with a radius sum, and is None until first asked.  A form
+    whose tag is not the evaluator's current epoch has its sum recomputed on
+    first use, which drops its bounds.
     """
 
     __slots__ = ("coeffs", "mid", "tag", "bounds")
 
-    def __init__(self, coeffs: tuple[int, ...], mid: int, tag: list):
+    def __init__(self, coeffs: tuple[int, ...], mid: int, tag: _Epoch):
         self.coeffs = coeffs
         self.mid = mid
         self.tag = tag
         self.bounds = None
-
-
-#: A form's value as plain integers: its bounds times S, S, and the working bits.
-Snapshot = tuple[int, int, int, int]
-
-
-def _value(snap: Snapshot) -> ExactNumber:
-    """The Fraction, or the BigFloat rounded outward at its bits, that a snapshot stands for."""
-    lo, hi, scale, bits = snap
-    if lo == hi:
-        return Fraction(lo, scale)
-    return BigFloat(*_round_out_scaled(lo, hi, scale, bits), bits)
-
-
-def _form_bounds(mid: int, coeffs: Sequence[int], rads: list[int] | None) -> tuple[int, int]:
-    """A form's bounds times S from its midpoint sum and the radii, None on an exact point."""
-    if rads is None:
-        m = mid >> 1
-        return m, m
-    r = sum(map(mul, map(abs, coeffs), rads))
-    return (mid - r) >> 1, (mid + r) >> 1
 
 
 Form = Union[Sequence[int], _Form]
@@ -509,12 +520,14 @@ class FormEvaluator:
     integer pair ``(lo_i, hi_i)`` over one shared scale ``S``, the lcm of the
     rational denominators shifted left by the largest enclosure precision,
     stored as the midpoint sums ``m_i = lo_i + hi_i`` and the radii
-    ``r_i = hi_i - lo_i``.  A form's bounds times ``S`` are then
-    ``(M - R) / 2`` and ``(M + R) / 2`` with ``M = Σ c_i m_i`` and
-    ``R = Σ |c_i| r_i``: exactly the integers of the per-coordinate interval
-    dot product, and both halvings are exact.  Signs compare those integers
-    with 0 and floors divide them, as ``S`` cancels; ``Fraction``s are built
-    only for ``eval_bounds`` and ``materialize``.
+    ``r_i = hi_i - lo_i``: together with ``S`` and the working bits, one
+    ``_Epoch``, ``epoch``, that only a refinement replaces.  A form's bounds
+    times ``S`` are then ``(M - R) / 2`` and ``(M + R) / 2`` with
+    ``M = Σ c_i m_i`` and ``R = Σ |c_i| r_i``: exactly the integers of the
+    per-coordinate interval dot product, and both halvings are exact.  Signs
+    compare those integers with 0 and floors divide them, as ``S`` cancels;
+    ``Fraction``s are built only for ``eval_bounds`` and ``materialize``, and
+    the epoch alone knows how, so a run's epochs evaluate its history later.
 
     ``M`` is linear in the coefficients, so forms built with ``units``,
     ``sub`` and ``addmul`` carry it along, and a carried form keeps its
@@ -565,7 +578,7 @@ class FormEvaluator:
                 self.values[i] = BigFloat(v.lo_num, v.hi_num, v.prec, _RootPower(enc, src.power))
 
     def _rescale(self) -> None:
-        """Rebuild the midpoint sums and radii; index 0 holds the constant 1 as S."""
+        """Make the epoch of the current enclosures."""
         vals = self.values
         p = max((v.prec for v in vals if isinstance(v, BigFloat)), default=0)
         den = math.lcm(*(v.denominator for v in vals if not isinstance(v, BigFloat)))
@@ -580,74 +593,67 @@ class FormEvaluator:
             else:
                 mids.append(v.numerator * (den // v.denominator) << (p + 1))
                 rads.append(0)
-        self._scale = scale
-        # a fresh list each time: carried sums are tagged with it
-        self._mids = mids
         # an exact point has no radius sum at all
-        self._rads = rads if any(rads) else None
-
-    def _dot(self, coeffs: Sequence[int]) -> int:
-        """The full midpoint sum of a form: its one big-by-big dot product."""
-        return sum(map(mul, coeffs, self._mids))
+        self.epoch = _Epoch(mids, rads if any(rads) else None, scale, self.bits)
 
     def _rebase(self, form: _Form) -> None:
         """Bring a form made before the last rescale to the current one: its
         full midpoint sum again, and no bounds until next asked."""
-        form.mid, form.tag = self._dot(form.coeffs), self._mids
-        form.bounds = None
+        ep = self.epoch
+        form.mid, form.tag, form.bounds = ep.dot(form.coeffs), ep, None
 
     def units(self) -> list[_Form]:
-        """The unit forms 1, v1, ..., vn, whose midpoint sums are the evaluator's own."""
-        mids = self._mids
-        return [_Form(u, m, mids) for u, m in zip(_unit_coeffs(len(mids)), mids)]
+        """The unit forms 1, v1, ..., vn, whose midpoint sums are the epoch's own."""
+        ep = self.epoch
+        return [_Form(u, m, ep) for u, m in zip(_unit_coeffs(len(ep.mids)), ep.mids)]
 
     def sub(self, a: _Form, b: _Form) -> _Form:
         """The form a - b, carrying its midpoint sum."""
-        mids = self._mids
-        if a.tag is not mids:
+        ep = self.epoch
+        if a.tag is not ep:
             self._rebase(a)
-        if b.tag is not mids:
+        if b.tag is not ep:
             self._rebase(b)
-        return _Form(tuple(map(subtract, a.coeffs, b.coeffs)), a.mid - b.mid, mids)
+        return _Form(tuple(map(subtract, a.coeffs, b.coeffs)), a.mid - b.mid, ep)
 
     def addmul(self, a: _Form, c: int, b: _Form) -> _Form:
         """The form a + c*b, carrying its midpoint sum."""
-        mids = self._mids
-        if a.tag is not mids:
+        ep = self.epoch
+        if a.tag is not ep:
             self._rebase(a)
-        if b.tag is not mids:
+        if b.tag is not ep:
             self._rebase(b)
         coeffs = tuple([x + c * y for x, y in zip(a.coeffs, b.coeffs)])
-        return _Form(coeffs, a.mid + c * b.mid, mids)
+        return _Form(coeffs, a.mid + c * b.mid, ep)
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:
         """Bounds of the form times S; a carried form keeps them per rescale."""
+        ep = self.epoch
         if type(form) is not _Form:
-            return _form_bounds(self._dot(form), form, self._rads)
-        if form.tag is not self._mids:
+            return ep.bounds(ep.dot(form), form)
+        if form.tag is not ep:
             self._rebase(form)
         elif form.bounds is not None:
             return form.bounds
-        rads = self._rads
-        if rads is None:
+        if ep.rads is None:
             # on an exact point a bound is one shift: not worth keeping
             m = form.mid >> 1
             return m, m
-        form.bounds = bounds = _form_bounds(form.mid, form.coeffs, rads)
+        form.bounds = bounds = ep.bounds(form.mid, form.coeffs)
         return bounds
 
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
         lo, hi = self._int_bounds(coeffs)
-        return Fraction(lo, self._scale), Fraction(hi, self._scale)
+        return Fraction(lo, self.epoch.scale), Fraction(hi, self.epoch.scale)
 
-    def snapshot(self, coeffs: Form) -> Snapshot:
+    def snapshot(self, coeffs: Form) -> tuple[int, int, int, int]:
         """What ``materialize`` rounds, as integers: the form's bounds times S,
         S and the working bits, at the current enclosures."""
-        return (*self._int_bounds(coeffs), self._scale, self.bits)
+        return (*self._int_bounds(coeffs), self.epoch.scale, self.bits)
 
     def materialize(self, coeffs: Form) -> ExactNumber:
         """The form's value at the current enclosures."""
-        return _value(self.snapshot(coeffs))
+        return self.epoch.value(*self._int_bounds(coeffs))
 
     def ratio(self, num: Form, den: Form) -> ExactNumber:
         """num/den over the current enclosures, exact when it is; den's must be positive."""

@@ -43,9 +43,7 @@ from .numeric import (
     SequenceStatus,
     Sign,
     _Form,
-    _form_bounds,
     _unit_coeffs,
-    _value,
     root_powers,
 )
 
@@ -135,28 +133,16 @@ def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
 # classification and sequences ----------------------------------------------
 
 
-_DOMAIN_FORMS: dict[int, tuple[Column, ...]] = {}
-
-
-def _domain_forms(n: int) -> tuple[Column, ...]:
-    """The forms 1 - x_1, x_1 - x_2, ..., x_{n-1} - x_n and x_n, cached per n."""
-    forms = _DOMAIN_FORMS.get(n)
-    if forms is None:
-        unit = _unit_coeffs(n + 1)
-        forms = tuple(tuple(map(sub, unit[t], unit[t + 1])) for t in range(n)) + (unit[n],)
-        _DOMAIN_FORMS[n] = forms
-    return forms
-
-
-def _check_domain(ev: FormEvaluator, names: Sequence[str] | None,
+def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str] | None,
                   allow_zero_last: bool) -> None:
     """Certify 1 >= x_1 >= ... >= x_n > 0; x_n = 0 passes with allow_zero_last.
 
-    Messages name the coordinates by ``names`` (default x_1, ..., x_n) and are
-    built only when a check fails.
+    Its forms are carried differences of the unit forms: no full dot product.
+    Messages name the coordinates by ``names`` (default x_1, ..., x_n) and
+    are built only when a check fails.
     """
-    n = len(ev.values)
-    for t, form in enumerate(_domain_forms(n)):
+    n = len(units) - 1
+    for t, form in enumerate([*map(ev.sub, units, units[1:]), units[n]]):
         s = ev.certified_sign(form)
         if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
             continue
@@ -178,8 +164,9 @@ def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     ev = FormEvaluator(coords, cap_bits=cap_bits)
-    _check_domain(ev, names, allow_zero_last)
-    return _Engine(ev, len(coords))
+    units = ev.units()
+    _check_domain(ev, units, names, allow_zero_last)
+    return _Engine(ev, units)
 
 
 class _Engine:
@@ -196,15 +183,12 @@ class _Engine:
       after the step that certified d_n positive.
     * A floor a comes with a <= slack/x_n < a + 1 on the whole enclosure, or
       with slack - a*x_n an exact zero: either way 0 <= g1 < x_n.
-    * The crossing i stops at q_{i+1} <= 0, so x_{i+1} >= q_i; a window test
-      that goes on leaves x_{j+1} >= q_i; and at j = n it tests q_i >= 0
-      against x_{n+1} = 0, which always ends the scan.
     """
 
-    def __init__(self, ev: FormEvaluator, n: int):
+    def __init__(self, ev: FormEvaluator, units: Sequence[_Form]):
         self.ev = ev
-        self.n = n
-        self.cols: Sequence[_Form] = ev.units()
+        self.n = len(units) - 1
+        self.cols: Sequence[_Form] = units
         self.status: SequenceStatus | None = None
 
     def _sign(self, form: _Form, ambiguous: str) -> Sign:
@@ -220,6 +204,8 @@ class _Engine:
         ``q[t]`` is the column form of q_t (t < n) scaled by the leading
         remainder; the last entry picks the family, the crossing i and then
         the window j over x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.
+        The window j = n needs no test: the crossing leaves q_i > 0, or
+        q_1 = d_0 - d_1 >= 0 at i = 1, and x_{n+1} = 0 closes it.
         """
         ev, n, cols = self.ev, self.n, self.cols
         if n < 3:
@@ -237,32 +223,30 @@ class _Engine:
         i = 1
         while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
             i += 1
-        for j in range(i + 1, n + 1):
-            # the window form q_i - x_{j+1}, which is q_i itself against x_{n+1} = 0
-            window = ev.sub(q[i], cols[j + 1]) if j < n else q[i]
-            below = self._sign(window, "pair window test is ambiguous")
-            # strict against real coordinates, closed against x_{n+1} = 0
-            if below is Sign.POSITIVE or (j == n and below is Sign.ZERO):
+        for j in range(i + 1, n):
+            # the window form q_i - x_{j+1}, strict against real coordinates
+            if self._sign(ev.sub(q[i], cols[j + 1]), "pair window test is ambiguous") is Sign.POSITIVE:
                 break
+        else:
+            j = n
         return PairSymbol(i, j), q[i]
 
     def run(self, max_len: int) -> Iterator[SymbolND]:
         """Yield up to max_len certified symbols, each once its column is pushed.
 
         For a replay of its history the run keeps, besides the symbols its
-        caller collects, only ``epochs``: the evaluator's enclosures as
-        ``(step, mids, rads, bits)`` at the start (step 0) and after each
-        push that followed a refinement (step = the pushes made so far); the
-        scale is ``mids[0] >> 1``.  When the run stops, ``status`` says why:
-        an exact zero last remainder, max_len, or a step whose last remainder
-        sign or branch was undecidable.  A last remainder certified negative
-        breaks the remainders' order, a fault of the kernel, and raises
-        ``ValueError``.
+        caller collects, only ``epochs``: ``(step, epoch)`` for the
+        evaluator's epoch at the start (step 0) and after each push that
+        followed a refinement (step = the pushes made so far).  When the run
+        stops, ``status`` says why: an exact zero last remainder, max_len, or
+        a step whose last remainder sign or branch was undecidable.  A last
+        remainder certified negative breaks the remainders' order, a fault of
+        the kernel, and raises ``ValueError``.
         """
         ev, n = self.ev, self.n
         sign = ev.certified_sign
-        mids = ev._mids
-        self.epochs = [(0, mids, ev._rads, ev.bits)]
+        epoch = ev.epoch
+        self.epochs = [(0, epoch)]
         for step in range(max_len + 1):
             s = sign(self.cols[-1])
             if s is Sign.NEGATIVE:
@@ -282,9 +266,9 @@ class _Engine:
                 return
             j = symbol.j if type(symbol) is PairSymbol else n
             self.cols = push_column(self.cols, j, inserted)
-            if ev._mids is not mids:
-                mids = ev._mids
-                self.epochs.append((step + 1, mids, ev._rads, ev.bits))
+            if ev.epoch is not epoch:
+                epoch = ev.epoch
+                self.epochs.append((step + 1, epoch))
             yield symbol
 
 
@@ -302,8 +286,10 @@ def _combine(w: Column, cols: Sequence[tuple]) -> tuple:
 class _Snapshots:
     """A record's remainders as a replay of its run, not yet values.
 
-    The handle keeps the run's dimension, the record's symbols and the run's
-    epochs, and its final columns as the record's matrix rows; no evaluator.
+    The handle keeps the run's dimension, the record's symbols, the run's
+    ``(step, epoch)`` pairs, and its final columns as the record's matrix
+    rows; no evaluator.  Each epoch turns a column's midpoint sum into its
+    value, as the run's evaluator did in that epoch.
     ``_rows`` pushes the symbols from the unit columns by the run's push rule
     and carries each column's midpoint sum as the evaluator's ``sub`` and
     ``addmul`` do, so it makes no certified query.  A column carries its
@@ -329,18 +315,18 @@ class _Snapshots:
     def _rows(self) -> Iterator[tuple]:
         """The start row's values, then the row after each step."""
         n, epochs = self.n, self.epochs
-        _, mids, rads, bits = epochs[0]
-        scale, later = mids[0] >> 1, iter(epochs[1:])
+        _, ep = epochs[0]
+        later = iter(epochs[1:])
         upcoming = next(later, None)
-        full = upcoming is not None or rads is not None
+        full = upcoming is not None or ep.rads is not None
 
         def value(col) -> ExactNumber:
             mid, coeffs = (col[-1], col[:-1]) if full else (col, ())
-            return _value((*_form_bounds(mid, coeffs, rads), scale, bits))
+            return ep.value(*ep.bounds(mid, coeffs))
 
         # the unit columns, whose midpoint sums are the first epoch's own
         units = _unit_coeffs(n + 1)
-        cols = tuple(u + (m,) for u, m in zip(units, mids)) if full else tuple(mids)
+        cols = tuple(u + (m,) for u, m in zip(units, ep.mids)) if full else tuple(ep.mids)
         row = tuple(map(value, cols))
         yield row
         rules: dict = {}
@@ -353,9 +339,9 @@ class _Snapshots:
             col = _combine(w, cols) if full else sum(map(mul, w, cols))
             cols = push_column(cols, j, col)
             if upcoming is not None and upcoming[0] == t:
-                _, mids, rads, bits = upcoming
-                scale, upcoming = mids[0] >> 1, next(later, None)
-                cols = tuple(c[:-1] + (sum(map(mul, c[:-1], mids)),) for c in cols)
+                _, ep = upcoming
+                upcoming = next(later, None)
+                cols = tuple(c[:-1] + (ep.dot(c[:-1]),) for c in cols)
                 row = tuple(map(value, cols))
             else:
                 row = push_column(row, j, value(col))
@@ -372,10 +358,8 @@ class _Snapshots:
         dot product at the last epoch, the one in force at the run's last
         yield.  It is the row the replay ends on, since an epoch's start
         retakes the whole row and every later column is inserted at it."""
-        _, mids, rads, bits = self.epochs[-1]
-        scale = mids[0] >> 1
-        return tuple(_value((*_form_bounds(sum(map(mul, col, mids)), col, rads), scale, bits))
-                     for col in zip(*self.final))
+        _, ep = self.epochs[-1]
+        return tuple(ep.value(*ep.bounds(ep.dot(col), col)) for col in zip(*self.final))
 
 
 class _BuiltOnRead:
@@ -459,10 +443,13 @@ def cylinder_vertices(symbols: Iterable[SymbolND], n: int) -> tuple[tuple[Fracti
     if n < 1:
         raise ValueError("dimension must be at least 1")
     symbols = list(symbols)
-    if n == 1 and NonNegSymbol(0) in symbols:
+    # the step matrices reject a negative floor and a bad pair; what is left
+    # naming no region is k = 0 at n = 1
+    product = product_matrix_nd(symbols, n)
+    if not all(_names_region(s, n) for s in symbols):
         raise ValueError("index 0 region is empty in dimension 1")
     domain = tuple((1,) * (l + 1) + (0,) * (n - l) for l in range(n + 1))
-    rows = mat_mul(domain, mat_inverse_unimodular(product_matrix_nd(symbols, n)))
+    rows = mat_mul(domain, mat_inverse_unimodular(product))
     return tuple(tuple(Fraction(c, row[0]) for c in row[1:]) for row in rows)
 
 

@@ -463,8 +463,9 @@ def test_history_values_built_only_when_printed(capsys, monkeypatch, argv, built
     # without --d-values no remainder value is made; n-D output and recover
     # make only the final row's
     made = []
-    real = simplex._value
-    monkeypatch.setattr(simplex, "_value", lambda snap: made.append(snap) or real(snap))
+    real = numeric._Epoch.value
+    monkeypatch.setattr(numeric._Epoch, "value",
+                        lambda self, lo, hi: made.append((lo, hi)) or real(self, lo, hi))
     code, _, _ = run(capsys, *argv)
     assert code == 0 and len(made) == built
 

@@ -300,6 +300,19 @@ def test_floor_raises_on_a_decimal_den_that_straddles_zero():
         ev.certified_floor((1, 0), (-3, 10))
 
 
+def test_floor_of_a_negative_numerator_over_an_enclosure():
+    # floor(-1/x): the lower quotient of a negative numerator divides by the
+    # den's lower bound.  x = 1/3 - 2**-70 has a 64-bit enclosure that
+    # straddles 1/3, where -1/x crosses -3, so no floor is certain
+    x = BigFloat.from_fraction(Fraction(1, 3) - Fraction(1, 2 ** 70), 64)
+    assert x.low < Fraction(1, 3) < x.high
+    with pytest.raises(PrecisionExhaustedError, match="floor undecidable"):
+        FormEvaluator([x]).certified_floor((-1, 0), (0, 1))
+    x = BigFloat.from_fraction(Fraction(3, 10), 64)
+    assert x.low < x.high
+    assert FormEvaluator([x]).certified_floor((-1, 0), (0, 1)) == -4
+
+
 def test_floor_refuses_a_den_certainly_not_positive():
     # a certain zero or negative den is an input error, as it is for ratio;
     # only an ambiguous one exhausts precision
@@ -835,5 +848,5 @@ def test_ops_rebase_forms_made_before_a_refinement():
     a, b = ev.sub(one, x), ev.addmul(x, -3, y)
     assert ev.refine() is True
     forms = [ev.addmul(a, 5, b), ev.addmul(x, -2, y), ev.sub(one, y), ev.sub(b, a)]
-    assert all(form.tag is ev._mids for form in (one, x, y, a, b))
+    assert all(form.tag is ev.epoch for form in (one, x, y, a, b))
     _carried_agree(ev, [one, x, y, a, b, *forms])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError
 from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
 from trianglemap.io_formats import parse_point
-from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, _value
+from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, _Epoch
 from trianglemap.periodicity import (
     fixed_point_nd,
     fixed_point_poly,
@@ -87,6 +87,27 @@ def test_matrix_helpers():
 
 def test_classify_known_pair_region():
     assert classify_nd(PointN((F(9, 10), F(9, 10), F(1, 10)))) == PairSymbol(1, 3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_window_j_equal_n_asks_no_query(monkeypatch, n):
+    # at a point of region (1, n): the slack, each crossing test and one
+    # window test for each j < n; the window q_1 - x_{n+1} = q_1 is not asked
+    point = tuple(sum(col) / (n + 1) for col in zip(*region_vertices(n, PairSymbol(1, n))))
+    eng = _start(point, None)
+    asked = []
+    real = FormEvaluator.certified_sign
+    monkeypatch.setattr(FormEvaluator, "certified_sign",
+                        lambda self, form: asked.append(form.coeffs) or real(self, form))
+    assert eng.classify_once()[0] == PairSymbol(1, n)
+    e = [tuple(int(i == t) for i in range(n + 1)) for t in range(n + 1)]
+    q = [e[0]]
+    for t in range(1, n):
+        q.append(tuple(a - b for a, b in zip(q[-1], e[t])))
+    crossing = q[2:n - 1]
+    windows = [tuple(a - b for a, b in zip(q[1], e[j + 1])) for j in range(2, n)]
+    assert asked == [q[n - 1], *crossing, *windows]
+    assert q[1] not in asked
 
 
 def test_classify_known_fan_region():
@@ -287,6 +308,11 @@ def test_region_vertices_rejects_bad_input():
     # a later 0 empties a cylinder at n = 1 just as a first one does
     with pytest.raises(ValueError, match="index 0 region is empty"):
         cylinder_vertices([NonNegSymbol(1), NonNegSymbol(0)], 1)
+    # the step matrices are built first: a negative floor is named before
+    # an empty region, wherever each stands in the prefix
+    for prefix in ([NonNegSymbol(-1), NonNegSymbol(0)], [NonNegSymbol(0), NonNegSymbol(-1)]):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            cylinder_vertices(prefix, 1)
 
 
 def test_pair_symbols_outside_the_subdivision_rejected():
@@ -684,16 +710,16 @@ def test_sampler_draws_are_pinned():
     (3, 1, 64, (300, 400)),
 ], ids=["n2", "n3", "n3-refining"])
 def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, lengths):
-    # carried forms pay a full-width dot product only in the domain check and
-    # at most once per column after each rescale, never per query
-    real = FormEvaluator._dot
+    # carried forms, the domain check's too, pay a full-width dot product at
+    # most once per column after each rescale, never per query
+    real = _Epoch.dot
     calls = []
 
     def dot(self, coeffs):
         calls.append(len(coeffs))
         return real(self, coeffs)
 
-    monkeypatch.setattr(FormEvaluator, "_dot", dot)
+    monkeypatch.setattr(_Epoch, "dot", dot)
     seen = []
     for length in lengths:
         calls.clear()
@@ -702,7 +728,7 @@ def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, 
         else:
             rec = sequence_nd(fixed_point_nd(n, k, bits), length)
         assert len(rec.symbols) == length
-        assert len(calls) <= (n + 1) * (1 + rec.refinements)
+        assert len(calls) <= (n + 1) * rec.refinements
         seen.append((rec.refinements, len(calls)))
     assert seen[0] == seen[1]
 
@@ -816,13 +842,14 @@ def test_history_rows_share_shifted_values():
 
 
 def _eager_rows(coords, max_len, cap_bits, allow_zero_last):
-    """The snapshot of every column at each yield of a run: what a record
-    that collected its history while running would hold."""
+    """The value of every column, with the working bits, at each yield of a
+    run: what a record that collected its history while running would hold."""
     eng = _start(coords, cap_bits, max_len=max_len, allow_zero_last=allow_zero_last)
-    rows = [tuple(map(eng.ev.snapshot, eng.cols))]
+    ev = eng.ev
+    rows = [(tuple(map(ev.materialize, eng.cols)), ev.bits)]
     for _ in eng.run(max_len):
-        rows.append(tuple(map(eng.ev.snapshot, eng.cols)))
-    return rows, eng.status, eng.ev.refinements
+        rows.append((tuple(map(ev.materialize, eng.cols)), ev.bits))
+    return rows, eng.status, ev.refinements
 
 
 _TERMINATED, _TRUNCATED, _EXHAUSTED = (SequenceStatus.TERMINATED, SequenceStatus.TRUNCATED,
@@ -852,8 +879,8 @@ def test_replayed_history_equals_eager_collection(text, max_len, cap_bits, statu
     assert got_status is status and (refinements > 0) is refines
     if refines:
         # some step refined between two yields, so the rows mix two precisions
-        assert len({row[-1][3] for row in rows}) > 1
-    values = tuple(tuple(map(_value, row)) for row in rows)
+        assert len({bits for _, bits in rows}) > 1
+    values = tuple(row for row, _ in rows)
 
     def run_nd():
         return sequence_nd(PointN(parse_point(text, 64)), max_len, cap_bits=cap_bits)
