@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputError, NotYetConvergedError
-from .numeric import ExactNumber
 
 Column = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -35,7 +35,9 @@ Row = tuple[int, int, int]
 # helpers for integer matrices of any size ------------------------------------
 
 
+@cache
 def mat_identity(size: int) -> Matrix:
+    """The identity of one size, made once; its rows are the unit coefficient tuples."""
     return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
 
 
@@ -48,8 +50,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_from_columns(cols: Sequence[Column]) -> Matrix:
-    size = len(cols[0])
-    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(size))
+    return tuple(zip(*cols))
+
+
+def mat_product(factors: Iterable[Matrix], size: int) -> Matrix:
+    """The running product of ``factors`` in order, from the identity."""
+    return reduce(mat_mul, factors, mat_identity(size))
 
 
 def mat_det(m: Matrix) -> int:
@@ -160,14 +166,10 @@ def step_matrix(k: int) -> IntMatrix:
 
 
 def product_matrix(symbols: Iterable[int]) -> IntMatrix:
-    m = IntMatrix.identity()
-    for k in symbols:
-        m = m @ step_matrix(k)
-    return m
+    return IntMatrix(mat_product((mat_step_nonneg(k, 2) for k in symbols), 3))
 
 
-def fundamental_identity_check(alpha: ExactNumber, beta: ExactNumber,
-                               symbols: Sequence[int]) -> bool:
+def fundamental_identity_check(alpha, beta, symbols: Sequence[int]) -> bool:
     """Verify the remainder recursion against the matrix route, step by step.
 
     Runs the three-term recursion d_k = d_{k-3} - d_{k-2} - a_k d_{k-1} on

