@@ -17,7 +17,9 @@ midpoint sum and a radius; a form's bounds come from its midpoint sum, which
 the forms built by ``FormEvaluator.sub``/``addmul`` carry from their operands,
 plus a radius sum, computed once per form until the next refinement, and
 they are the same integers as the interval dot product over the
-per-coordinate bounds.
+per-coordinate bounds.  A batch window (``FormEvaluator.window``) keeps the
+leading bits of some forms' bounds and answers the same queries on those small
+integers, where they decide.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -63,6 +65,14 @@ MAX_POWERS = 256
 
 #: Default hard ceiling multiplier for on-demand refinement.
 REFINE_CAP_FACTOR = 32
+
+#: Top bits of the columns' bounds that a batch window keeps.  A window decides
+#: steps until its weights' growth uses these bits up: about 50 planar
+#: period-one symbols at 128 bits, 25 at 64 and 95 at 256.  64 took x1.08 the
+#: time of 128 on the benchmark's algebraic runs and x1.2 on a 25,600-symbol
+#: run; 256 read level with 128 on the benchmark's algebraic and rational runs
+#: and x0.92 on the long one (2 vCPUs, CPython 3.11).
+WINDOW_BITS = 128
 
 
 class Sign(str, enum.Enum):
@@ -507,6 +517,76 @@ class _Form:
 Form = Union[Sequence[int], _Form]
 
 
+class _Window:
+    """A run's columns at a batch start, cut to the top ``WINDOW_BITS`` bits of
+    their bounds, with the evaluator's query methods on small integers.
+
+    A window form is ``(lo, hi, w)``: bounds over the common scale S·2**shift
+    and the weights ``w`` of the form over the start columns.  A start column's
+    bounds are the evaluator's, shifted right with ``lo`` rounded down and
+    ``hi`` up; ``sub`` and ``addmul`` combine bounds by interval arithmetic and
+    weights linearly.  So a window form's bounds contain the evaluator's own for
+    the form Σ w_t·col_t: its radius sum is at most Σ |w_t| times the columns'
+    (the triangle inequality), and the shift rounds outward.  A sign
+    or floor decided here is therefore the one the evaluator would answer at
+    this epoch from its first bounds, with no refinement and no exact-zero test.
+    Any other case reads AMBIGUOUS from ``certified_sign``, or raises
+    ``PrecisionExhaustedError`` from ``certified_floor``: the window has no bits
+    to refine, and leaves the test to the evaluator.
+    """
+
+    __slots__ = ("start", "epoch")
+
+    def __init__(self, start: Sequence[_Form], epoch: _Epoch):
+        self.start, self.epoch = start, epoch
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        alo, ahi, aw = a
+        blo, bhi, bw = b
+        return alo - bhi, ahi - blo, tuple(map(subtract, aw, bw))
+
+    def addmul(self, a: tuple, c: int, b: tuple) -> tuple:
+        alo, ahi, aw = a
+        blo, bhi, bw = b
+        if c < 0:
+            blo, bhi = bhi, blo
+        return alo + c * blo, ahi + c * bhi, tuple([x + c * y for x, y in zip(aw, bw)])
+
+    def certified_sign(self, form: tuple) -> Sign:
+        lo, hi, _ = form
+        if lo > 0:
+            return Sign.POSITIVE
+        if hi < 0:
+            return Sign.NEGATIVE
+        # [0, 0] contains the evaluator's bounds, so they are 0 too
+        return Sign.ZERO if lo == hi else Sign.AMBIGUOUS
+
+    def certified_floor(self, num: tuple, den: tuple) -> int:
+        (nlo, nhi, _), (dlo, dhi, _) = num, den
+        if dlo > 0:
+            # the evaluator's box lies inside this one: its floors lie between these
+            fl = nlo // dhi if nlo >= 0 else nlo // dlo
+            fh = nhi // dlo if nhi >= 0 else nhi // dhi
+            if fl == fh:
+                return fl
+        raise PrecisionExhaustedError("floor undecided in the window")
+
+    def columns(self, forms: Sequence[tuple]) -> list[_Form]:
+        """The evaluator's forms for window forms: their weights applied once to
+        the start columns' coefficients and midpoint sums."""
+        start, ep = self.start, self.epoch
+        units = dict(zip(mat_identity(len(start)), start))
+        rows = list(zip(*(col.coeffs + (col.mid,) for col in start)))
+        cols = []
+        for _, _, w in forms:
+            col = units.get(w)
+            if col is None:
+                *coeffs, mid = [sum(map(mul, w, row)) for row in rows]
+                col = _Form(tuple(coeffs), mid, ep)
+            cols.append(col)
+        return cols
+
+
 class FormEvaluator:
     """Certified sign and floor queries for integer linear forms.
 
@@ -620,6 +700,16 @@ class FormEvaluator:
             self._rebase(b)
         coeffs = tuple([x + c * y for x, y in zip(a.coeffs, b.coeffs)])
         return _Form(coeffs, a.mid + c * b.mid, ep)
+
+    def window(self, cols: Sequence[_Form]) -> tuple[_Window, list[tuple]]:
+        """A batch window over carried forms, and its forms for them: each form's
+        bounds (one radius sum each), cut by one common shift to ``WINDOW_BITS``."""
+        bounds = [self._int_bounds(col) for col in cols]
+        top = max(max(hi, -lo) for lo, hi in bounds)
+        shift = max(top.bit_length() - WINDOW_BITS, 0)
+        units = mat_identity(len(cols))
+        forms = [(lo >> shift, -(-hi >> shift), u) for (lo, hi), u in zip(bounds, units)]
+        return _Window(cols, self.epoch), forms
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:
         """Bounds of the form times S; a carried form keeps them per rescale."""

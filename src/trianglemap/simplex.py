@@ -17,10 +17,13 @@ reduces to the classical continued-fraction step.  The engine keeps n+1 exact
 integer columns whose dot products with (1, x_1, ..., x_n) are the remainder
 values.  A step asks only the certified sign and floor queries that define
 its branch, refining root-backed inputs on demand; ``precision-exhausted``
-means one of those was undecidable.  This is the package's only
-sequence loop and its only domain check: the planar ``triangle.sequence``
-(n = 2) and the continued fraction ``triangle.gauss_sequence`` (n = 1) start
-through ``_start`` too, with their own coordinate names and records.
+means one of those was undecidable.  Between refinements the steps run in
+batches, each deciding on the leading bits of the columns' bounds with the
+same branch rule and applying the batch's weights to the columns once.
+This is the package's only sequence loop and its only domain check: the
+planar ``triangle.sequence`` (n = 2) and the continued fraction
+``triangle.gauss_sequence`` (n = 1) start through ``_start`` too, with their
+own coordinate names and records.
 """
 
 from __future__ import annotations
@@ -157,6 +160,53 @@ def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
     return _Engine(ev, units)
 
 
+def _certain(ops, form, ambiguous: str) -> Sign:
+    """The certified sign of a form; raises with message ``ambiguous`` if undecidable."""
+    s = ops.certified_sign(form)
+    if s is Sign.AMBIGUOUS:
+        raise PrecisionExhaustedError(ambiguous)
+    return s
+
+
+def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
+    """The branch rule: one step's symbol and inserted column, for every n.
+
+    ``ops`` is the evaluator over carried columns, or a batch window over its
+    forms of them: both answer ``sub``, ``addmul``, ``certified_sign`` and
+    ``certified_floor``, and an undecidable test raises
+    ``PrecisionExhaustedError``.  ``q[t]`` is the column form of q_t (t < n)
+    scaled by the leading remainder; the last entry picks the family, the
+    crossing i and then the window j over x_{i+1}, ..., x_n, x_{n+1} = 0
+    decide a pair region.  The window j = n needs no test: the crossing
+    leaves q_i > 0, or q_1 = d_0 - d_1 >= 0 at i = 1, and x_{n+1} = 0 closes it.
+    """
+    n = len(cols) - 1
+    if n < 3:
+        # the slack is d_0 or q_1, never negative: no pair regions.  Kept apart
+        # as the hot path of n = 1 and 2: a chain built for every n took 0.1-0.5 us
+        # more per n = 1 step under timeit (3-10% of a Gauss step; 2 vCPUs, CPython 3.11)
+        slack = cols[0] if n == 1 else ops.sub(cols[0], cols[1])
+    else:
+        q = [cols[0]]
+        for col in cols[1:n]:
+            q.append(ops.sub(q[-1], col))
+        slack = q[n - 1]
+    if n < 3 or _certain(ops, slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
+        a = ops.certified_floor(slack, cols[n])
+        symbol = _NONNEG[a] if 0 <= a < len(_NONNEG) else NonNegSymbol(a)
+        return symbol, ops.addmul(slack, -a, cols[n])
+    i = 1
+    while i < n - 2 and _certain(ops, q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
+        i += 1
+    for j in range(i + 1, n):
+        # the window form q_i - x_{j+1}, strict against real coordinates
+        if _certain(ops, ops.sub(q[i], cols[j + 1]), "pair window test is ambiguous") is Sign.POSITIVE:
+            break
+    else:
+        j = n
+    return PairSymbol(i, j), q[i]
+
+
 class _Engine:
     """The certified sequence loop over a set of integer columns, for every n.
 
@@ -171,6 +221,11 @@ class _Engine:
       after the step that certified d_n positive.
     * A floor a comes with a <= slack/x_n < a + 1 on the whole enclosure, or
       with slack - a*x_n an exact zero: either way 0 <= g1 < x_n.
+
+    Between refinements the steps run in batches on a window of the columns
+    (``FormEvaluator.window``): the branch rule on small integers whose
+    decisions are the evaluator's own, and the steps' weights applied to the
+    big columns once, when the batch ends.
     """
 
     def __init__(self, ev: FormEvaluator, units: Sequence[_Form]):
@@ -179,50 +234,38 @@ class _Engine:
         self.cols: Sequence[_Form] = units
         self.status: SequenceStatus | None = None
 
-    def _sign(self, form: _Form, ambiguous: str) -> Sign:
-        """The certified sign of a form; raises with message ``ambiguous`` if undecidable."""
-        s = self.ev.certified_sign(form)
-        if s is Sign.AMBIGUOUS:
-            raise PrecisionExhaustedError(ambiguous)
-        return s
-
     def classify_once(self) -> tuple[SymbolND, _Form]:
-        """One certified branch decision: the symbol and the inserted column.
+        """One certified branch decision: the symbol and the inserted column."""
+        return _decide(self.ev, self.cols)
 
-        ``q[t]`` is the column form of q_t (t < n) scaled by the leading
-        remainder; the last entry picks the family, the crossing i and then
-        the window j over x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.
-        The window j = n needs no test: the crossing leaves q_i > 0, or
-        q_1 = d_0 - d_1 >= 0 at i = 1, and x_{n+1} = 0 closes it.
-        """
-        ev, n, cols = self.ev, self.n, self.cols
-        if n < 3:
-            # the slack is d_0 or q_1, never negative: no pair regions.  Kept apart
-            # as the hot path of n = 1 and 2: a chain built for every n took 0.1-0.5 us
-            # more per n = 1 step under timeit (3-10% of a Gauss step; 2 vCPUs, CPython 3.11)
-            slack = cols[0] if n == 1 else ev.sub(cols[0], cols[1])
-        else:
-            q = [cols[0]]
-            for col in cols[1:n]:
-                q.append(ev.sub(q[-1], col))
-            slack = q[n - 1]
-        if n < 3 or self._sign(slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
-            a = ev.certified_floor(slack, cols[n])
-            symbol = _NONNEG[a] if 0 <= a < len(_NONNEG) else NonNegSymbol(a)
-            return symbol, ev.addmul(slack, -a, cols[n])
-        i = 1
-        while i < n - 2 and self._sign(q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
-            i += 1
-        for j in range(i + 1, n):
-            # the window form q_i - x_{j+1}, strict against real coordinates
-            if self._sign(ev.sub(q[i], cols[j + 1]), "pair window test is ambiguous") is Sign.POSITIVE:
-                break
-        else:
-            j = n
-        return PairSymbol(i, j), q[i]
+    def _batch(self, room: int) -> list[SymbolND]:
+        """Take up to ``room`` steps on a window of the columns, push their
+        columns at once and return their symbols: none if the window decides
+        no step.  A batch stops before the first step whose last remainder the
+        window does not certify positive, or with a test it leaves undecided."""
+        win, cols = self.ev.window(self.cols)
+        decide, sign, n = _decide, win.certified_sign, self.n
+        symbols: list[SymbolND] = []
+        try:
+            for _ in range(room):
+                if sign(cols[-1]) is not Sign.POSITIVE:
+                    break
+                symbol, inserted = decide(win, cols)
+                cols = push_column(cols, symbol.j if type(symbol) is PairSymbol else n, inserted)
+                symbols.append(symbol)
+        except PrecisionExhaustedError:
+            pass
+        if symbols:
+            self.cols = win.columns(cols)
+        return symbols
 
     def run(self, max_len: int) -> Iterator[SymbolND]:
-        """Yield up to max_len certified symbols, each once its column is pushed.
+        """Yield up to max_len certified symbols.
+
+        Each batch yields its symbols once the columns of its last step are
+        pushed, so ``cols`` is current only between batches and at the run's
+        end.  After each batch one ordinary step follows: it alone may refine,
+        test an exact zero or end the run.
 
         For a replay of its history the run keeps, besides the symbols its
         caller collects, only ``epochs``: ``(step, epoch)`` for the
@@ -237,7 +280,12 @@ class _Engine:
         sign = ev.certified_sign
         epoch = ev.epoch
         self.epochs = [(0, epoch)]
-        for step in range(max_len + 1):
+        step = 0
+        while True:
+            if step < max_len:
+                symbols = self._batch(max_len - step)
+                step += len(symbols)
+                yield from symbols
             s = sign(self.cols[-1])
             if s is Sign.NEGATIVE:
                 raise ValueError("last remainder is negative")
@@ -250,15 +298,16 @@ class _Engine:
             try:
                 if s is Sign.AMBIGUOUS:
                     raise PrecisionExhaustedError("last remainder sign is ambiguous")
-                symbol, inserted = self.classify_once()
+                symbol, inserted = _decide(ev, self.cols)
             except PrecisionExhaustedError:
                 self.status = SequenceStatus.PRECISION_EXHAUSTED
                 return
             j = symbol.j if type(symbol) is PairSymbol else n
             self.cols = push_column(self.cols, j, inserted)
+            step += 1
             if ev.epoch is not epoch:
                 epoch = ev.epoch
-                self.epochs.append((step + 1, epoch))
+                self.epochs.append((step, epoch))
             yield symbol
 
 

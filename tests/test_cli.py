@@ -196,19 +196,20 @@ def test_vacuous_audits_rejected(capsys, argv, detail):
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_verify_identity_catches_swapped_symbol(capsys, monkeypatch, delta):
-    # the engine emits its first symbol off by one, keeping the true column,
-    # so the run goes on but its record no longer belongs to its point
-    real = simplex._Engine.classify_once
+    # the branch rule emits its first symbol off by one, keeping the true
+    # column, so the run goes on but its record no longer belongs to its
+    # point; batched and ordinary steps alike take the fault
+    real = simplex._decide
     swapped = []
 
-    def classify_once(self):
-        symbol, inserted = real(self)
+    def decide(ops, cols):
+        symbol, inserted = real(ops, cols)
         if not swapped:
             swapped.append(symbol)
             symbol = simplex.NonNegSymbol(symbol.k + delta)
         return symbol, inserted
 
-    monkeypatch.setattr(simplex._Engine, "classify_once", classify_once)
+    monkeypatch.setattr(simplex, "_decide", decide)
     code, lines, _ = run(capsys, "verify", "--suite", "identity", "--cases", "10")
     assert code == 3
     assert [r["ok"] for r in lines[:-1]] == [False] + [True] * 9
@@ -236,12 +237,10 @@ def test_verify_identity_catches_a_wrong_status(capsys, monkeypatch):
     ["verify", "--suite", "identity", "--cases", "20"],
     ["decomp-check", "--n", "3", "--samples", "50"],
 ], ids=["reduction", "identity", "decomp-check"])
-def test_audits_catch_a_wrong_floor(capsys, monkeypatch, argv, delta):
+def test_audits_catch_a_wrong_floor(capsys, floor_off_by, argv, delta):
     # the engine does not re-check a certified floor, so a kernel that
     # answers one off must fail the audits that compare with references
-    real = numeric.FormEvaluator.certified_floor
-    monkeypatch.setattr(numeric.FormEvaluator, "certified_floor",
-                        lambda self, num, den: real(self, num, den) + delta)
+    floor_off_by(delta)
     code, _, _ = run(capsys, *argv)
     assert code == 3
 

@@ -868,3 +868,52 @@ def test_ops_rebase_forms_made_before_a_refinement():
     forms = [ev.addmul(a, 5, b), ev.addmul(x, -2, y), ev.sub(one, y), ev.sub(b, a)]
     assert all(form.tag is ev.epoch for form in (one, x, y, a, b))
     _carried_agree(ev, [one, x, y, a, b, *forms])
+
+
+# batch windows ------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=80)
+@given(carried_chains(), st.lists(st.tuples(st.sampled_from(["sub", "addmul"]), st.integers(0, 99),
+                                            st.integers(0, 99), coefficients), max_size=8))
+def test_window_decisions_are_the_evaluators(case, window_ops):
+    # a window over some carried forms, and the same ops on both sides: each
+    # sign and floor the window decides is the evaluator's answer, made with
+    # no refinement, and its weights give back the evaluator's form
+    values, ops = case
+    ev = FormEvaluator(values)
+    forms = ev.units()
+    for name, a, b, c in ops:
+        if name == "refine":
+            ev.refine()
+        else:
+            x, y = forms[a % len(forms)], forms[b % len(forms)]
+            forms.append(ev.sub(x, y) if name == "sub" else ev.addmul(x, c, y))
+    win, pairs = ev.window(forms)
+    pairs = list(zip(pairs, forms))
+    for name, a, b, c in window_ops:
+        (wx, x), (wy, y) = pairs[a % len(pairs)], pairs[b % len(pairs)]
+        if name == "sub":
+            pairs.append((win.sub(wx, wy), ev.sub(x, y)))
+        else:
+            pairs.append((win.addmul(wx, c, wy), ev.addmul(x, c, y)))
+    before = ev.refinements
+    assert [(col.coeffs, col.mid) for col in win.columns([w for w, _ in pairs])] == \
+        [(form.coeffs, form.mid) for _, form in pairs]
+    dens = [(w, form) for w, form in pairs if win.certified_sign(w) is Sign.POSITIVE][-3:]
+    for wd, _ in [pair for pair in pairs if win.certified_sign(pair[0]) is not Sign.POSITIVE][-3:]:
+        # a den the window does not certify positive gets no floor from it
+        for w, _ in pairs:
+            with pytest.raises(PrecisionExhaustedError):
+                win.certified_floor(w, wd)
+    for w, form in pairs:
+        sign = win.certified_sign(w)
+        if sign is not Sign.AMBIGUOUS:
+            assert ev.certified_sign(form) is sign
+        for wd, den in dens:
+            try:
+                floor = win.certified_floor(w, wd)
+            except PrecisionExhaustedError:
+                continue
+            assert ev.certified_floor(form, den) == floor
+    assert ev.refinements == before

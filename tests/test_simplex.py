@@ -9,10 +9,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trianglemap.errors import DegenerateInputError, NotYetConvergedError
-from trianglemap.matrices import mat_det, mat_identity, mat_inverse_unimodular, mat_mul, recover_nd
+from trianglemap import simplex
+from trianglemap.errors import DegenerateInputError, NotYetConvergedError, PrecisionExhaustedError
+from trianglemap.matrices import (mat_det, mat_identity, mat_inverse_unimodular, mat_mul, push_column,
+                                  recover_nd)
 from trianglemap.io_formats import parse_point
-from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, _Epoch
+from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, Sign, _Epoch
 from trianglemap.periodicity import (
     fixed_point_nd,
     fixed_point_poly,
@@ -736,6 +738,37 @@ def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, 
 # remainder histories, built on first read -----------------------------------
 
 
+def _ordinary_run(eng, max_len):
+    """The engine's run with no batch: every step an ordinary certified one,
+    so each yield sees the columns its own step pushed.  It keeps the run's
+    status and epochs as ``_Engine.run`` does, and serves as that method too."""
+    ev, n = eng.ev, eng.n
+    epoch = ev.epoch
+    eng.epochs = [(0, epoch)]
+    for step in range(max_len + 1):
+        s = ev.certified_sign(eng.cols[-1])
+        if s is Sign.NEGATIVE:
+            raise ValueError("last remainder is negative")
+        if s is Sign.ZERO:
+            eng.status = SequenceStatus.TERMINATED
+            return
+        if step == max_len:
+            eng.status = SequenceStatus.TRUNCATED
+            return
+        try:
+            if s is Sign.AMBIGUOUS:
+                raise PrecisionExhaustedError("last remainder sign is ambiguous")
+            symbol, inserted = eng.classify_once()
+        except PrecisionExhaustedError:
+            eng.status = SequenceStatus.PRECISION_EXHAUSTED
+            return
+        eng.cols = push_column(eng.cols, symbol.j if isinstance(symbol, PairSymbol) else n, inserted)
+        if ev.epoch is not epoch:
+            epoch = ev.epoch
+            eng.epochs.append((step + 1, epoch))
+        yield symbol
+
+
 def _materialized_history(coords, max_len, kind):
     """The history the records used to build eagerly: ``materialize`` at each step.
 
@@ -749,7 +782,7 @@ def _materialized_history(coords, max_len, kind):
         hist = [ev.materialize(c) for c in eng.cols]
     else:
         hist = [ev.materialize(eng.cols[1])]
-    for _ in eng.run(max_len):
+    for _ in _ordinary_run(eng, max_len):
         if kind == "nd":
             hist.append(tuple(ev.materialize(c) for c in eng.cols))
         else:
@@ -847,7 +880,7 @@ def _eager_rows(coords, max_len, cap_bits, allow_zero_last):
     eng = _start(coords, cap_bits, max_len=max_len, allow_zero_last=allow_zero_last)
     ev = eng.ev
     rows = [(tuple(map(ev.materialize, eng.cols)), ev.bits)]
-    for _ in eng.run(max_len):
+    for _ in _ordinary_run(eng, max_len):
         rows.append((tuple(map(ev.materialize, eng.cols)), ev.bits))
     return rows, eng.status, ev.refinements
 
@@ -944,31 +977,113 @@ def test_history_read_makes_no_query(monkeypatch):
         assert _same_values(got, history) and rec == orig
 
 
-def _off_by(monkeypatch, delta: int) -> None:
-    real = FormEvaluator.certified_floor
-    monkeypatch.setattr(FormEvaluator, "certified_floor",
-                        lambda self, num, den: real(self, num, den) + delta)
-
-
-def test_negative_last_remainder_is_a_kernel_fault(monkeypatch):
+def test_negative_last_remainder_is_a_kernel_fault(floor_off_by):
     # a floor one too high leaves 1/2 - 2 * 1/3 as the last remainder: the
     # remainders' order is broken, which no precision would mend
     point = PointN((F(1, 2), F(1, 3)))
     assert sequence_nd(point, 10).symbols[0] == NonNegSymbol(1)
-    _off_by(monkeypatch, 1)
+    floor_off_by(1)
     # found before the next step, and at the end of a run as well
     for max_len in (10, 1):
         with pytest.raises(ValueError, match="last remainder is negative"):
             sequence_nd(point, max_len)
 
 
-def test_negative_floor_is_recorded_as_it_was_pushed(monkeypatch):
+def test_negative_floor_is_recorded_as_it_was_pushed(floor_off_by):
     # at (3/5, 1/2) the first floor is 0; one too low must stay -1, and the
     # replay refuses it rather than pushing some other column
     point = PointN((F(3, 5), F(1, 2)))
     assert sequence_nd(point, 1).symbols == (NonNegSymbol(0),)
-    _off_by(monkeypatch, -1)
+    floor_off_by(-1)
     rec = sequence_nd(point, 1)
     assert rec.symbols == (NonNegSymbol(-1),)
     with pytest.raises(ValueError, match="must be >= 0"):
         rec.d_history
+
+
+# batched steps ----------------------------------------------------------------
+
+
+_BIG = 10 ** 45
+
+
+@pytest.mark.parametrize("text, max_len, cap_bits, status, refines", [
+    ("5/7", 40, None, _TERMINATED, False),
+    # over 128 bits: the window cuts exact bounds too
+    (f"{_BIG * 5 // 8 + 7}/{_BIG}", 200, None, _TERMINATED, False),
+    ("dec:0.6180339887498948482045868343656:96", 100, None, _EXHAUSTED, False),
+    ("root:-1,1,1:0,1:pow1", 300, None, _TRUNCATED, True),
+    ("root:-1,1,1:0,1:pow1", 400, 128, _EXHAUSTED, True),
+    ("17/19,4/19", 40, None, _TERMINATED, False),
+    (f"{_BIG * 7 // 9 + 3}/{_BIG},{_BIG * 2 // 7 + 1}/{_BIG}", 400, None, _TERMINATED, False),
+    ("dec:0.54,0.29:128", 80, None, _EXHAUSTED, False),
+    ("root:-1,1,2,1:0,1:pow2", 300, None, _TRUNCATED, True),
+    ("root:-1,1,2,1:0,1:pow2", 400, 128, _EXHAUSTED, True),
+    ("370195607627/381848216645,336619384770/381848216645,288599339707/381848216645",
+     100, None, _TERMINATED, False),
+    ("dec:0.95646559138619455059955841977438015,0.91483640719224127693046640436625427,"
+     "0.87500000000000000000000000000000000:200", 400, None, _EXHAUSTED, False),
+    ("root:-7,0,0,8:0,1:pow3", 300, None, _TRUNCATED, True),
+    ("root:-7,0,0,8:0,1:pow3", 600, 256, _EXHAUSTED, True),
+    ("516488539417/524745386290,375593141795/524745386290,331717954813/524745386290,"
+     "267950949001/524745386290", 100, None, _TERMINATED, False),
+    ("dec:0.95646559138619455059955841977438015,0.91483640719224127693046640436625427,"
+     "0.87500000000000000000000000000000000,0.83690739532551772676215361230258263:200",
+     400, None, _EXHAUSTED, False),
+    ("root:-7,0,0,8:0,1:pow4", 300, None, _TRUNCATED, True),
+    ("root:-7,0,0,8:0,1:pow4", 600, 256, _EXHAUSTED, True),
+])
+def test_batched_runs_equal_unbatched(monkeypatch, text, max_len, cap_bits, status, refines):
+    # a window decision is the evaluator's own, so batches change no symbol,
+    # status, refinement, epoch, column or history of any record
+    n = len(parse_point(text, 64))
+    runs = {"nd": lambda: sequence_nd(PointN(parse_point(text, 64)), max_len, cap_bits=cap_bits)}
+    if n == 2:
+        runs["planar"] = lambda: sequence(Point2(*parse_point(text, 64)), max_len, cap_bits=cap_bits)
+    if n == 1:
+        runs["gauss"] = lambda: gauss_sequence(parse_point(text, 64)[0], max_len, cap_bits=cap_bits)
+
+    def engine(drive):
+        eng = _start(parse_point(text, 64), cap_bits, max_len=max_len, allow_zero_last=n == 2)
+        symbols = tuple(drive(eng))
+        return (symbols, eng.status, [c.coeffs for c in eng.cols], eng.ev.refinements, eng.ev.bits,
+                [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in eng.epochs])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        expected = {kind: make() for kind, make in runs.items()}
+    got = {kind: make() for kind, make in runs.items()}
+    batched = engine(lambda eng: eng.run(max_len))
+    assert batched == engine(lambda eng: _ordinary_run(eng, max_len))
+    symbols, got_status, _, refinements, _, _ = batched
+    assert got_status is status and (refinements > 0) is refines
+    if n >= 3:
+        assert any(isinstance(s, PairSymbol) for s in symbols)
+    for kind in runs:
+        assert _same_values(_last_remainders(got[kind]), _last_remainders(expected[kind]))
+        assert _same_values(_history(got[kind]), _history(expected[kind]))
+        assert got[kind] == expected[kind] and repr(got[kind]) == repr(expected[kind])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batches_decide_most_steps(monkeypatch, n):
+    # a run whose steps all went to the evaluator would ask one floor per step
+    length = 6400
+
+    def run():
+        if n == 2:
+            return sequence(period_one_point(2, 512), length, cap_bits=2 ** 20)
+        return sequence_nd(fixed_point_nd(n, 1, 512), length, cap_bits=2 ** 20)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        expected = run()
+    floors = []
+    real = FormEvaluator.certified_floor
+    monkeypatch.setattr(FormEvaluator, "certified_floor",
+                        lambda self, num, den: floors.append(num) or real(self, num, den))
+    rec = run()
+    assert len(floors) < length // 10
+    assert rec.symbols == expected.symbols
+    assert (rec.refinements, rec.precision_bits) == (expected.refinements, expected.precision_bits)
+    assert (rec.refinements, rec.precision_bits) == (5, 16448)
