@@ -19,7 +19,8 @@ plus a radius sum, computed once per form until the next refinement, and
 they are the same integers as the interval dot product over the
 per-coordinate bounds.  A batch window (``FormEvaluator.window``) keeps the
 leading bits of some forms' bounds and answers the same queries on those small
-integers, where they decide.
+integers, where they decide; each window form packs its weights over the
+batch's start forms into one integer, with a carried bound on their size.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -41,6 +42,7 @@ termination decidable for algebraic input points.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from copy import copy
 from dataclasses import dataclass, field
@@ -71,8 +73,23 @@ REFINE_CAP_FACTOR = 32
 #: period-one symbols at 128 bits, 25 at 64 and 95 at 256.  64 took x1.08 the
 #: time of 128 on the benchmark's algebraic runs and x1.2 on a 25,600-symbol
 #: run; 256 read level with 128 on the benchmark's algebraic and rational runs
-#: and x0.92 on the long one (2 vCPUs, CPython 3.11).
+#: and x0.92 on the long one (2 vCPUs, CPython 3.11).  A window form's weights
+#: are packed into one integer, ``WEIGHT_BITS`` bits per start column.
 WINDOW_BITS = 128
+
+#: Bits per weight in a window form's packed weights: each weight is one balanced
+#: base-2**WEIGHT_BITS digit, so every |w_t| must stay below 2**(WEIGHT_BITS - 1).
+#: A window whose columns were cut stops deciding long before its weights near
+#: 2**WINDOW_BITS, since each start column's rounding widens a form by |w_t|:
+#: the carried bound stayed within 70 bits on the benchmark's runs and on a
+#: 25,600-symbol one, so twice the window's width leaves the guard idle there.
+#: Only a window on columns that fit it uncut can decide until the guard ends its
+#: batch: 2 batches did, both at n = 5, in 250 random rationals at n = 1-5 with
+#: denominators up to 10**200 (their records were unchanged).
+WEIGHT_BITS = 2 * WINDOW_BITS
+
+#: Largest carried weight bound a packing holds; past it a batch ends.
+_WEIGHT_LIMIT = (1 << (WEIGHT_BITS - 1)) - 1
 
 
 class Sign(str, enum.Enum):
@@ -521,18 +538,22 @@ class _Window:
     """A run's columns at a batch start, cut to the top ``WINDOW_BITS`` bits of
     their bounds, with the evaluator's query methods on small integers.
 
-    A window form is ``(lo, hi, w)``: bounds over the common scale S·2**shift
-    and the weights ``w`` of the form over the start columns.  A start column's
-    bounds are the evaluator's, shifted right with ``lo`` rounded down and
-    ``hi`` up; ``sub`` and ``addmul`` combine bounds by interval arithmetic and
-    weights linearly.  So a window form's bounds contain the evaluator's own for
-    the form Σ w_t·col_t: its radius sum is at most Σ |w_t| times the columns'
-    (the triangle inequality), and the shift rounds outward.  A sign
-    or floor decided here is therefore the one the evaluator would answer at
-    this epoch from its first bounds, with no refinement and no exact-zero test.
-    Any other case reads AMBIGUOUS from ``certified_sign``, or raises
-    ``PrecisionExhaustedError`` from ``certified_floor``: the window has no bits
-    to refine, and leaves the test to the evaluator.
+    A window form is ``(lo, hi, packed, bound)``: bounds over the common scale
+    S·2**shift, the form's weights w_t over the start columns packed into one
+    integer Σ w_t·2**(WEIGHT_BITS·t), and a carried bound on every |w_t| (1 on
+    a start column).  A start column's bounds are the evaluator's, shifted
+    right with ``lo`` rounded down and ``hi`` up; ``sub`` and ``addmul``
+    combine bounds by interval arithmetic, packed weights linearly and bounds
+    as ``a + b`` and ``a + |c|·b``.  So a window form's bounds contain the
+    evaluator's own for the form Σ w_t·col_t: its radius sum is at most
+    Σ |w_t| times the columns' (the triangle inequality), and the shift rounds
+    outward.  A sign or floor decided here is therefore the one the evaluator
+    would answer at this epoch from its first bounds, with no refinement and no
+    exact-zero test.  Any other case reads AMBIGUOUS from ``certified_sign``,
+    or raises ``PrecisionExhaustedError`` from ``certified_floor``: the window
+    has no bits to refine, and leaves the test to the evaluator.  ``sub`` and
+    ``addmul`` raise it too where the new bound would pass what a packing
+    holds, so a batch ends there as at an undecided test.
     """
 
     __slots__ = ("start", "epoch")
@@ -541,19 +562,27 @@ class _Window:
         self.start, self.epoch = start, epoch
 
     def sub(self, a: tuple, b: tuple) -> tuple:
-        alo, ahi, aw = a
-        blo, bhi, bw = b
-        return alo - bhi, ahi - blo, tuple(map(subtract, aw, bw))
+        alo, ahi, ap, abound = a
+        blo, bhi, bp, bbound = b
+        bound = abound + bbound
+        if bound > _WEIGHT_LIMIT:
+            raise PrecisionExhaustedError("weights outgrow their packing")
+        return alo - bhi, ahi - blo, ap - bp, bound
 
     def addmul(self, a: tuple, c: int, b: tuple) -> tuple:
-        alo, ahi, aw = a
-        blo, bhi, bw = b
+        alo, ahi, ap, abound = a
+        blo, bhi, bp, bbound = b
         if c < 0:
             blo, bhi = bhi, blo
-        return alo + c * blo, ahi + c * bhi, tuple([x + c * y for x, y in zip(aw, bw)])
+            bound = abound - c * bbound
+        else:
+            bound = abound + c * bbound
+        if bound > _WEIGHT_LIMIT:
+            raise PrecisionExhaustedError("weights outgrow their packing")
+        return alo + c * blo, ahi + c * bhi, ap + c * bp, bound
 
     def certified_sign(self, form: tuple) -> Sign:
-        lo, hi, _ = form
+        lo, hi, _, _ = form
         if lo > 0:
             return Sign.POSITIVE
         if hi < 0:
@@ -562,7 +591,7 @@ class _Window:
         return Sign.ZERO if lo == hi else Sign.AMBIGUOUS
 
     def certified_floor(self, num: tuple, den: tuple) -> int:
-        (nlo, nhi, _), (dlo, dhi, _) = num, den
+        (nlo, nhi, _, _), (dlo, dhi, _, _) = num, den
         if dlo > 0:
             # the evaluator's box lies inside this one: its floors lie between these
             fl = nlo // dhi if nlo >= 0 else nlo // dlo
@@ -572,19 +601,41 @@ class _Window:
         raise PrecisionExhaustedError("floor undecided in the window")
 
     def columns(self, forms: Sequence[tuple]) -> list[_Form]:
-        """The evaluator's forms for window forms: their weights applied once to
-        the start columns' coefficients and midpoint sums."""
+        """The evaluator's forms for window forms: each one's weights decoded
+        once and applied to the start columns' coefficients and midpoint sums.
+        A start column's packing gives back that column itself."""
         start, ep = self.start, self.epoch
-        units = dict(zip(mat_identity(len(start)), start))
+        size = len(start)
+        known = dict(zip(_unit_packings(size), start))
         rows = list(zip(*(col.coeffs + (col.mid,) for col in start)))
         cols = []
-        for _, _, w in forms:
-            col = units.get(w)
+        for form in forms:
+            col = known.get(form[2])
             if col is None:
+                w = _unpack(form[2], size)
                 *coeffs, mid = [sum(map(mul, w, row)) for row in rows]
                 col = _Form(tuple(coeffs), mid, ep)
             cols.append(col)
         return cols
+
+
+@functools.cache
+def _unit_packings(size: int) -> tuple[int, ...]:
+    """The packed weights of the start columns 0, ..., size - 1."""
+    return tuple(1 << (WEIGHT_BITS * t) for t in range(size))
+
+
+def _unpack(packed: int, size: int) -> tuple[int, ...]:
+    """The weights of a packing over ``size`` start columns: its balanced
+    base-2**WEIGHT_BITS digits, unique as every |w_t| < 2**(WEIGHT_BITS - 1).
+    Adding 2**(WEIGHT_BITS - 1) to every digit makes each one nonnegative."""
+    half, mask = 1 << (WEIGHT_BITS - 1), (1 << WEIGHT_BITS) - 1
+    x = packed + (sum(_unit_packings(size)) << (WEIGHT_BITS - 1))
+    weights = []
+    for _ in range(size):
+        weights.append((x & mask) - half)
+        x >>= WEIGHT_BITS
+    return tuple(weights)
 
 
 class FormEvaluator:
@@ -703,12 +754,13 @@ class FormEvaluator:
 
     def window(self, cols: Sequence[_Form]) -> tuple[_Window, list[tuple]]:
         """A batch window over carried forms, and its forms for them: each form's
-        bounds (one radius sum each), cut by one common shift to ``WINDOW_BITS``."""
+        bounds (one radius sum each), cut by one common shift to ``WINDOW_BITS``,
+        with its unit packing and a weight bound of 1."""
         bounds = [self._int_bounds(col) for col in cols]
         top = max(max(hi, -lo) for lo, hi in bounds)
         shift = max(top.bit_length() - WINDOW_BITS, 0)
-        units = mat_identity(len(cols))
-        forms = [(lo >> shift, -(-hi >> shift), u) for (lo, hi), u in zip(bounds, units)]
+        units = _unit_packings(len(cols))
+        forms = [(lo >> shift, -(-hi >> shift), u, 1) for (lo, hi), u in zip(bounds, units)]
         return _Window(cols, self.epoch), forms
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:

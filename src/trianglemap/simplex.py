@@ -265,7 +265,11 @@ class _Engine:
         Each batch yields its symbols once the columns of its last step are
         pushed, so ``cols`` is current only between batches and at the run's
         end.  After each batch one ordinary step follows: it alone may refine,
-        test an exact zero or end the run.
+        test an exact zero or end the run.  An empty batch whose ordinary step
+        did not refine says the window is too narrow for the columns (partial
+        quotients longer than its bits): the next s steps are ordinary ones
+        with no window, s doubling with each such batch in a row and back to 1
+        after a batch that decides a step or a refinement.
 
         For a replay of its history the run keeps, besides the symbols its
         caller collects, only ``epochs``: ``(step, epoch)`` for the
@@ -281,11 +285,20 @@ class _Engine:
         epoch = ev.epoch
         self.epochs = [(0, epoch)]
         step = 0
+        # ordinary steps left before the next window, and how many an empty one costs
+        ahead, backoff = 0, 1
         while True:
-            if step < max_len:
+            empty = False
+            if ahead:
+                ahead -= 1
+            elif step < max_len:
                 symbols = self._batch(max_len - step)
-                step += len(symbols)
-                yield from symbols
+                if symbols:
+                    backoff = 1
+                    step += len(symbols)
+                    yield from symbols
+                else:
+                    empty = True
             s = sign(self.cols[-1])
             if s is Sign.NEGATIVE:
                 raise ValueError("last remainder is negative")
@@ -308,6 +321,9 @@ class _Engine:
             if ev.epoch is not epoch:
                 epoch = ev.epoch
                 self.epochs.append((step, epoch))
+                ahead, backoff = 0, 1
+            elif empty:
+                ahead, backoff = backoff, 2 * backoff
             yield symbol
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from trianglemap import numeric
 from trianglemap.errors import DegenerateInputError, InconsistentInputError, PrecisionExhaustedError
-from trianglemap.matrices import IntMatrix
+from trianglemap.matrices import IntMatrix, mat_identity
 from trianglemap.numeric import (
     MIN_PRECISION,
     BigFloat,
@@ -873,13 +873,23 @@ def test_ops_rebase_forms_made_before_a_refinement():
 # batch windows ------------------------------------------------------------------
 
 
+#: Largest weight a window form's packing holds: its balanced digits are unique below 2**(F - 1).
+_WEIGHT_LIMIT = 2 ** (numeric.WEIGHT_BITS - 1) - 1
+
+
 @settings(deadline=None, max_examples=80)
 @given(carried_chains(), st.lists(st.tuples(st.sampled_from(["sub", "addmul"]), st.integers(0, 99),
                                             st.integers(0, 99), coefficients), max_size=8))
+# the third chained addmul by 2**90 passes the packing
+@example(([Fraction(1, 3), Fraction(1, 5)], [("sub", 0, 1, 0)]),
+         [("addmul", 0, 1, 2 ** 90), ("addmul", 1, 4, -2 ** 90), ("addmul", 2, 5, 2 ** 90), ("sub", 5, 4, 0)])
 def test_window_decisions_are_the_evaluators(case, window_ops):
     # a window over some carried forms, and the same ops on both sides: each
     # sign and floor the window decides is the evaluator's answer, made with
-    # no refinement, and its weights give back the evaluator's form
+    # no refinement, and its weights give back the evaluator's form.  The
+    # weights and their carried bound are mirrored on plain tuples: an op
+    # raises exactly where they would pass the packing, and otherwise the
+    # packed weights decode to the mirrored ones
     values, ops = case
     ev = FormEvaluator(values)
     forms = ev.units()
@@ -891,12 +901,25 @@ def test_window_decisions_are_the_evaluators(case, window_ops):
             forms.append(ev.sub(x, y) if name == "sub" else ev.addmul(x, c, y))
     win, pairs = ev.window(forms)
     pairs = list(zip(pairs, forms))
+    size = len(forms)
+    mirrors = [(unit, 1) for unit in mat_identity(size)]
     for name, a, b, c in window_ops:
         (wx, x), (wy, y) = pairs[a % len(pairs)], pairs[b % len(pairs)]
+        (mx, bx), (my, by) = mirrors[a % len(pairs)], mirrors[b % len(pairs)]
+        if name == "sub":
+            mirror = tuple(s - t for s, t in zip(mx, my)), bx + by
+        else:
+            mirror = tuple(s + c * t for s, t in zip(mx, my)), bx + abs(c) * by
+        if max(map(abs, mirror[0])) > _WEIGHT_LIMIT or mirror[1] > _WEIGHT_LIMIT:
+            with pytest.raises(PrecisionExhaustedError, match="outgrow their packing"):
+                win.sub(wx, wy) if name == "sub" else win.addmul(wx, c, wy)
+            continue
         if name == "sub":
             pairs.append((win.sub(wx, wy), ev.sub(x, y)))
         else:
             pairs.append((win.addmul(wx, c, wy), ev.addmul(x, c, y)))
+        mirrors.append(mirror)
+    assert [(numeric._unpack(w[2], size), w[3]) for w, _ in pairs] == mirrors
     before = ev.refinements
     assert [(col.coeffs, col.mid) for col in win.columns([w for w, _ in pairs])] == \
         [(form.coeffs, form.mid) for _, form in pairs]
@@ -917,3 +940,58 @@ def test_window_decisions_are_the_evaluators(case, window_ops):
                 continue
             assert ev.certified_floor(form, den) == floor
     assert ev.refinements == before
+
+
+_weights = st.one_of(st.integers(-_WEIGHT_LIMIT, _WEIGHT_LIMIT), st.integers(-3, 3),
+                     st.sampled_from([_WEIGHT_LIMIT, -_WEIGHT_LIMIT, _WEIGHT_LIMIT - 1, 1 - _WEIGHT_LIMIT]))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(_weights, min_size=n + 1, max_size=n + 1)))
+@example([_WEIGHT_LIMIT, -_WEIGHT_LIMIT])
+@example([-_WEIGHT_LIMIT] * 6)
+@example([_WEIGHT_LIMIT, 0, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, -1, _WEIGHT_LIMIT])
+def test_packed_weights_round_trip(weights):
+    # Σ w_t·2**(F·t) decodes to its weights whenever every |w_t| fits the packing
+    packed = sum(w << (numeric.WEIGHT_BITS * t) for t, w in enumerate(weights))
+    assert numeric._unpack(packed, len(weights)) == tuple(weights)
+
+
+def test_window_ops_raise_at_the_first_bound_past_the_packing():
+    ev = FormEvaluator([Fraction(1, 3)])
+    one, x = ev.units()
+    win, (w1, wx) = ev.window([one, x])
+    # a bound of exactly the limit is held and decodes; one more is refused
+    top = win.addmul(w1, _WEIGHT_LIMIT - 1, wx)
+    low = win.addmul(w1, 1 - _WEIGHT_LIMIT, wx)
+    edge = win.sub(win.addmul(w1, _WEIGHT_LIMIT - 2, wx), wx)
+    assert [f[3] for f in (top, low, edge)] == [_WEIGHT_LIMIT] * 3
+    assert [numeric._unpack(f[2], 2) for f in (top, low, edge)] == \
+        [(1, _WEIGHT_LIMIT - 1), (1, 1 - _WEIGHT_LIMIT), (1, _WEIGHT_LIMIT - 3)]
+    assert [(col.coeffs, col.mid) for col in win.columns([top, low, edge])] == \
+        [(f.coeffs, f.mid) for f in (ev.addmul(one, _WEIGHT_LIMIT - 1, x), ev.addmul(one, 1 - _WEIGHT_LIMIT, x),
+                                     ev.addmul(one, _WEIGHT_LIMIT - 3, x))]
+    for step in (lambda: win.addmul(w1, _WEIGHT_LIMIT, wx), lambda: win.addmul(w1, -_WEIGHT_LIMIT, wx),
+                 lambda: win.sub(top, w1), lambda: win.sub(w1, low), lambda: win.sub(edge, wx),
+                 lambda: win.addmul(top, 1, w1), lambda: win.addmul(wx, -1, low)):
+        with pytest.raises(PrecisionExhaustedError, match="outgrow their packing"):
+            step()
+    # doubling the unit form: a bound of 2**(F - 2) is held, 2**(F - 1) is refused
+    form = w1
+    for _ in range(numeric.WEIGHT_BITS - 2):
+        form = win.addmul(form, 1, form)
+    assert form[3] == 2 ** (numeric.WEIGHT_BITS - 2)
+    assert numeric._unpack(form[2], 2) == (2 ** (numeric.WEIGHT_BITS - 2), 0)
+    with pytest.raises(PrecisionExhaustedError, match="outgrow their packing"):
+        win.addmul(form, 1, form)
+
+
+def test_unit_packings_give_back_their_start_columns():
+    # a form whose weights are a start column's, directly or after ops that
+    # cancel, is that very column: no dot product is taken for it
+    ev = FormEvaluator([Fraction(5, 7), Fraction(2, 7)])
+    one, x, y = ev.units()
+    cols = [ev.sub(one, x), ev.addmul(x, -2, y), y]
+    win, forms = ev.window(cols)
+    back = win.sub(win.addmul(forms[1], 3, forms[2]), win.addmul(forms[2], 2, forms[2]))
+    got = win.columns([*forms, back, forms[0]])
+    assert all(g is c for g, c in zip(got, [*cols, cols[1], cols[0]], strict=True))

@@ -1087,3 +1087,79 @@ def test_batches_decide_most_steps(monkeypatch, n):
     assert rec.symbols == expected.symbols
     assert (rec.refinements, rec.precision_bits) == (expected.refinements, expected.precision_bits)
     assert (rec.refinements, rec.precision_bits) == (5, 16448)
+
+
+@pytest.mark.parametrize("n, length, batches", [
+    (2, 600, [51, 16, 4, 1, 0, 50, 19, 5, 1, 51, 51, 36, 11, 2, 1, 51, 51, 51, 51, 51, 26]),
+    (3, 400, [65, 21, 5, 1, 0, 65, 23, 6, 1, 0, 65, 65, 45, 13, 3, 1, 5]),
+    # the second empty batch's ordinary step does not refine, so no window is
+    # loaded for the step after it, whose window was empty as well
+    (4, 300, [62, 23, 7, 2, 0, 62, 26, 9, 2, 0, 62, 33]),
+])
+def test_batch_lengths_of_period_one_runs(monkeypatch, n, length, batches):
+    # the period-one runs at 128 bits decide their steps in these batches: a
+    # window that ended its batches early would show here first
+    lengths = []
+    real = simplex._Engine._batch
+    monkeypatch.setattr(simplex._Engine, "_batch",
+                        lambda self, room: lengths.append(len(symbols := real(self, room))) or symbols)
+    if n == 2:
+        rec = sequence(period_one_point(2, 128), length)
+    else:
+        rec = sequence_nd(fixed_point_nd(n, 1, 128), length)
+    assert rec.status is _TRUNCATED
+    assert lengths == batches
+
+
+def _continued_fraction(quotients) -> Fraction:
+    """[0; a_1, a_2, ...] for the partial quotients a_t."""
+    x = Fraction(0)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    return x
+
+
+def test_empty_batches_back_off(monkeypatch):
+    # partial quotients of 10**20 do not fit a window: every batch is empty, and
+    # after each one (its ordinary step does not refine) the engine skips the
+    # window for twice as many steps as after the one before
+    x = _continued_fraction([10 ** 20] * 60)
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        expected = gauss_sequence(x, 100)
+    loads = []
+    real = FormEvaluator.window
+    monkeypatch.setattr(FormEvaluator, "window", lambda self, cols: loads.append(cols) or real(self, cols))
+    rec = gauss_sequence(x, 100)
+    assert rec.quotients == (10 ** 20,) * 60 and rec.status is _TERMINATED
+    assert len(loads) <= 8
+    assert rec == expected and repr(rec) == repr(expected)
+    assert _same_values(_history(rec), _history(expected))
+
+
+_HUGE_THEN_ONES = _continued_fraction([10 ** 20] * 8 + [1] * 40 + [10 ** 20] * 24)
+
+
+@pytest.mark.parametrize("text, bits, max_len, loads", [
+    # 8 quotients of 10**20, 40 ones and 24 more of 10**20: the batch that
+    # decides the ones starts the backoff over at the next huge quotient
+    (f"{_HUGE_THEN_ONES.numerator}/{_HUGE_THEN_ONES.denominator}", 64, 200,
+     [0, 2, 5, 10, 49, 51, 54, 59, 68]),
+    # every quotient 10**20, on a root that refines at steps 2, 4, 8, 16 and 31:
+    # each refinement starts the backoff over
+    (f"root:-1,{10 ** 20},1:0,1:pow1", 256, 60, [0, 2, 4, 6, 8, 10, 13, 16, 18, 21, 26, 31, 33, 36, 41, 50]),
+])
+def test_window_backoff_starts_over(monkeypatch, text, bits, max_len, loads):
+    got = []
+    real = simplex._Engine._batch
+    monkeypatch.setattr(simplex._Engine, "_batch", lambda self, room: got.append(max_len - room) or real(self, room))
+
+    def engine(drive):
+        eng = _start(parse_point(text, bits), None, max_len=max_len)
+        symbols = tuple(drive(eng))
+        return (symbols, eng.status, [c.coeffs for c in eng.cols], eng.ev.refinements, eng.ev.bits,
+                [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in eng.epochs])
+
+    batched = engine(lambda eng: eng.run(max_len))
+    assert got == loads
+    assert batched == engine(lambda eng: _ordinary_run(eng, max_len))
