@@ -47,7 +47,7 @@ import math
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, sub as subtract
+from operator import add, mul, sub as subtract
 from typing import Sequence, Union
 
 from . import polynomials
@@ -668,16 +668,27 @@ class FormEvaluator:
     root's powers, so a run leaves its input as it found it.
     A true zero is recognised exactly when all irrational coordinates are
     powers of one shared root.
+
+    Construction checks the coordinates and finds their scale in one pass,
+    and each epoch's sums and radii take one more.
     """
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
-        self.values: list = [Fraction(v) if isinstance(v, int) else v for v in values]
-        for v in self.values:
-            if not isinstance(v, (Fraction, BigFloat)):
+        self.values: list = []
+        vals = self.values
+        prec, den, refinable = 0, 1, False
+        for v in values:
+            if isinstance(v, Fraction):
+                den = math.lcm(den, v.denominator)
+            elif isinstance(v, BigFloat):
+                prec = max(prec, v.prec)
+                refinable = refinable or v.source is not None
+            elif isinstance(v, int):
+                v = Fraction(v)
+            else:
                 raise TypeError(f"coordinates must be int, Fraction or BigFloat, not {type(v).__name__}")
-        precs = [v.prec for v in self.values if isinstance(v, BigFloat)]
-        self.bits = max(precs) if precs else MIN_PRECISION
-        refinable = any(isinstance(v, BigFloat) and v.refinable for v in self.values)
+            vals.append(v)
+        self.bits = prec or MIN_PRECISION
         if refinable:
             self._own_enclosures()
         if cap_bits is not None:
@@ -689,7 +700,8 @@ class FormEvaluator:
         else:
             self.cap = self.bits
         self.refinements = 0
-        self._rescale()
+        self._den = den
+        self._rescale(prec)
 
     def _own_enclosures(self) -> None:
         """Rebind each root-backed value to a copy of its enclosure, one copy per
@@ -703,24 +715,26 @@ class FormEvaluator:
                     enc = copies[id(src.enclosure)] = copy(src.enclosure)
                 self.values[i] = BigFloat(v.lo_num, v.hi_num, v.prec, _RootPower(enc, src.power))
 
-    def _rescale(self) -> None:
-        """Make the epoch of the current enclosures."""
-        vals = self.values
-        p = max((v.prec for v in vals if isinstance(v, BigFloat)), default=0)
-        den = math.lcm(*(v.denominator for v in vals if not isinstance(v, BigFloat)))
+    def _rescale(self, p: int) -> None:
+        """Make the epoch of the current enclosures, on the scale ``den << p``
+        for ``p`` their largest precision (0 with none)."""
+        den = self._den
         scale = den << p
         mids, rads = [scale << 1], [0]
-        for v in vals:
+        exact = True
+        for v in self.values:
             if isinstance(v, BigFloat):
                 f = den << (p - v.prec)
                 lo, hi = v.lo_num * f, v.hi_num * f
                 mids.append(lo + hi)
                 rads.append(hi - lo)
+                if lo != hi:
+                    exact = False
             else:
                 mids.append(v.numerator * (den // v.denominator) << (p + 1))
                 rads.append(0)
         # an exact point has no radius sum at all
-        self.epoch = _Epoch(mids, rads if any(rads) else None, scale, self.bits)
+        self.epoch = _Epoch(mids, None if exact else rads, scale, self.bits)
 
     def _rebase(self, form: _Form) -> None:
         """Bring a form made before the last rescale to the current one: its
@@ -732,6 +746,18 @@ class FormEvaluator:
         """The unit forms 1, v1, ..., vn, whose midpoint sums are the epoch's own."""
         ep = self.epoch
         return [_Form(u, m, ep) for u, m in zip(mat_identity(len(ep.mids)), ep.mids)]
+
+    def gap_bounds(self) -> list[int]:
+        """The low bounds times S of the domain forms 1 - x_1, x_t - x_{t+1} and
+        x_n, read off the epoch (x_{n+1} = 0): the integers ``certified_sign``
+        first compares with 0 on ``sub(units[t], units[t + 1])`` and ``units[n]``."""
+        ep = self.epoch
+        mids = ep.mids
+        gaps = map(subtract, mids, [*mids[1:], 0])
+        if ep.rads is None:
+            return [m >> 1 for m in gaps]
+        rads = ep.rads
+        return [(m - r) >> 1 for m, r in zip(gaps, map(add, rads, [*rads[1:], 0]))]
 
     def sub(self, a: _Form, b: _Form) -> _Form:
         """The form a - b, carrying its midpoint sum."""
@@ -802,17 +828,21 @@ class FormEvaluator:
             return False
         new_bits = min(self.cap, self.bits * 2)
         improved = False
+        prec = 0
         for i, v in enumerate(self.values):
+            if not isinstance(v, BigFloat):
+                continue
             # a value already held at new_bits or more comes back as itself
-            tighter = v.refined(new_bits) if isinstance(v, BigFloat) else None
+            tighter = v.refined(new_bits)
             if tighter is not None and tighter is not v:
-                self.values[i] = tighter
+                self.values[i] = v = tighter
                 improved = True
+            prec = max(prec, v.prec)
         if not improved:
             return False
         self.bits = new_bits
         self.refinements += 1
-        self._rescale()
+        self._rescale(prec)
         return True
 
     def exact_zero(self, coeffs: Sequence[int]) -> bool | None:

@@ -28,12 +28,13 @@ own coordinate names and records.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
@@ -66,6 +67,17 @@ SymbolND = NonNegSymbol | PairSymbol
 
 #: The symbols of the small floors, made once: nearly every step emits one.
 _NONNEG = tuple(NonNegSymbol(k) for k in range(256))
+
+
+def _nonneg(k: int) -> NonNegSymbol:
+    """The floor symbol k, from ``_NONNEG`` when it holds one."""
+    return _NONNEG[k] if 0 <= k < len(_NONNEG) else NonNegSymbol(k)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair(i: int, j: int) -> PairSymbol:
+    """The pair symbol (i, j), made once; the bound holds every pair of n <= 91."""
+    return PairSymbol(i, j)
 
 
 # points ---------------------------------------------------------------------
@@ -128,13 +140,18 @@ def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str
                   allow_zero_last: bool) -> None:
     """Certify 1 >= x_1 >= ... >= x_n > 0; x_n = 0 passes with allow_zero_last.
 
-    Its forms are carried differences of the unit forms: no full dot product.
-    Messages name the coordinates by ``names`` (default x_1, ..., x_n) and
-    are built only when a check fails.
+    A low bound from ``FormEvaluator.gap_bounds`` above 0 is the positive
+    sign ``certified_sign`` would answer first; only a sign those bounds
+    leave open builds its form, a carried difference of the unit forms, and
+    asks.  A bound read before a refinement still holds after it: refining
+    only tightens each enclosure.  Messages name the coordinates by
+    ``names`` (default x_1, ..., x_n) and are built only when a check fails.
     """
     n = len(units) - 1
-    for t, form in enumerate([*map(ev.sub, units, units[1:]), units[n]]):
-        s = ev.certified_sign(form)
+    for t, low in enumerate(ev.gap_bounds()):
+        if low > 0:
+            continue
+        s = ev.certified_sign(ev.sub(units[t], units[t + 1]) if t < n else units[n])
         if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
             continue
         names = names or [f"x_{u}" for u in range(1, n + 1)]
@@ -193,8 +210,7 @@ def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
         slack = q[n - 1]
     if n < 3 or _certain(ops, slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
         a = ops.certified_floor(slack, cols[n])
-        symbol = _NONNEG[a] if 0 <= a < len(_NONNEG) else NonNegSymbol(a)
-        return symbol, ops.addmul(slack, -a, cols[n])
+        return _nonneg(a), ops.addmul(slack, -a, cols[n])
     i = 1
     while i < n - 2 and _certain(ops, q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
         i += 1
@@ -204,7 +220,7 @@ def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
             break
     else:
         j = n
-    return PairSymbol(i, j), q[i]
+    return _pair(i, j), q[i]
 
 
 class _Engine:
@@ -517,23 +533,27 @@ def region_vertices(n: int, symbol: SymbolND) -> tuple[tuple[Fraction, ...], ...
     return cylinder_vertices((symbol,), n)
 
 
+def _in_domain(den: int, xs: Sequence[int], closed: bool) -> bool:
+    """Whether numerators ``xs`` over ``den`` > 0 give a point of the domain
+    1 >= x_1 >= ... >= x_n > 0, or of its closure (x_n >= 0) with ``closed``."""
+    last = xs[-1]
+    if xs[0] > den or last < 0 or (last == 0 and not closed):
+        return False
+    return all(map(ge, xs, xs[1:]))
+
+
 def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: SymbolND,
                    closed: bool) -> bool:
-    """The region rule on a point given as numerators ``xs`` over ``den`` > 0.
+    """The region rule on a domain point given as numerators ``xs`` over ``den`` > 0.
 
-    ``q`` is the chain q_0, ..., q_n scaled by den: ``q[t]`` is den less the
-    first t numerators, so ``q[0]`` is den and ``q[n - 1]`` the slack.  Scaling
-    by the positive ``den`` keeps every inequality, so each test is an integer
-    comparison.
+    The point must pass ``_in_domain`` with the same ``closed``: this tests
+    the region's own inequalities only.  ``q`` is the chain q_0, ..., q_n
+    scaled by den: ``q[t]`` is den less the first t numerators, so ``q[0]``
+    is den and ``q[n - 1]`` the slack.  Scaling by the positive ``den`` keeps
+    every inequality, so each test is an integer comparison.
     """
     n = len(xs)
     last = xs[n - 1]
-    # domain (closure version never rejects a boundary point of the simplex)
-    if xs[0] > den or last < 0 or (last == 0 and not closed):
-        return False
-    for t in range(n - 1):
-        if xs[t] < xs[t + 1]:
-            return False
     if not _names_region(symbol, n):
         return False
     slack = q[n - 1]
@@ -580,7 +600,8 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
         raise DegenerateInputError("point needs at least one coordinate")
     den = lcm(*(v.denominator for v in x))
     xs = [v.numerator * (den // v.denominator) for v in x]
-    return _member_scaled(den, xs, list(accumulate(xs, sub, initial=den)), symbol, closed)
+    return (_in_domain(den, xs, closed)
+            and _member_scaled(den, xs, list(accumulate(xs, sub, initial=den)), symbol, closed))
 
 
 def candidate_symbols(n: int) -> list[SymbolND]:
@@ -626,9 +647,11 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
     Membership is tested directly from the defining inequalities for the
     floor-determined nonnegative index (plus its neighbours, which must
     fail) and for every pair symbol exhaustively, in integer arithmetic
-    over the sample's common denominator.  Every sampled point must land
-    in exactly one region; its region must also agree with classify_nd,
-    which decides by certified integer forms rather than these inequalities.
+    over the sample's common denominator, once the sample has passed the
+    domain test (no region claims a point outside the domain).  Every
+    sampled point must land in exactly one region; its region must also
+    agree with classify_nd, which decides by certified integer forms rather
+    than these inequalities.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -640,17 +663,18 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
     mismatches = 0
     for _ in range(samples):
         den, xs = _sample_scaled(rng, n, max_denominator)
-        q = list(accumulate(xs, sub, initial=den))
-        slack = q[n - 1]
         matches: list[SymbolND] = []
-        if slack >= 0:
-            k = slack // xs[n - 1]
-            for cand in (k - 1, k, k + 1):
-                if _member_scaled(den, xs, q, NonNegSymbol(cand), False):
-                    matches.append(NonNegSymbol(cand))
-        for sym in pairs:
-            if _member_scaled(den, xs, q, sym, False):
-                matches.append(sym)
+        if _in_domain(den, xs, False):
+            q = list(accumulate(xs, sub, initial=den))
+            slack = q[n - 1]
+            if slack >= 0:
+                k = slack // xs[n - 1]
+                for cand in map(_nonneg, (k - 1, k, k + 1)):
+                    if _member_scaled(den, xs, q, cand, False):
+                        matches.append(cand)
+            for sym in pairs:
+                if _member_scaled(den, xs, q, sym, False):
+                    matches.append(sym)
         x = tuple(Fraction(p, den) for p in xs)
         if len(matches) != 1:
             violations.append((x, len(matches)))

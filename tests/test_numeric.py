@@ -995,3 +995,100 @@ def test_unit_packings_give_back_their_start_columns():
     back = win.sub(win.addmul(forms[1], 3, forms[2]), win.addmul(forms[2], 2, forms[2]))
     got = win.columns([*forms, back, forms[0]])
     assert all(g is c for g, c in zip(got, [*cols, cols[1], cols[0]], strict=True))
+
+
+# evaluator construction -------------------------------------------------------
+
+
+def _epoch_in_separate_passes(values, cap_bits=None):
+    """The evaluator's first epoch and cap as the constructor made them in
+    separate passes (a check, precisions, refinability, max, lcm, midpoint sums)."""
+    vals = [Fraction(v) if isinstance(v, int) else v for v in values]
+    for v in vals:
+        if not isinstance(v, (Fraction, BigFloat)):
+            raise TypeError(f"coordinates must be int, Fraction or BigFloat, not {type(v).__name__}")
+    precs = [v.prec for v in vals if isinstance(v, BigFloat)]
+    bits = max(precs) if precs else MIN_PRECISION
+    refinable = any(isinstance(v, BigFloat) and v.refinable for v in vals)
+    if cap_bits is not None:
+        cap = cap_bits
+    elif refinable:
+        cap = min(max(4096, numeric.REFINE_CAP_FACTOR * bits), numeric.MAX_PRECISION)
+    else:
+        cap = bits
+    return _rescale_in_separate_passes(vals, bits), cap
+
+
+def _rescale_in_separate_passes(vals, bits):
+    """(mids, rads, scale, bits) of the values, as the separate passes made them."""
+    p = max((v.prec for v in vals if isinstance(v, BigFloat)), default=0)
+    den = math.lcm(*(v.denominator for v in vals if not isinstance(v, BigFloat)))
+    scale = den << p
+    mids, rads = [scale << 1], [0]
+    for v in vals:
+        if isinstance(v, BigFloat):
+            f = den << (p - v.prec)
+            lo, hi = v.lo_num * f, v.hi_num * f
+            mids.append(lo + hi)
+            rads.append(hi - lo)
+        else:
+            mids.append(v.numerator * (den // v.denominator) << (p + 1))
+            rads.append(0)
+    return mids, rads if any(rads) else None, scale, bits
+
+
+def _epoch_of(ev):
+    ep = ev.epoch
+    return ep.mids, ep.rads, ep.scale, ep.bits
+
+
+@st.composite
+def mixed_values(draw):
+    """Coordinates of every accepted kind in any order: ints (bool too),
+    Fractions, exact, tight and wide plain BigFloats, and root powers."""
+    spec = draw(st.sampled_from([GOLDEN, CUBIC1]))
+    roots = root_powers(spec, draw(st.integers(1, 3)), draw(st.integers(MIN_PRECISION, 200)))
+    values = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["int", "fraction", "exact", "bounds", "root"]))
+        f = draw(st.fractions(-3, 3, max_denominator=10 ** 6))
+        prec = draw(st.integers(MIN_PRECISION, 200))
+        if kind == "int":
+            values.append(draw(st.one_of(st.integers(-5, 5), st.booleans())))
+        elif kind == "fraction":
+            values.append(f)
+        elif kind == "exact":
+            values.append(BigFloat.from_fraction(Fraction(f.numerator, 1 << 20), prec))
+        elif kind == "bounds":
+            values.append(BigFloat.from_bounds(f, f + abs(f) + Fraction(1, 1 << 70), prec))
+        else:
+            values.append(draw(st.sampled_from(roots)))
+    return values, draw(st.sampled_from([None, 64, 1000]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_values())
+def test_evaluator_construction_matches_the_separate_passes(case):
+    values, cap_bits = case
+    epoch, cap = _epoch_in_separate_passes(values, cap_bits)
+    ev = FormEvaluator(values, cap_bits=cap_bits)
+    assert _epoch_of(ev) == epoch
+    assert ev.cap == cap and ev.bits == epoch[3] and ev.refinements == 0
+    # a refinement rescales in one pass too
+    if ev.refine():
+        assert _epoch_of(ev) == _rescale_in_separate_passes(ev.values, ev.bits)
+
+
+@pytest.mark.parametrize("values, name", [
+    ([Fraction(1, 2), 0.5], "float"),
+    (["1/2"], "str"),
+    ([0.5, "x"], "float"),
+    ([1, Fraction(1, 3), BigFloat.from_fraction(Fraction(1, 5), 64), None], "NoneType"),
+])
+def test_evaluator_refuses_other_coordinate_types(values, name):
+    message = f"coordinates must be int, Fraction or BigFloat, not {name}"
+    with pytest.raises(TypeError) as separate:
+        _epoch_in_separate_passes(values)
+    assert str(separate.value) == message
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        FormEvaluator(values)

@@ -14,7 +14,8 @@ from trianglemap.errors import DegenerateInputError, NotYetConvergedError, Preci
 from trianglemap.matrices import (mat_det, mat_identity, mat_inverse_unimodular, mat_mul, push_column,
                                   recover_nd)
 from trianglemap.io_formats import parse_point
-from trianglemap.numeric import BigFloat, FormEvaluator, SequenceStatus, Sign, _Epoch
+from trianglemap.numeric import BigFloat, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch, root_powers
+from trianglemap.polynomials import IntPolynomial
 from trianglemap.periodicity import (
     fixed_point_nd,
     fixed_point_poly,
@@ -1163,3 +1164,266 @@ def test_window_backoff_starts_over(monkeypatch, text, bits, max_len, loads):
     batched = engine(lambda eng: eng.run(max_len))
     assert got == loads
     assert batched == engine(lambda eng: _ordinary_run(eng, max_len))
+
+
+# the domain check read off the epoch -----------------------------------------
+
+
+def _check_domain_asking_every_sign(ev, units, names, allow_zero_last) -> None:
+    """The domain check that builds every difference and asks its certified
+    sign: the oracle for ``_check_domain``."""
+    n = len(units) - 1
+    for t, form in enumerate([*map(ev.sub, units, units[1:]), units[n]]):
+        s = ev.certified_sign(form)
+        if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
+            continue
+        names = names or [f"x_{u}" for u in range(1, n + 1)]
+        if t == 0:
+            msg = f"{names[0]} exceeds 1"
+        elif t < n:
+            msg = f"{names[t]} exceeds {names[t - 1]}"
+        else:
+            msg = f"{names[-1]} {'must be positive' if s is Sign.ZERO else 'is negative'}"
+        if s is Sign.AMBIGUOUS:
+            raise PrecisionExhaustedError(f"cannot certify domain: {msg}")
+        raise DegenerateInputError(msg)
+
+
+def _domain_outcome(check, coords, cap_bits, names, allow_zero_last):
+    """What a domain check does on a fresh evaluator: its error (type and
+    message, or None) and the evaluator's bits, refinements and epoch after it."""
+    ev = FormEvaluator(coords, cap_bits=cap_bits)
+    try:
+        check(ev, ev.units(), names, allow_zero_last)
+        error = None
+    except (DegenerateInputError, PrecisionExhaustedError) as exc:
+        error = (type(exc), str(exc))
+    ep = ev.epoch
+    return error, ev.bits, ev.refinements, (ep.mids, ep.rads, ep.scale, ep.bits)
+
+
+def _assert_domain_check_matches_reference(coords, cap_bits=None, names=None, allow_zero_last=False):
+    expected = _domain_outcome(_check_domain_asking_every_sign, coords, cap_bits, names, allow_zero_last)
+    assert _domain_outcome(simplex._check_domain, coords, cap_bits, names, allow_zero_last) == expected
+    try:
+        _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
+        error = None
+    except (DegenerateInputError, PrecisionExhaustedError) as exc:
+        error = (type(exc), str(exc))
+    assert error == expected[0]
+    return expected
+
+
+#: The golden ratio's conjugate 0.618..., whose 64-bit enclosure ends are rationals
+#: the first bounds cannot order against it: the check refines to decide them.
+_GOLDEN = RootSpec(IntPolynomial((-1, 1, 1)), Fraction(0), Fraction(1))
+
+
+def _golden(bits=64):
+    return root_powers(_GOLDEN, 1, bits)[0]
+
+
+@pytest.mark.parametrize("coords, cap_bits, allow_zero_last, error", [
+    ((F(1, 2), F(1, 3), F(1, 5)), None, False, None),
+    ((F(1, 2), F(1, 2), F(1, 5)), None, False, None),
+    ((F(1), F(1, 3)), None, False, None),
+    ((F(1), F(1), F(1)), None, False, None),
+    ((F(1, 2), F(0)), None, False, (DegenerateInputError, "x_2 must be positive")),
+    ((F(1, 2), F(0)), None, True, None),
+    ((F(1, 3), F(1, 2)), None, False, (DegenerateInputError, "x_2 exceeds x_1")),
+    ((F(3, 2),), None, False, (DegenerateInputError, "x_1 exceeds 1")),
+    ((F(2, 3), F(1, 3), F(-1, 5)), None, False, (DegenerateInputError, "x_3 is negative")),
+    ("dec:0.1,0.1:64", None, False,
+     (PrecisionExhaustedError, "cannot certify domain: x_2 exceeds x_1")),
+    ("dec:0.5,0.1,0.1:64", None, False,
+     (PrecisionExhaustedError, "cannot certify domain: x_3 exceeds x_2")),
+    ("dec:0.5,0.25,0.125:64", None, False, None),
+    ("root:-1,1,2,1:0,1:pow2", None, False, None),
+    ("root:-1,1,1,2,1:0,1:pow3", None, False, None),
+    ("root:-1,1,1:0,1:pow1", 64, False, None),
+    # an end of the enclosure ties its first bounds with the root: refinement decides
+    ("golden:g,low", None, False, None),
+    ("golden:high,g", None, False, None),
+    ("golden:g,high", None, False, (DegenerateInputError, "x_2 exceeds x_1")),
+    ("golden:low,g", None, False, (DegenerateInputError, "x_2 exceeds x_1")),
+    ("golden:g,low", 64, False, (PrecisionExhaustedError, "cannot certify domain: x_2 exceeds x_1")),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_domain_check_matches_asking_every_sign(coords, cap_bits, allow_zero_last, error):
+    if isinstance(coords, str) and coords.startswith("golden:"):
+        g = _golden()
+        named = {"g": g, "low": g.low, "high": g.high}
+        # a third coordinate, checked after the refinement on bounds read before it
+        coords = (*(named[c] for c in coords[len("golden:"):].split(",")), F(1, 10))
+    elif isinstance(coords, str):
+        coords = parse_point(coords, 64)
+    outcome = _assert_domain_check_matches_reference(coords, cap_bits, None, allow_zero_last)
+    assert outcome[0] == error
+
+
+def test_domain_check_refines_as_asking_every_sign():
+    g = _golden()
+    error, bits, refinements, _ = _assert_domain_check_matches_reference((g, g.low, F(1, 10)))
+    assert error is None and refinements >= 1 and bits > 64
+
+
+def test_domain_check_names_its_coordinates():
+    for coords in [(F(1, 3), F(1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(-1, 2))]:
+        _assert_domain_check_matches_reference(coords, names=("alpha", "beta"))
+
+
+_DOMAIN_SPECS = [RootSpec(IntPolynomial((-1, 1, k, 1)), Fraction(0), Fraction(1))
+                 for k in range(1, 4)]
+
+
+@st.composite
+def domain_cases(draw):
+    """Points on and around the domain: root powers, rationals at their
+    enclosures' ends, decimals, ties, 0 and 1, sorted or not."""
+    spec = draw(st.sampled_from(_DOMAIN_SPECS))
+    roots = root_powers(spec, draw(st.integers(1, 3)), draw(st.integers(64, 160)))
+    coords = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["root", "end", "fraction", "decimal", "edge", "tie"]))
+        if kind == "root":
+            coords.append(draw(st.sampled_from(roots)))
+        elif kind == "end":
+            r = draw(st.sampled_from(roots))
+            coords.append(r.low if draw(st.booleans()) else r.high)
+        elif kind == "fraction":
+            coords.append(draw(st.fractions(-1, 2, max_denominator=50)))
+        elif kind == "decimal":
+            f = draw(st.fractions(0, 1, max_denominator=1000))
+            coords.append(BigFloat.from_fraction(f, draw(st.integers(64, 128))))
+        elif kind == "edge":
+            coords.append(draw(st.sampled_from([F(0), F(1), 1, 0])))
+        elif coords:
+            coords.append(coords[-1])
+    if not coords:
+        coords.append(roots[0])
+    if draw(st.booleans()):
+        coords.sort(key=float, reverse=True)
+    cap_bits = draw(st.sampled_from([None, 64, 200]))
+    return tuple(coords), cap_bits, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=150)
+@given(domain_cases())
+def test_domain_check_matches_asking_every_sign_on_random_points(case):
+    coords, cap_bits, allow_zero_last = case
+    _assert_domain_check_matches_reference(coords, cap_bits, None, allow_zero_last)
+
+
+@pytest.mark.parametrize("coords", [
+    (F(1, 2), F(1, 3), F(1, 5)),
+    (F(99, 100), F(1, 2), F(1, 3), F(1, 4), F(1, 1000)),
+    tuple(BigFloat.from_fraction(F(c, 8), 64) for c in (7, 4, 1)),
+], ids=["n3", "n5", "dyadic"])
+def test_exact_domain_point_starts_with_no_sign_query(monkeypatch, coords):
+    asked = []
+    real = FormEvaluator.certified_sign
+    monkeypatch.setattr(FormEvaluator, "certified_sign",
+                        lambda self, form: asked.append(form) or real(self, form))
+    _start(coords, None)
+    assert asked == []
+
+
+def test_domain_ties_still_ask_their_sign(monkeypatch):
+    asked = []
+    real = FormEvaluator.certified_sign
+    monkeypatch.setattr(FormEvaluator, "certified_sign",
+                        lambda self, form: asked.append(form.coeffs) or real(self, form))
+    _start((F(1), F(1, 2), F(1, 2)), None)
+    assert asked == [(1, -1, 0, 0), (0, 0, 1, -1)]
+
+
+# symbols served from tables ---------------------------------------------------
+
+
+def test_pair_symbols_come_from_one_table():
+    point = PointN((F(9, 10), F(9, 10), F(1, 10)))
+    first, second = classify_nd(point), classify_nd(point)
+    assert first is second and first == PairSymbol(1, 3) and str(first) == "(1,3)"
+    assert simplex._pair(2, 4) == PairSymbol(2, 4) and hash(simplex._pair(2, 4)) == hash(PairSymbol(2, 4))
+
+
+def test_floor_symbols_past_the_table():
+    assert simplex._nonneg(3) is simplex._NONNEG[3]
+    assert simplex._nonneg(-1) == NonNegSymbol(-1)
+    assert simplex._nonneg(len(simplex._NONNEG)) == NonNegSymbol(len(simplex._NONNEG))
+
+
+# the audit with its domain test hoisted --------------------------------------
+
+
+def _member_scaled_with_domain_test(den, xs, q, symbol, closed) -> bool:
+    """The region rule with the domain test inside it, run for every candidate."""
+    n = len(xs)
+    last = xs[n - 1]
+    if xs[0] > den or last < 0 or (last == 0 and not closed):
+        return False
+    for t in range(n - 1):
+        if xs[t] < xs[t + 1]:
+            return False
+    return simplex._member_scaled(den, xs, q, symbol, closed)
+
+
+def _region_membership_per_candidate(point, symbol, *, closed=False) -> bool:
+    x = [Fraction(v) for v in point]
+    den = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (den // v.denominator) for v in x]
+    q = [den]
+    for v in xs:
+        q.append(q[-1] - v)
+    return _member_scaled_with_domain_test(den, xs, q, symbol, closed)
+
+
+def _audit_testing_domain_per_candidate(n, samples, seed, max_denominator) -> DecompositionReport:
+    """decomposition_check with the domain tested inside every candidate."""
+    rng = random.Random(seed)
+    pairs = candidate_symbols(n)
+    violations = []
+    mismatches = 0
+    for _ in range(samples):
+        den, xs = simplex._sample_scaled(rng, n, max_denominator)
+        q = [den]
+        for v in xs:
+            q.append(q[-1] - v)
+        slack = q[n - 1]
+        matches = []
+        if slack >= 0:
+            k = slack // xs[n - 1]
+            for cand in (k - 1, k, k + 1):
+                if _member_scaled_with_domain_test(den, xs, q, NonNegSymbol(cand), False):
+                    matches.append(NonNegSymbol(cand))
+        for sym in pairs:
+            if _member_scaled_with_domain_test(den, xs, q, sym, False):
+                matches.append(sym)
+        x = tuple(Fraction(p, den) for p in xs)
+        if len(matches) != 1:
+            violations.append((x, len(matches)))
+            continue
+        if classify_nd(PointN(x)) != matches[0]:
+            mismatches += 1
+    return DecompositionReport(n=n, samples=samples, violations=tuple(violations),
+                               classify_mismatches=mismatches)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_decomposition_check_equals_domain_tests_per_candidate(n, seed):
+    # a denominator bound of n + 1 puts many samples on the top facet x_1 = 1
+    for max_den in (n + 1, n + 3, 10_000):
+        report = decomposition_check(n, 150, seed=seed, max_denominator=max_den)
+        assert report == _audit_testing_domain_per_candidate(n, 150, seed, max_den)
+        assert report.samples == 150
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_region_membership_outside_the_domain_matches_per_candidate_rule(n):
+    outside = [p for p in _grid(n) if not _in_domain(p)]
+    assert outside
+    for point in outside:
+        for sym in _probe_symbols(n):
+            for closed in (False, True):
+                expected = _region_membership_per_candidate(point, sym, closed=closed)
+                assert region_membership(point, sym, closed=closed) is expected, (point, sym, closed)
