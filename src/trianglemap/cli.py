@@ -3,8 +3,8 @@
 Every command writes one JSON object per line to stdout (``--format csv``
 switches to CSV with a header row).  Output is deterministic: keys are
 sorted, rationals are printed as ``p/q`` strings, and anything random is
-seeded.  Exit codes: 0 success, 1 usage or degenerate input, 2 precision
-exhausted, 3 verification failure, 4 out of memory.
+seeded.  Exit codes: 0 success, 1 usage or degenerate input or a closed
+stdout, 2 precision exhausted, 3 verification failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -413,12 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    # exact arithmetic meets numbers past Python's 4300-digit int/str cap
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    """Run a parsed command; an error it raises becomes one JSON stderr line and its exit code."""
     try:
         return args.func(args)
     except PrecisionExhaustedError as exc:
@@ -434,6 +431,28 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "out-of-memory", "detail": str(exc) or "memory exhausted"},
                          sort_keys=True), file=sys.stderr)
         return EXIT_MEMORY
+
+
+def main(argv: list[str] | None = None) -> int:
+    # exact arithmetic meets numbers past Python's 4300-digit int/str cap
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        # a reader that closed stdout shows here at the latest, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so that the interpreter's
+        # last flush cannot raise again (the recipe in the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(json.dumps({"error": "output-closed", "detail": "stdout was closed early"},
+                         sort_keys=True), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

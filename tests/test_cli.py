@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -485,6 +487,22 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq"])  # missing --point
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("buffering", [-1, 1], ids=["at-the-last-flush", "while-printing"])
+def test_closed_stdout_is_one_json_line(capsys, monkeypatch, buffering):
+    # a pipe whose reader is gone: every write to it raises BrokenPipeError,
+    # either from main's last flush or, line-buffered, from a print in _emit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["verify", "--suite", "period1", "--kmax", "3"])
+        monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE == 1
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "output-closed", "detail": "stdout was closed early"}
 
 
 def test_csv_format(capsys):
