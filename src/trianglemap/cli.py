@@ -29,15 +29,19 @@ EXIT_VERIFY = 3
 EXIT_MEMORY = 4
 
 
+def _fail(error: str, detail: str, code: int) -> int:
+    """Write the one JSON stderr line of a command that failed; returns its exit code."""
+    print(json.dumps({"error": error, "detail": detail}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; this project reserves 2
     for precision exhaustion, so usage problems exit 1 instead."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(json.dumps({"error": "usage", "detail": message}, sort_keys=True),
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail("usage", message, EXIT_USAGE))
 
 
 def _emit(records: list[dict], fmt: str) -> None:
@@ -414,25 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    """Run a parsed command; an error it raises becomes one JSON stderr line and its exit code."""
-    try:
-        return args.func(args)
-    except PrecisionExhaustedError as exc:
-        print(json.dumps({"error": "precision-exhausted", "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_PRECISION
-    except (TriangleMapError, ValueError) as exc:
-        print(json.dumps({"error": "degenerate-input", "detail": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        # the failed allocation's frames are gone by now, so printing has room
-        print(json.dumps({"error": "out-of-memory", "detail": str(exc) or "memory exhausted"},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_MEMORY
-
-
 def main(argv: list[str] | None = None) -> int:
     # exact arithmetic meets numbers past Python's 4300-digit int/str cap
     if hasattr(sys, "set_int_max_str_digits"):
@@ -440,7 +425,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(args)
+        try:
+            code = args.func(args)
+        except PrecisionExhaustedError as exc:
+            code = _fail("precision-exhausted", str(exc), EXIT_PRECISION)
+        except (TriangleMapError, ValueError) as exc:
+            code = _fail("degenerate-input", str(exc), EXIT_USAGE)
+        except MemoryError as exc:
+            # the failed allocation's frames are gone by now, so printing has room
+            code = _fail("out-of-memory", str(exc) or "memory exhausted", EXIT_MEMORY)
         # a reader that closed stdout shows here at the latest, not at exit
         sys.stdout.flush()
         return code
@@ -450,9 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(json.dumps({"error": "output-closed", "detail": "stdout was closed early"},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("output-closed", "stdout was closed early", EXIT_USAGE)
 
 
 if __name__ == "__main__":

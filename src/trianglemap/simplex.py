@@ -22,8 +22,8 @@ batches, each deciding on the leading bits of the columns' bounds with the
 same branch rule and applying the batch's weights to the columns once.
 This is the package's only sequence loop and its only domain check: the
 planar ``triangle.sequence`` (n = 2) and the continued fraction
-``triangle.gauss_sequence`` (n = 1) start through ``_start`` too, with their
-own coordinate names and records.
+``triangle.gauss_sequence`` (n = 1) run through ``_run`` too, with their own
+coordinate names and records.
 """
 
 from __future__ import annotations
@@ -65,19 +65,10 @@ class PairSymbol:
 
 SymbolND = NonNegSymbol | PairSymbol
 
-#: The symbols of the small floors, made once: nearly every step emits one.
-_NONNEG = tuple(NonNegSymbol(k) for k in range(256))
-
-
-def _nonneg(k: int) -> NonNegSymbol:
-    """The floor symbol k, from ``_NONNEG`` when it holds one."""
-    return _NONNEG[k] if 0 <= k < len(_NONNEG) else NonNegSymbol(k)
-
-
-@functools.lru_cache(maxsize=4096)
-def _pair(i: int, j: int) -> PairSymbol:
-    """The pair symbol (i, j), made once; the bound holds every pair of n <= 91."""
-    return PairSymbol(i, j)
+# Symbols interned: nearly every step emits a small floor, and the bound holds
+# every pair symbol of n <= 91.
+_nonneg = functools.lru_cache(maxsize=4096)(NonNegSymbol)
+_pair = functools.lru_cache(maxsize=4096)(PairSymbol)
 
 
 # points ---------------------------------------------------------------------
@@ -374,14 +365,16 @@ class _Snapshots:
     With ``lead`` None the history is the rows (n-D).  Otherwise it is flat:
     the first row's last ``lead`` entries, then each later row's last entry,
     the column its step inserted (planar ``lead=3``, Gauss ``lead=1``).
-    Rows share the values of their shifted entries.
+    Rows share the values of their shifted entries.  ``build`` keeps the
+    values it made, so a record's later reads return the same tuple.
     """
 
-    __slots__ = ("n", "symbols", "epochs", "final", "lead")
+    __slots__ = ("n", "symbols", "epochs", "final", "lead", "values")
 
     def __init__(self, n: int, symbols: tuple, epochs: list[tuple], final: Matrix,
                  lead: int | None = None):
         self.n, self.symbols, self.epochs, self.final, self.lead = n, symbols, epochs, final, lead
+        self.values: tuple | None = None
 
     def _rows(self) -> Iterator[tuple]:
         """The start row's values, then the row after each step."""
@@ -419,10 +412,12 @@ class _Snapshots:
             yield row
 
     def build(self) -> tuple:
-        rows = self._rows()
-        if self.lead is None:
-            return tuple(rows)
-        return (*next(rows)[-self.lead:], *(row[-1] for row in rows))
+        """The history's values: replayed on the first call, kept for every later one."""
+        if self.values is None:
+            rows = self._rows()
+            self.values = (tuple(rows) if self.lead is None
+                           else (*next(rows)[-self.lead:], *(row[-1] for row in rows)))
+        return self.values
 
     def tail(self) -> tuple:
         """The final row's values, with no replay: each final column's full
@@ -434,9 +429,11 @@ class _Snapshots:
 
 
 class _BuiltOnRead:
-    """A record field given as ``_Snapshots`` that becomes their values, a
-    tuple, on its first read.  ``==``, ``repr`` and ``hash`` read it like any
-    other field, so they see the values."""
+    """A record field given as ``_Snapshots`` that reads as their values, a
+    tuple, built on the first read.  The handle stays in the record, so its
+    final row is at hand after a read too; a field given as a tuple reads as
+    itself.  ``==``, ``repr`` and ``hash`` read it like any other field, so
+    they see the values."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -446,17 +443,15 @@ class _BuiltOnRead:
             # a dataclass field without a default
             raise AttributeError(self.name)
         value = obj.__dict__[self.name]
-        if isinstance(value, _Snapshots):
-            value = obj.__dict__[self.name] = value.build()
-        return value
+        return value.build() if isinstance(value, _Snapshots) else value
 
     def __set__(self, obj, value) -> None:
         obj.__dict__[self.name] = value
 
 
 def _last_remainders(rec) -> tuple[ExactNumber, ...]:
-    """The final remainders of a fresh run of any kind: the values of its final
-    columns, with its history left unbuilt."""
+    """The final remainders of a run record of any kind, its history read or
+    not: the values of its final columns, with no replay and no query."""
     fields = vars(rec)
     return fields.get("d_history", fields.get("remainders")).tail()
 
@@ -480,21 +475,26 @@ def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
     return _start(point.coords, cap_bits).classify_once()[0]
 
 
+def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
+         names: Sequence[str] | None = None, *, lead: int | None = None,
+         allow_zero_last: bool = False) -> tuple:
+    """Run a point to at most max_len symbols and return a record's fields in
+    field order: the symbols (floors as ints with a flat history, see ``lead``
+    in ``_Snapshots``), the history's replay handle, the status, the final
+    columns as matrix rows, the refinements and the working bits."""
+    eng = _start(coords, cap_bits, names, max_len=max_len, allow_zero_last=allow_zero_last)
+    symbols = eng.run(max_len)
+    symbols = tuple(symbols if lead is None else (symbol.k for symbol in symbols))
+    matrix = mat_from_columns([c.coeffs for c in eng.cols])
+    return (symbols, _Snapshots(eng.n, symbols, eng.epochs, matrix, lead), eng.status, matrix,
+            eng.ev.refinements, eng.ev.bits)
+
+
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:
     """Certified symbol sequence in dimension n with full remainder history.
 
     The history is a replay of the run, made when it is first read."""
-    eng = _start(point.coords, cap_bits, max_len=max_len)
-    symbols = tuple(eng.run(max_len))
-    matrix = mat_from_columns([c.coeffs for c in eng.cols])
-    return SequenceRecordN(
-        symbols=symbols,
-        d_history=_Snapshots(eng.n, symbols, eng.epochs, matrix),
-        status=eng.status,
-        matrix=matrix,
-        refinements=eng.ev.refinements,
-        precision_bits=eng.ev.bits,
-    )
+    return SequenceRecordN(*_run(point.coords, max_len, cap_bits))
 
 
 # regions, membership, decomposition audit -----------------------------------

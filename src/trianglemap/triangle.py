@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import IntMatrix, mat_from_columns
+from .matrices import IntMatrix
 from .numeric import (
     ExactNumber,
     RootSpec,
     SequenceStatus,
     root_powers,
 )
-from .simplex import _BuiltOnRead, _Snapshots, _start
+from .simplex import _BuiltOnRead, _run, _start
 
 _PLANAR = ("alpha", "beta")
 
@@ -86,18 +86,9 @@ def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> Seq
     precision exhaustion when a branch cannot be certified and the inputs
     cannot refine.
     """
-    eng = _start((point.alpha, point.beta), cap_bits, _PLANAR, max_len=max_len,
-                 allow_zero_last=True)
-    symbols = tuple(symbol.k for symbol in eng.run(max_len))
-    matrix = IntMatrix.from_columns([c.coeffs for c in eng.cols])
-    return SequenceRecord(
-        symbols=symbols,
-        d_history=_Snapshots(2, symbols, eng.epochs, matrix.rows, 3),
-        status=eng.status,
-        matrix=matrix,
-        refinements=eng.ev.refinements,
-        precision_bits=eng.ev.bits,
-    )
+    symbols, history, status, matrix, refinements, bits = _run(
+        (point.alpha, point.beta), max_len, cap_bits, _PLANAR, lead=3, allow_zero_last=True)
+    return SequenceRecord(symbols, history, status, IntMatrix(matrix), refinements, bits)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,4 @@ def gauss_sequence(x: ExactNumber, max_len: int, *, cap_bits: int | None = None)
     machinery (and on-demand refinement for root-backed input) applies
     exactly as in the 2D map.
     """
-    eng = _start((x,), cap_bits, ("x",), max_len=max_len)
-    quotients = tuple(symbol.k for symbol in eng.run(max_len))
-    final = mat_from_columns([c.coeffs for c in eng.cols])
-    return GaussRecord(quotients, _Snapshots(1, quotients, eng.epochs, final, 1), eng.status)
+    return GaussRecord(*_run((x,), max_len, cap_bits, ("x",), lead=1)[:3])

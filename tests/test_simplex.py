@@ -978,6 +978,42 @@ def test_history_read_makes_no_query(monkeypatch):
         assert _same_values(got, history) and rec == orig
 
 
+@pytest.mark.parametrize("kind, text, max_len", [
+    ("nd", "root:-1,1,1,2,1:0,1:pow3", 120),
+    ("nd", "11/13,9/13,3/13", 40),
+    ("planar", "root:-1,1,2,1:0,1:pow2", 120),
+    ("planar", "17/19,4/19", 40),
+    ("gauss", "root:-1,1,1:0,1:pow1", 120),
+    ("gauss", "5/7", 40),
+    # one remainder in the flat history, two final ones: no slice of it gives them
+    ("gauss", "root:-1,1,1:0,1:pow1", 0),
+    ("gauss", "5/7", 0),
+])
+def test_final_remainders_after_a_read(monkeypatch, kind, text, max_len):
+    coords = parse_point(text, 64)
+    make = {"nd": lambda: sequence_nd(PointN(coords), max_len),
+            "planar": lambda: sequence(Point2(*coords), max_len),
+            "gauss": lambda: gauss_sequence(coords[0], max_len)}[kind]
+    rec, fresh = make(), make()
+    before = _last_remainders(rec)
+    history = _history(rec)
+    calls = []
+    for name in ("certified_sign", "certified_floor", "refine", "exact_zero", "materialize",
+                 "eval_bounds"):
+        real = getattr(FormEvaluator, name)
+        monkeypatch.setattr(FormEvaluator, name,
+                            lambda self, *args, _name=name, _real=real: calls.append(_name)
+                            or _real(self, *args))
+    after = _last_remainders(rec)
+    assert calls == []
+    assert _same_values(after, before) and _same_values(after, _last_remainders(fresh))
+    assert _history(rec) is history and len(after) == len(coords) + 1
+    if kind == "nd":
+        assert _same_values(after, history[-1])
+    if max_len == 0 and kind == "gauss":
+        assert len(history) == 1
+
+
 def test_negative_last_remainder_is_a_kernel_fault(floor_off_by):
     # a floor one too high leaves 1/2 - 2 * 1/3 as the last remainder: the
     # remainders' order is broken, which no precision would mend
@@ -1347,9 +1383,13 @@ def test_pair_symbols_come_from_one_table():
 
 
 def test_floor_symbols_past_the_table():
-    assert simplex._nonneg(3) is simplex._NONNEG[3]
-    assert simplex._nonneg(-1) == NonNegSymbol(-1)
-    assert simplex._nonneg(len(simplex._NONNEG)) == NonNegSymbol(len(simplex._NONNEG))
+    # floors are interned like pairs: a run's floor is the interned symbol, and a
+    # floor outside every region or past the cache's bound equals a fresh one
+    assert simplex._nonneg(3) is simplex._nonneg(3) == NonNegSymbol(3)
+    assert classify_nd(PointN((F(2, 7),))) is simplex._nonneg(3)
+    for k in (-1, 4096, 10 ** 20):
+        assert simplex._nonneg(k) == NonNegSymbol(k) and str(simplex._nonneg(k)) == str(k)
+        assert hash(simplex._nonneg(k)) == hash(NonNegSymbol(k))
 
 
 # the audit with its domain test hoisted --------------------------------------
