@@ -168,6 +168,7 @@ _CLI = (
     ["seq", "--point", "root:-1,1,2,1:0,1:pow2", "--max", "400", "--cap-bits", "300"],
     ["seq", "--point", "root:-1,1,1,2,1:0,1:pow3", "--max", "400", "--cap-bits", "256",
      "--d-values"],
+    ["seq", "--point", "root:-1,1,1,2,1:0,1:pow3", "--bits", "64", "--max", "120", "--d-values"],
     ["seq", "--point", "dec:0.6180339887498948482045868343656:96", "--max", "100"],
     ["seq", "--point", "dec:0.54,0.29:128", "--max", "80", "--d-values"],
     ["seq", "--point", "dec:0.9,0.7,0.30000000000000000000001:64", "--max", "40"],
@@ -190,6 +191,8 @@ _CLI = (
     ["recover", "--point", "9/10,7/10,1/2,1/5"],
     ["recover", "--point", "root:-1,1,1,1:0,1:pow2", "--steps", "25"],
     ["recover", "--point", "root:-1,1,1,2,1:0,1:pow3", "--steps", "20"],
+    ["recover", "--point", "root:-1,1,1,2,1:0,1:pow3", "--bits", "64", "--steps", "120"],
+    ["recover", "--point", "root:-1,1,1:0,1:pow1", "--bits", "64", "--steps", "100"],
     ["recover", "--point", "dec:0.54,0.29:64", "--steps", "200"],
     ["recover", "--point", "5/7"],
     ["recover", "--point", "5/7", "--steps", "0"],
