@@ -440,9 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # what is left in the buffer goes to devnull, so that the interpreter's
         # last flush cannot raise again (the recipe in the signal module's docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return _fail("output-closed", "stdout was closed early", EXIT_USAGE)
 
 

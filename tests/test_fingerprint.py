@@ -43,12 +43,10 @@ def _record_text(rec) -> dict:
     if isinstance(rec, GaussRecord):
         return {"symbols": [str(s) for s in rec.quotients], "status": rec.status.value,
                 "history": _values(rec.remainders)}
-    history = rec.d_history
-    if history and isinstance(history[0], tuple):
-        history = [_values(row) for row in history]
+    if isinstance(rec, SequenceRecord):
+        history, rows = _values(rec.d_history), rec.matrix.rows
     else:
-        history = _values(history)
-    rows = rec.matrix.rows if isinstance(rec, SequenceRecord) else rec.matrix
+        history, rows = [_values(row) for row in rec.d_history], rec.matrix
     return {"symbols": [str(s) for s in rec.symbols], "status": rec.status.value,
             "history": history, "matrix": [[int(c) for c in row] for row in rows],
             "refinements": rec.refinements, "bits": rec.precision_bits}
@@ -64,17 +62,15 @@ def _runs(coords, max_len: int, cap_bits):
     return makers
 
 
-def _run_texts(label: str, make_coords, lengths=_LENGTHS, caps=(None,)) -> list:
+def _run_texts(label: str, coords, lengths=_LENGTHS, caps=(None,)) -> list:
     """Each run of a point, read in full, and the final remainders of a fresh one."""
     out = []
     for max_len in lengths:
         for cap in caps:
-            for kind, make in _runs(make_coords(), max_len, cap).items():
-                entry = {"point": label, "kind": kind, "max_len": max_len, "cap": cap,
-                         "record": _record_text(make())}
-                fresh = _runs(make_coords(), max_len, cap)[kind]()
-                entry["tail"] = _values(_last_remainders(fresh))
-                out.append(entry)
+            for kind, make in _runs(coords, max_len, cap).items():
+                out.append({"point": label, "kind": kind, "max_len": max_len, "cap": cap,
+                            "record": _record_text(make()),
+                            "tail": _values(_last_remainders(make()))})
     return out
 
 
@@ -92,7 +88,7 @@ def _group_rational(n: int) -> list:
     out = []
     for point in _rational_points(n):
         label = ",".join(map(str, point))
-        out += _run_texts(label, lambda point=point: point)
+        out += _run_texts(label, point)
     return out
 
 
@@ -112,20 +108,17 @@ _ROOT = ("root:-1,1,1:0,1:pow1",
 def _group_text_points(texts, bits: int) -> list:
     out = []
     for text in texts:
-        out += _run_texts(text, lambda text=text: parse_point(text, bits), caps=_CAPS)
+        out += _run_texts(text, parse_point(text, bits), caps=_CAPS)
     return out
-
-
-def _pair_coords(point: Point2) -> tuple:
-    return point.alpha, point.beta
 
 
 def _group_period_one() -> list:
     out = []
     for k in range(4):
-        out += _run_texts(f"period1 k={k}", lambda k=k: _pair_coords(period_one_point(k, 128)))
+        point = period_one_point(k, 128)
+        out += _run_texts(f"period1 k={k}", (point.alpha, point.beta))
     for n, k in ((1, 2), (3, 1), (4, 2), (5, 1)):
-        out += _run_texts(f"fixed n={n} k={k}", lambda n=n, k=k: fixed_point_nd(n, k, 128).coords)
+        out += _run_texts(f"fixed n={n} k={k}", fixed_point_nd(n, k, 128).coords)
     return out
 
 
@@ -139,9 +132,9 @@ def _huge_quotients(count: int, quotient: int) -> Fraction:
 def _group_huge_quotients() -> list:
     x = _huge_quotients(30, 10 ** 20)
     y = _huge_quotients(12, 3 * 10 ** 40)
-    out = _run_texts("cf 10**20", lambda: (x,))
-    out += _run_texts("planar small beta", lambda: (Fraction(1, 2), x))
-    out += _run_texts("nd small tail", lambda: (Fraction(7, 9), Fraction(1, 3), y))
+    out = _run_texts("cf 10**20", (x,))
+    out += _run_texts("planar small beta", (Fraction(1, 2), x))
+    out += _run_texts("nd small tail", (Fraction(7, 9), Fraction(1, 3), y))
     return out
 
 
