@@ -12,15 +12,15 @@ integer arithmetic: ``FormEvaluator`` puts every coordinate of a point on one
 shared integer scale, so a sign is an integer comparison and a floor an
 integer division, and root refinement (bisection, or a Newton jump to
 bisection's cell) evaluates its polynomial on integer numerators over a
-power-of-two scale.  On that scale each coordinate is a
-midpoint sum and a radius; a form's bounds come from its midpoint sum, which
-the forms built by ``FormEvaluator.sub``/``addmul`` carry from their operands,
-plus a radius sum, computed once per form until the next refinement, and
-they are the same integers as the interval dot product over the
-per-coordinate bounds.  A batch window (``FormEvaluator.window``) keeps the
-leading bits of some forms' bounds and answers the same queries on those small
-integers, where they decide; each window form packs its weights over the
-batch's start forms into one integer, with a carried bound on their size.
+power-of-two scale.  On that scale each coordinate is a midpoint sum and a
+radius; a form's bounds come from its midpoint sum, which the forms built by
+``FormEvaluator.sub``/``addmul`` carry from their operands, plus a radius sum
+over its coefficients, and they are the same integers as the interval dot
+product over the per-coordinate bounds.  A batch window
+(``FormEvaluator.window``) keeps the leading bits of some forms' bounds and
+answers the same queries on those small integers, where they decide; each
+window form packs its weights over the batch's start forms into one integer,
+with a carried bound on their size.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -515,20 +515,16 @@ class _Epoch:
 class _Form:
     """A coefficient tuple with its midpoint sum over one evaluator's enclosures.
 
-    ``mid`` is Σ c_i·(lo_i + hi_i) at the epoch ``tag``.  ``bounds``, the
-    form's integer bounds times S, belongs to the same epoch; it is kept
-    only on points with a radius sum, and is None until first asked.  A form
-    whose tag is not the evaluator's current epoch has its sum recomputed on
-    first use, which drops its bounds.
+    ``mid`` is Σ c_i·(lo_i + hi_i) at the epoch ``tag``.  A form whose tag
+    is not the evaluator's current epoch has its sum recomputed on first use.
     """
 
-    __slots__ = ("coeffs", "mid", "tag", "bounds")
+    __slots__ = ("coeffs", "mid", "tag")
 
     def __init__(self, coeffs: tuple[int, ...], mid: int, tag: _Epoch):
         self.coeffs = coeffs
         self.mid = mid
         self.tag = tag
-        self.bounds = None
 
 
 Form = Union[Sequence[int], _Form]
@@ -656,18 +652,16 @@ class FormEvaluator:
     the epoch alone knows how, so a run's epochs evaluate its history later.
 
     ``M`` is linear in the coefficients, so forms built with ``units``,
-    ``sub`` and ``addmul`` carry it along, and a carried form keeps its
-    bounds too: it pays for the radius sum once per rescale, however many
-    queries and materializations read it.  On exact points ``R`` is zero and a
-    bound is one shift, so nothing is kept.  Plain tuples are accepted
+    ``sub`` and ``addmul`` carry it along, and a query on a carried form
+    pays only for ``R``, a dot product over small radii; on exact points
+    ``R`` is zero and a bound is one shift.  Plain tuples are accepted
     everywhere and pay the full dot product each time.  When a query cannot
     be decided, root-backed coordinates are refined (doubling the working
     bits up to a cap) and the query retried; a carried sum made before that
-    rescale is recomputed once, on its next use, with its bounds.  Each
-    evaluator refines its own copy of a root's enclosure, shared by that
-    root's powers, so a run leaves its input as it found it.
-    A true zero is recognised exactly when all irrational coordinates are
-    powers of one shared root.
+    rescale is recomputed once, on its next use.  Each evaluator refines its
+    own copy of a root's enclosure, shared by that root's powers, so a run
+    leaves its input as it found it.  A true zero is recognised exactly when
+    all irrational coordinates are powers of one shared root.
 
     Construction checks the coordinates and finds their scale in one pass,
     and each epoch's sums and radii take one more.
@@ -738,9 +732,9 @@ class FormEvaluator:
 
     def _rebase(self, form: _Form) -> None:
         """Bring a form made before the last rescale to the current one: its
-        full midpoint sum again, and no bounds until next asked."""
+        full midpoint sum again."""
         ep = self.epoch
-        form.mid, form.tag, form.bounds = ep.dot(form.coeffs), ep, None
+        form.mid, form.tag = ep.dot(form.coeffs), ep
 
     def units(self) -> list[_Form]:
         """The unit forms 1, v1, ..., vn, whose midpoint sums are the epoch's own."""
@@ -790,20 +784,17 @@ class FormEvaluator:
         return _Window(cols, self.epoch), forms
 
     def _int_bounds(self, form: Form) -> tuple[int, int]:
-        """Bounds of the form times S; a carried form keeps them per rescale."""
+        """Bounds of the form times S."""
         ep = self.epoch
         if type(form) is not _Form:
             return ep.bounds(ep.dot(form), form)
         if form.tag is not ep:
             self._rebase(form)
-        elif form.bounds is not None:
-            return form.bounds
         if ep.rads is None:
-            # on an exact point a bound is one shift: not worth keeping
+            # on an exact point a bound is one shift
             m = form.mid >> 1
             return m, m
-        form.bounds = bounds = ep.bounds(form.mid, form.coeffs)
-        return bounds
+        return ep.bounds(form.mid, form.coeffs)
 
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:
         lo, hi = self._int_bounds(coeffs)
@@ -900,18 +891,21 @@ class FormEvaluator:
 
         den's sign is queried only when its bounds do not already show it
         positive: the engine's den is the last remainder, just certified so.
+        Its bounds are read once per precision.
         """
-        if self._int_bounds(den)[0] <= 0:
-            sign = self.certified_sign(den)
-            if sign is Sign.AMBIGUOUS:
-                raise PrecisionExhaustedError("denominator form is not certainly positive")
-            if sign is not Sign.POSITIVE:
-                raise ValueError("denominator form is not positive")
         tested: tuple[int, ...] = ()
         while True:
+            dlo, dhi = self._int_bounds(den)
+            if dlo <= 0:
+                # first round only, as refining keeps positive bounds positive
+                sign = self.certified_sign(den)
+                if sign is Sign.AMBIGUOUS:
+                    raise PrecisionExhaustedError("denominator form is not certainly positive")
+                if sign is not Sign.POSITIVE:
+                    raise ValueError("denominator form is not positive")
+                continue  # its sign refined: read the new bounds
             # both bounds carry the factor S, which cancels in the ratios
             nlo, nhi = self._int_bounds(num)
-            dlo, dhi = self._int_bounds(den)
             fl = nlo // dhi if nlo >= 0 else nlo // dlo
             fh = nhi // dlo if nhi >= 0 else nhi // dhi
             if fl == fh:

@@ -313,6 +313,28 @@ def test_floor_refines_a_den_that_straddles_zero(monkeypatch):
     assert calls == [den] and ev.refinements >= 1
 
 
+def test_floor_reads_its_den_once_per_precision(monkeypatch):
+    ev = FormEvaluator([refine_root(GOLDEN, 64)])
+    lo, hi = ev.eval_bounds((0, 1))
+    # a rational c inside the 64-bit enclosure of g: (q*g - p) / g straddles 0
+    c = Fraction((lo + hi) / 2).limit_denominator(10 ** 30)
+    assert lo < c < hi
+    num, den = (-c.numerator, c.denominator), (0, 1)
+    expected = 0 if c * c + c - 1 < 0 else -1
+    reads = []
+    real = FormEvaluator._int_bounds
+
+    def counted(self, form):
+        if form is den:
+            reads.append(self.epoch)
+        return real(self, form)
+
+    monkeypatch.setattr(FormEvaluator, "_int_bounds", counted)
+    assert ev.certified_floor(num, den) == expected
+    assert ev.refinements >= 1
+    assert len(reads) == len({id(ep) for ep in reads}) == ev.refinements + 1
+
+
 def test_floor_raises_on_a_decimal_den_that_straddles_zero():
     # 10x - 3 is 0 at x = 0.3, whose 64-bit enclosure cannot tighten
     ev = FormEvaluator([BigFloat.from_decimal("0.3", 64)], cap_bits=256)
@@ -351,16 +373,11 @@ def test_carried_bounds_kept_per_rescale():
     one, g, g2 = ev.units()
     form = ev.sub(one, g)
     bounds = ev._int_bounds(form)
-    assert ev._int_bounds(form) is bounds
     assert ev.refine()
     # an operand brings its sum to the new rescale before any query of its own
     ev.sub(form, g)
+    assert form.tag is ev.epoch
     assert ev._int_bounds(form) == ev._int_bounds(form.coeffs) != bounds
-    # an exact point keeps none: its bound is one shift
-    ev = FormEvaluator([Fraction(1, 2)])
-    one, x = ev.units()
-    ev._int_bounds(x)
-    assert x.bounds is None
 
 
 def test_exact_zero_on_a_collapsed_enclosure():
