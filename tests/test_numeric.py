@@ -21,7 +21,7 @@ from trianglemap.numeric import (
 from trianglemap.periodicity import (detect_period, eliminant_from_portion, fixed_point_poly,
                                      rational_termination_check)
 from trianglemap.polynomials import IntPolynomial, divides
-from trianglemap.simplex import PointN, decomposition_check
+from trianglemap.simplex import MAX_AUDIT_DIMENSION, PointN, decomposition_check
 
 GOLDEN = RootSpec(IntPolynomial((-1, 1, 1)), Fraction(0), Fraction(1))
 CUBIC1 = RootSpec(IntPolynomial((-1, 1, 1, 1)), Fraction(0), Fraction(1))
@@ -234,6 +234,8 @@ def test_form_evaluator_cap_limits_refinement():
     (lambda: detect_period((1, 2), 0), ValueError, "min_repetitions must be positive"),
     (lambda: PointN(()), DegenerateInputError, "point needs at least one coordinate"),
     (lambda: decomposition_check(0, 1), ValueError, "dimension must be at least 1"),
+    (lambda: decomposition_check(MAX_AUDIT_DIMENSION + 1, 1), ValueError,
+     "dimension above the 1000-dimension ceiling"),
     (lambda: decomposition_check(3, 1, max_denominator=3), ValueError,
      "denominator bound too small"),
     (lambda: eliminant_from_portion(((1, 0), (0, 1)), 2), ValueError,
@@ -241,8 +243,8 @@ def test_form_evaluator_cap_limits_refinement():
 ], ids=["bigfloat-prec", "bigfloat-empty", "from-bounds", "root-endpoint", "no-powers",
         "too-many-powers", "matrix-not-unit", "float-coefficient", "polynomial-text",
         "divisor-zero", "float-seed", "fixed-point-dimension", "fixed-point-symbol",
-        "no-repetitions", "empty-point", "decomposition-dimension", "sample-denominator",
-        "portion-shape"])
+        "no-repetitions", "empty-point", "decomposition-dimension", "decomposition-ceiling",
+        "sample-denominator", "portion-shape"])
 def test_inputs_refused(make, error, match):
     with pytest.raises(error, match=match):
         make()
