@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputError, NotYetConvergedError
@@ -41,12 +42,11 @@ def mat_identity(size: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size))
-        for i in range(size)
-    )
+def mat_mul(a: Sequence[Sequence], b: Matrix) -> tuple:
+    """Each row of ``a``, any number of them, times ``b``; entries of ``a`` may
+    be any exact number kind."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_from_columns(cols: Sequence[Column]) -> Matrix:
@@ -103,12 +103,6 @@ def mat_inverse_unimodular(m: Matrix) -> Matrix:
     )
 
 
-def mat_apply_row(vec: Sequence, m: Matrix) -> tuple:
-    """Row vector times matrix; entries may be any exact number kind."""
-    size = len(m)
-    return tuple(sum(vec[i] * m[i][j] for i in range(size)) for j in range(size))
-
-
 def push_column(cols: Sequence, j: int, inserted) -> tuple:
     """The engine's push: drop column 0, keep columns 1..j and put ``inserted`` at slot j."""
     return (*cols[1:j + 1], inserted, *cols[j + 1:])
@@ -158,7 +152,7 @@ class IntMatrix:
 
     def apply_row(self, vec: Sequence) -> tuple:
         """Row vector times matrix; entries may be any exact number kind."""
-        return mat_apply_row(vec, self.rows)
+        return mat_mul((vec,), self.rows)[0]
 
 
 def step_matrix(k: int) -> IntMatrix:
@@ -223,7 +217,7 @@ def recover_terminated(m: IntMatrix | Matrix, *leading: Fraction) -> tuple[Fract
     rows = m.rows if isinstance(m, IntMatrix) else m
     if len(leading) != len(rows) - 1:
         raise ValueError(f"need {len(rows) - 1} remainders for a {len(rows)}x{len(rows)} matrix")
-    row = mat_apply_row((*map(Fraction, leading), Fraction(0)), mat_inverse_unimodular(rows))
+    row = mat_mul(((*map(Fraction, leading), Fraction(0)),), mat_inverse_unimodular(rows))[0]
     if row[0] != 1:
         raise InconsistentInputError("remainders are inconsistent with the matrix")
     return row[1:]

@@ -663,51 +663,44 @@ class FormEvaluator:
     leaves its input as it found it.  A true zero is recognised exactly when
     all irrational coordinates are powers of one shared root.
 
-    Construction checks the coordinates and finds their scale in one pass,
+    Construction checks the coordinates, copies their enclosures (one copy
+    per root, which ``exact_zero`` needs) and finds their scale in one pass,
     and each epoch's sums and radii take one more.
     """
 
     def __init__(self, values: Sequence, *, cap_bits: int | None = None):
         self.values: list = []
         vals = self.values
-        prec, den, refinable = 0, 1, False
+        prec, den = 0, 1
+        copies: dict[int, _RootEnclosure] = {}
         for v in values:
             if isinstance(v, Fraction):
                 den = math.lcm(den, v.denominator)
             elif isinstance(v, BigFloat):
                 prec = max(prec, v.prec)
-                refinable = refinable or v.source is not None
+                src = v.source
+                if src is not None:
+                    enc = copies.get(id(src.enclosure))
+                    if enc is None:
+                        enc = copies[id(src.enclosure)] = copy(src.enclosure)
+                    v = BigFloat(v.lo_num, v.hi_num, v.prec, _RootPower(enc, src.power))
             elif isinstance(v, int):
                 v = Fraction(v)
             else:
                 raise TypeError(f"coordinates must be int, Fraction or BigFloat, not {type(v).__name__}")
             vals.append(v)
         self.bits = prec or MIN_PRECISION
-        if refinable:
-            self._own_enclosures()
         if cap_bits is not None:
             if cap_bits > MAX_PRECISION:
                 raise ValueError(f"refinement cap above the {MAX_PRECISION}-bit ceiling")
             self.cap = cap_bits
-        elif refinable:
+        elif copies:
             self.cap = min(max(4096, REFINE_CAP_FACTOR * self.bits), MAX_PRECISION)
         else:
             self.cap = self.bits
         self.refinements = 0
         self._den = den
         self._rescale(prec)
-
-    def _own_enclosures(self) -> None:
-        """Rebind each root-backed value to a copy of its enclosure, one copy per
-        enclosure: the powers of one root keep sharing one, as ``exact_zero`` needs."""
-        copies: dict[int, _RootEnclosure] = {}
-        for i, v in enumerate(self.values):
-            src = v.source if isinstance(v, BigFloat) else None
-            if src is not None:
-                enc = copies.get(id(src.enclosure))
-                if enc is None:
-                    enc = copies[id(src.enclosure)] = copy(src.enclosure)
-                self.values[i] = BigFloat(v.lo_num, v.hi_num, v.prec, _RootPower(enc, src.power))
 
     def _rescale(self, p: int) -> None:
         """Make the epoch of the current enclosures, on the scale ``den << p``

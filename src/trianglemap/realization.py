@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateInputError
-from .matrices import mat_apply_row, mat_inverse_unimodular, mat_step_nonneg
+from .matrices import mat_inverse_unimodular, mat_mul, mat_step_nonneg
 from .simplex import NonNegSymbol, cylinder_vertices
 
 Pt = tuple[Fraction, Fraction]
@@ -74,7 +74,7 @@ def preimage_region(k: int, region: TriangleRegion) -> TriangleRegion:
     A vertex with 1 + k*x + y = 0 has no finite preimage and raises
     ``DegenerateInputError``."""
     inv = mat_inverse_unimodular(mat_step_nonneg(k, 2))
-    rows = [mat_apply_row((1, Fraction(x), Fraction(y)), inv) for x, y in region.vertices]
+    rows = mat_mul([(1, Fraction(x), Fraction(y)) for x, y in region.vertices], inv)
     if any(h == 0 for h, _, _ in rows):
         raise DegenerateInputError(f"a vertex of the region has no finite preimage in wedge {k}")
     return TriangleRegion(tuple((u / h, v / h) for h, u, v in rows))

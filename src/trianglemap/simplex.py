@@ -280,8 +280,8 @@ class _Engine:
 
         For a replay of its history the run keeps, besides the symbols its
         caller collects, only ``epochs``: ``(step, epoch)`` for the
-        evaluator's epoch at the start (step 0) and after each push that
-        followed a refinement (step = the pushes made so far).  When the run
+        evaluator's epoch at the start (step 0) and after each push whose
+        epoch is not the last one kept (step = the pushes made so far).  When the run
         stops, ``status`` says why: an exact zero last remainder, max_len, or
         a step whose last remainder sign or branch was undecidable.  A last
         remainder certified negative breaks the remainders' order, a fault of
@@ -289,23 +289,18 @@ class _Engine:
         """
         ev, n = self.ev, self.n
         sign = ev.certified_sign
-        epoch = ev.epoch
-        self.epochs = [(0, epoch)]
+        self.epochs = [(0, ev.epoch)]
         step = 0
         # ordinary steps left before the next window, and how many an empty one costs
         ahead, backoff = 0, 1
         while True:
-            empty = False
             if ahead:
                 ahead -= 1
             elif step < max_len:
                 symbols = self._batch(max_len - step)
-                if symbols:
-                    backoff = 1
-                    step += len(symbols)
-                    yield from symbols
-                else:
-                    empty = True
+                ahead, backoff = (0, 1) if symbols else (backoff, 2 * backoff)
+                step += len(symbols)
+                yield from symbols
             s = sign(self.cols[-1])
             if s is Sign.NEGATIVE:
                 raise ValueError("last remainder is negative")
@@ -325,12 +320,9 @@ class _Engine:
             j = symbol.j if type(symbol) is PairSymbol else n
             self.cols = push_column(self.cols, j, inserted)
             step += 1
-            if ev.epoch is not epoch:
-                epoch = ev.epoch
-                self.epochs.append((step, epoch))
+            if ev.epoch is not self.epochs[-1][1]:
+                self.epochs.append((step, ev.epoch))
                 ahead, backoff = 0, 1
-            elif empty:
-                ahead, backoff = backoff, 2 * backoff
             yield symbol
 
 
@@ -380,9 +372,8 @@ class _Snapshots:
         """The start row's values, then the row after each step."""
         n, epochs = self.n, self.epochs
         _, ep = epochs[0]
-        later = iter(epochs[1:])
-        upcoming = next(later, None)
-        full = upcoming is not None or ep.rads is not None
+        switches = dict(epochs[1:])
+        full = bool(switches) or ep.rads is not None
 
         def value(col) -> ExactNumber:
             mid, coeffs = (col[-1], col[:-1]) if full else (col, ())
@@ -402,9 +393,8 @@ class _Snapshots:
             j, w = rule
             col = _combine(w, cols) if full else sum(map(mul, w, cols))
             cols = push_column(cols, j, col)
-            if upcoming is not None and upcoming[0] == t:
-                _, ep = upcoming
-                upcoming = next(later, None)
+            if t in switches:
+                ep = switches[t]
                 cols = tuple(c[:-1] + (ep.dot(c[:-1]),) for c in cols)
                 row = tuple(map(value, cols))
             else:
@@ -542,14 +532,13 @@ def _in_domain(den: int, xs: Sequence[int], closed: bool) -> bool:
     return all(map(ge, xs, xs[1:]))
 
 
-def _member_scaled(den: int, xs: Sequence[int], q: Sequence[int], symbol: SymbolND,
-                   closed: bool) -> bool:
-    """The region rule on a domain point given as numerators ``xs`` over ``den`` > 0.
+def _member_scaled(xs: Sequence[int], q: Sequence[int], symbol: SymbolND, closed: bool) -> bool:
+    """The region rule on a domain point given as numerators ``xs`` over den > 0.
 
     The point must pass ``_in_domain`` with the same ``closed``: this tests
     the region's own inequalities only.  ``q`` is the chain q_0, ..., q_n
     scaled by den: ``q[t]`` is den less the first t numerators, so ``q[0]``
-    is den and ``q[n - 1]`` the slack.  Scaling by the positive ``den`` keeps
+    is den and ``q[n - 1]`` the slack.  Scaling by the positive den keeps
     every inequality, so each test is an integer comparison.
     """
     n = len(xs)
@@ -601,7 +590,7 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     den = lcm(*(v.denominator for v in x))
     xs = [v.numerator * (den // v.denominator) for v in x]
     return (_in_domain(den, xs, closed)
-            and _member_scaled(den, xs, list(accumulate(xs, sub, initial=den)), symbol, closed))
+            and _member_scaled(xs, list(accumulate(xs, sub, initial=den)), symbol, closed))
 
 
 def candidate_symbols(n: int) -> list[SymbolND]:
@@ -679,10 +668,10 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
             if slack >= 0:
                 k = slack // xs[n - 1]
                 for cand in map(_nonneg, (k - 1, k, k + 1)):
-                    if _member_scaled(den, xs, q, cand, False):
+                    if _member_scaled(xs, q, cand, False):
                         matches.append(cand)
             for sym in pairs:
-                if _member_scaled(den, xs, q, sym, False):
+                if _member_scaled(xs, q, sym, False):
                     matches.append(sym)
         x = tuple(Fraction(p, den) for p in xs)
         if len(matches) != 1:

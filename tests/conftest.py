@@ -1,8 +1,22 @@
 """Fixtures shared by the test modules."""
 
+import warnings
+
 import pytest
 
 from trianglemap import simplex
+
+# hypothesis imports this module to report a failing example; where libcst is
+# installed that import warns (mypy_extensions.TypedDict is deprecated), and
+# under -W error the warning would replace the report with an INTERNALERROR.
+# Importing it once here, with that warning ignored, keeps reports readable;
+# pyproject's filterwarnings cannot, as the command line's -W error comes last.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 class _FloorOffBy:

@@ -269,8 +269,7 @@ def test_decomp_check_catches_a_doubly_claimed_point(capsys, monkeypatch):
     real = simplex._member_scaled
     extra = simplex.PairSymbol(1, 2)
     monkeypatch.setattr(simplex, "_member_scaled",
-                        lambda den, xs, q, symbol, closed:
-                        real(den, xs, q, symbol, closed) or symbol == extra)
+                        lambda xs, q, symbol, closed: real(xs, q, symbol, closed) or symbol == extra)
     code, lines, _ = run(capsys, "decomp-check", "--n", "3", "--samples", "50")
     assert code == 3
     assert lines[0]["violations"] >= 1 and lines[0]["ok"] is False

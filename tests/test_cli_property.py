@@ -1,6 +1,7 @@
-"""Point text of every form, well made and mangled, through ``cli.main``.
+"""Point text of every form, well made and mangled, and every subcommand's
+flags, in range and out, through ``cli.main``.
 
-Whatever the text, a point command ends with a documented exit code: 0 with
+Whatever the input, a command ends with a documented exit code: 0 with
 nothing on stderr, or 1-4 with exactly one JSON line on stderr, and never a
 traceback.
 """
@@ -13,6 +14,8 @@ from fractions import Fraction
 from hypothesis import event, example, given, settings, strategies as st
 
 from trianglemap.cli import main
+from trianglemap.numeric import MAX_PRECISION, MIN_PRECISION
+from trianglemap.simplex import MAX_AUDIT_DIMENSION
 
 COMMANDS = {
     "classify": ["classify"],
@@ -116,7 +119,7 @@ def mangled(draw, text: str) -> str:
 points = point_text().flatmap(lambda text: st.one_of(st.just(text), mangled(text)))
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _assert_documented_exit(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -124,7 +127,17 @@ def _run(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:
             # argparse's own errors leave main through SystemExit
             code = exc.code
-    return code, err.getvalue()
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        return
+    lines = [line for line in err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1, err
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "detail"}, record
 
 
 # examples take milliseconds; the deadline marks input that runs without bound
@@ -137,14 +150,78 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(command="classify", point="-1/3,1/4", inline=False)
 def test_point_text_ends_with_a_documented_exit(command, point, inline):
     option = [f"--point={point}"] if inline else ["--point", point]
-    code, err = _run(COMMANDS[command] + option)
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3, 4), (code, err)
-    assert "Traceback" not in err
-    if code == 0:
-        assert err == ""
-        return
-    lines = [line for line in err.splitlines() if line.startswith("{")]
-    assert len(lines) == 1, err
-    record = json.loads(lines[0])
-    assert set(record) == {"error", "detail"}, record
+    _assert_documented_exit(COMMANDS[command] + option)
+
+
+# every subcommand's flags ------------------------------------------------------
+
+
+def _flag(name: str, valid, invalid=st.nothing()) -> st.SearchStrategy:
+    """``[name, value]`` for a value in range or one out of it, or nothing, which
+    leaves the default."""
+    return st.one_of(st.just([]), st.one_of(valid, invalid).map(lambda v: [name, str(v)]))
+
+
+# in range the precision flags stay small enough for quick runs; out of range
+# they include the values just past the floor and the ceiling
+_bits_flag = _flag("--bits", st.sampled_from([MIN_PRECISION, 65, 256, 1024]),
+                   st.sampled_from([-1, 0, MIN_PRECISION - 1, MAX_PRECISION + 1]))
+_cap_bits_flag = _flag("--cap-bits", st.sampled_from([1024, 4096, MAX_PRECISION]),
+                       st.sampled_from([-1, MIN_PRECISION - 1, MAX_PRECISION + 1]))
+
+
+def _count(name: str) -> st.SearchStrategy:
+    """A length or step-count flag: 0-30, or a negative one."""
+    return _flag(name, st.integers(0, 30), st.integers(-2, -1))
+
+
+@st.composite
+def symbols_text(draw) -> str:
+    """A planar symbol stream of 0-8 floors, half the time with one more that
+    is huge, negative or a pair symbol, well made or mangled."""
+    parts = draw(st.lists(st.integers(0, 12).map(str), max_size=8))
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(["10000000000", "-1", "(1,2)"]))
+        parts.insert(draw(st.integers(0, len(parts))), odd)
+    text = ",".join(parts)
+    return draw(st.one_of(st.just(text), mangled(text)))
+
+
+def _argv(*parts) -> st.SearchStrategy:
+    """A command line joined from fixed words and strategies of word lists."""
+    return st.tuples(*(st.just(p) if isinstance(p, list) else p for p in parts)).map(
+        lambda lists: [word for words in lists for word in words])
+
+
+_points = points.map(lambda point: [f"--point={point}"])
+commands = st.one_of(
+    _argv(["seq"], _points, _count("--max"), _bits_flag, _cap_bits_flag),
+    _argv(["classify"], _points, _bits_flag, _cap_bits_flag),
+    _argv(["recover"], _points, _count("--steps"), _bits_flag, _cap_bits_flag),
+    _argv(["realize", "--symbols"], symbols_text().map(lambda text: [text])),
+    _argv(["derive-poly", "--symbols"], symbols_text().map(lambda text: [text]),
+          _flag("--earlier", st.integers(-1, 9)), _flag("--later", st.integers(-1, 9)),
+          _flag("--hint", coordinates()), _bits_flag),
+    _argv(["decomp-check", "--n"],
+          st.one_of(st.integers(1, 6), st.sampled_from([-1, 0, MAX_AUDIT_DIMENSION + 1])).map(
+              lambda n: [str(n)]),
+          _flag("--samples", st.integers(1, 20), st.integers(-1, 0)),
+          _flag("--seed", st.integers(0, 3)),
+          _flag("--max-den", st.sampled_from([7, 100, 10000]), st.sampled_from([-1, 0, 3]))),
+    _argv(["verify", "--suite"], st.sampled_from(["conjecture1", "decomp", "derive", "identity",
+                                                  "period1", "reduction", "none"]).map(lambda s: [s]),
+          _flag("--cases", st.integers(1, 6), st.integers(-1, 0)),
+          _flag("--kmax", st.integers(0, 4), st.just(-1)),
+          _count("--length"), _bits_flag, _cap_bits_flag),
+)
+
+
+@settings(deadline=5000, max_examples=300)
+@given(argv=commands)
+@example(argv=["decomp-check", "--n", str(MAX_AUDIT_DIMENSION + 1)])
+@example(argv=["seq", "--point", "1/2", "--bits", str(MAX_PRECISION + 1)])
+@example(argv=["verify", "--suite", "period1", "--cap-bits", str(MAX_PRECISION + 1)])
+@example(argv=["seq", "--point", "1/2", "--max", "-1"])
+@example(argv=["recover", "--point", "1/2", "--steps", "0"])
+def test_flags_end_with_a_documented_exit(argv):
+    _assert_documented_exit(argv)

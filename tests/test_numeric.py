@@ -14,6 +14,7 @@ from trianglemap.numeric import (
     RootSpec,
     Sign,
     _RootEnclosure,
+    _RootPower,
     refine_root,
     root_powers,
     sign_of,
@@ -94,6 +95,7 @@ def test_sign_of_never_refines():
     # a tiny but nonzero value below the resolution of its own enclosure
     tiny = BigFloat.from_fraction(Fraction(1, 2 ** 300), 256)
     assert sign_of(tiny) is Sign.AMBIGUOUS
+    assert sign_of(Fraction(5, 7)) is Sign.POSITIVE
     assert sign_of(Fraction(-5, 7)) is Sign.NEGATIVE
     assert sign_of(Fraction(0)) is Sign.ZERO
 
@@ -221,6 +223,7 @@ def test_form_evaluator_cap_limits_refinement():
      "endpoint is a root"),
     (lambda: root_powers(GOLDEN, 0, 64), ValueError, "count must be at least 1"),
     (lambda: root_powers(GOLDEN, 257, 64), ValueError, "count above the 256-power ceiling"),
+    (lambda: _RootPower(_RootEnclosure(GOLDEN), 0), ValueError, "power must be at least 1"),
     (lambda: IntMatrix(((2, 0, 0), (0, 1, 0), (0, 0, 1))).inverse(), InconsistentInputError,
      "not a unit"),
     (lambda: IntPolynomial((1, 0.5)), TypeError, "coefficients must be ints"),
@@ -240,11 +243,14 @@ def test_form_evaluator_cap_limits_refinement():
      "denominator bound too small"),
     (lambda: eliminant_from_portion(((1, 0), (0, 1)), 2), ValueError,
      "portion matrix has the wrong shape"),
+    (lambda: eliminant_from_portion(((-2, -2), (0, -2)), 1), InconsistentInputError,
+     "eliminant is a nonzero constant"),
 ], ids=["bigfloat-prec", "bigfloat-empty", "from-bounds", "root-endpoint", "no-powers",
-        "too-many-powers", "matrix-not-unit", "float-coefficient", "polynomial-text",
+        "too-many-powers", "power-zero", "matrix-not-unit", "float-coefficient", "polynomial-text",
         "divisor-zero", "float-seed", "fixed-point-dimension", "fixed-point-symbol",
         "no-repetitions", "empty-point", "decomposition-dimension", "decomposition-ceiling",
-        "sample-denominator", "portion-shape"])
+        "sample-denominator", "portion-shape",
+        "constant-eliminant"])
 def test_inputs_refused(make, error, match):
     with pytest.raises(error, match=match):
         make()

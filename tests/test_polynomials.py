@@ -63,6 +63,7 @@ def test_text_round_trip():
     p = poly(-1, 1, 20, 1)
     assert IntPolynomial.from_text(p.to_text()) == p
     assert IntPolynomial.from_text("-1, 1, 1, 1") == poly(-1, 1, 1, 1)
+    assert repr(p) == "IntPolynomial((-1, 1, 20, 1))"
 
 
 def test_divmod_exact():

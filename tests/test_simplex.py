@@ -1395,16 +1395,16 @@ def test_floor_symbols_past_the_table():
 # the audit with its domain test hoisted --------------------------------------
 
 
-def _member_scaled_with_domain_test(den, xs, q, symbol, closed) -> bool:
+def _member_scaled_with_domain_test(xs, q, symbol, closed) -> bool:
     """The region rule with the domain test inside it, run for every candidate."""
     n = len(xs)
     last = xs[n - 1]
-    if xs[0] > den or last < 0 or (last == 0 and not closed):
+    if xs[0] > q[0] or last < 0 or (last == 0 and not closed):
         return False
     for t in range(n - 1):
         if xs[t] < xs[t + 1]:
             return False
-    return simplex._member_scaled(den, xs, q, symbol, closed)
+    return simplex._member_scaled(xs, q, symbol, closed)
 
 
 def _region_membership_per_candidate(point, symbol, *, closed=False) -> bool:
@@ -1414,7 +1414,7 @@ def _region_membership_per_candidate(point, symbol, *, closed=False) -> bool:
     q = [den]
     for v in xs:
         q.append(q[-1] - v)
-    return _member_scaled_with_domain_test(den, xs, q, symbol, closed)
+    return _member_scaled_with_domain_test(xs, q, symbol, closed)
 
 
 def _audit_testing_domain_per_candidate(n, samples, seed, max_denominator) -> DecompositionReport:
@@ -1433,10 +1433,10 @@ def _audit_testing_domain_per_candidate(n, samples, seed, max_denominator) -> De
         if slack >= 0:
             k = slack // xs[n - 1]
             for cand in (k - 1, k, k + 1):
-                if _member_scaled_with_domain_test(den, xs, q, NonNegSymbol(cand), False):
+                if _member_scaled_with_domain_test(xs, q, NonNegSymbol(cand), False):
                     matches.append(NonNegSymbol(cand))
         for sym in pairs:
-            if _member_scaled_with_domain_test(den, xs, q, sym, False):
+            if _member_scaled_with_domain_test(xs, q, sym, False):
                 matches.append(sym)
         x = tuple(Fraction(p, den) for p in xs)
         if len(matches) != 1:
