@@ -99,6 +99,7 @@ def _names_region(symbol: SymbolND, n: int) -> bool:
     return 1 <= symbol.i <= n - 2 and symbol.i < symbol.j <= n
 
 
+@functools.lru_cache(maxsize=4096)
 def _push_rule(symbol: SymbolND, n: int) -> tuple[int, Column]:
     """The slot j of a step's push and its inserted column over the current ones.
 
@@ -158,14 +159,13 @@ def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str
 
 
 def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None = None,
-           *, max_len: int = 0, allow_zero_last: bool = False) -> "_Engine":
-    """The engine for a point after its domain check: every entry point starts here."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+           *, allow_zero_last: bool = False) -> tuple[FormEvaluator, Sequence[_Form]]:
+    """The evaluator and unit forms of a point after its domain check: every
+    entry point starts here."""
     ev = FormEvaluator(coords, cap_bits=cap_bits)
     units = ev.units()
     _check_domain(ev, units, names, allow_zero_last)
-    return _Engine(ev, units)
+    return ev, units
 
 
 def _certain(ops, form, ambiguous: str) -> Sign:
@@ -214,116 +214,25 @@ def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
     return _pair(i, j), q[i]
 
 
-class _Engine:
-    """The certified sequence loop over a set of integer columns, for every n.
-
-    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  Columns and
-    every form built from them are the evaluator's carried forms, so a query
-    costs no dot product over the columns' big coefficients.  A step asks
-    only the queries that define its branch.  A certified answer holds for the
-    true value, so these facts need no query of their own:
-
-    * d_0 >= d_1 >= ... >= d_n >= 0: the domain check certifies it and both
-      steps keep it.  So q_1 = d_0 - d_1 >= 0, and d_0 >= d_n stays positive
-      after the step that certified d_n positive.
-    * A floor a comes with a <= slack/x_n < a + 1 on the whole enclosure, or
-      with slack - a*x_n an exact zero: either way 0 <= g1 < x_n.
-
-    Between refinements the steps run in batches on a window of the columns
-    (``FormEvaluator.window``): the branch rule on small integers whose
-    decisions are the evaluator's own, and the steps' weights applied to the
-    big columns once, when the batch ends.
-    """
-
-    def __init__(self, ev: FormEvaluator, units: Sequence[_Form]):
-        self.ev = ev
-        self.n = len(units) - 1
-        self.cols: Sequence[_Form] = units
-        self.status: SequenceStatus | None = None
-
-    def classify_once(self) -> tuple[SymbolND, _Form]:
-        """One certified branch decision: the symbol and the inserted column."""
-        return _decide(self.ev, self.cols)
-
-    def _batch(self, room: int) -> list[SymbolND]:
-        """Take up to ``room`` steps on a window of the columns, push their
-        columns at once and return their symbols: none if the window decides
-        no step.  A batch stops before the first step whose last remainder the
-        window does not certify positive, or with a test it leaves undecided."""
-        win, cols = self.ev.window(self.cols)
-        decide, sign, n = _decide, win.certified_sign, self.n
-        symbols: list[SymbolND] = []
-        try:
-            for _ in range(room):
-                if sign(cols[-1]) is not Sign.POSITIVE:
-                    break
-                symbol, inserted = decide(win, cols)
-                cols = push_column(cols, symbol.j if type(symbol) is PairSymbol else n, inserted)
-                symbols.append(symbol)
-        except PrecisionExhaustedError:
-            pass
-        if symbols:
-            self.cols = win.columns(cols)
-        return symbols
-
-    def run(self, max_len: int) -> Iterator[SymbolND]:
-        """Yield up to max_len certified symbols.
-
-        Each batch yields its symbols once the columns of its last step are
-        pushed, so ``cols`` is current only between batches and at the run's
-        end.  After each batch one ordinary step follows: it alone may refine,
-        test an exact zero or end the run.  An empty batch whose ordinary step
-        did not refine says the window is too narrow for the columns (partial
-        quotients longer than its bits): the next s steps are ordinary ones
-        with no window, s doubling with each such batch in a row and back to 1
-        after a batch that decides a step or a refinement.
-
-        For a replay of its history the run keeps, besides the symbols its
-        caller collects, only ``epochs``: ``(step, epoch)`` for the
-        evaluator's epoch at the start (step 0) and after each push whose
-        epoch is not the last one kept (step = the pushes made so far).  When the run
-        stops, ``status`` says why: an exact zero last remainder, max_len, or
-        a step whose last remainder sign or branch was undecidable.  A last
-        remainder certified negative breaks the remainders' order, a fault of
-        the kernel, and raises ``ValueError``.
-        """
-        ev, n = self.ev, self.n
-        sign = ev.certified_sign
-        self.epochs = [(0, ev.epoch)]
-        step = 0
-        # ordinary steps left before the next window, and how many an empty one costs
-        ahead, backoff = 0, 1
-        while True:
-            if ahead:
-                ahead -= 1
-            elif step < max_len:
-                symbols = self._batch(max_len - step)
-                ahead, backoff = (0, 1) if symbols else (backoff, 2 * backoff)
-                step += len(symbols)
-                yield from symbols
-            s = sign(self.cols[-1])
-            if s is Sign.NEGATIVE:
-                raise ValueError("last remainder is negative")
-            if s is Sign.ZERO:
-                self.status = SequenceStatus.TERMINATED
-                return
-            if step == max_len:
-                self.status = SequenceStatus.TRUNCATED
-                return
-            try:
-                if s is Sign.AMBIGUOUS:
-                    raise PrecisionExhaustedError("last remainder sign is ambiguous")
-                symbol, inserted = _decide(ev, self.cols)
-            except PrecisionExhaustedError:
-                self.status = SequenceStatus.PRECISION_EXHAUSTED
-                return
-            j = symbol.j if type(symbol) is PairSymbol else n
-            self.cols = push_column(self.cols, j, inserted)
-            step += 1
-            if ev.epoch is not self.epochs[-1][1]:
-                self.epochs.append((step, ev.epoch))
-                ahead, backoff = 0, 1
-            yield symbol
+def _batch(ev: FormEvaluator, cols: Sequence[_Form], room: int) -> tuple[list[SymbolND], Sequence[_Form]]:
+    """Take up to ``room`` steps on a window of the columns and return their
+    symbols and the columns after them, pushed at once: no symbol and the
+    same columns if the window decides no step.  A batch stops before the
+    first step whose last remainder the window does not certify positive, or
+    with a test it leaves undecided."""
+    win, wcols = ev.window(cols)
+    decide, sign, n = _decide, win.certified_sign, len(cols) - 1
+    symbols: list[SymbolND] = []
+    try:
+        for _ in range(room):
+            if sign(wcols[-1]) is not Sign.POSITIVE:
+                break
+            symbol, inserted = decide(win, wcols)
+            wcols = push_column(wcols, symbol.j if type(symbol) is PairSymbol else n, inserted)
+            symbols.append(symbol)
+    except PrecisionExhaustedError:
+        pass
+    return symbols, (win.columns(wcols) if symbols else cols)
 
 
 def _combine(w: Column, cols: Sequence[tuple]) -> tuple:
@@ -340,7 +249,7 @@ def _combine(w: Column, cols: Sequence[tuple]) -> tuple:
 class _Snapshots:
     """A record's remainders as a replay of its run, not yet values.
 
-    The handle keeps the run's dimension, the record's symbols, the run's
+    The handle keeps the run's dimension, its symbols, its
     ``(step, epoch)`` pairs, and its final columns as the record's matrix
     rows; no evaluator.  Each epoch turns a column's midpoint sum into its
     value, as the run's evaluator did in that epoch.
@@ -384,13 +293,8 @@ class _Snapshots:
         cols = tuple(u + (m,) for u, m in zip(units, ep.mids)) if full else tuple(ep.mids)
         row = tuple(map(value, cols))
         yield row
-        rules: dict = {}
         for t, s in enumerate(self.symbols, 1):
-            rule = rules.get(s)
-            if rule is None:
-                # a planar or Gauss record holds its floors as ints
-                rule = rules[s] = _push_rule(NonNegSymbol(s) if type(s) is int else s, n)
-            j, w = rule
+            j, w = _push_rule(s, n)
             col = _combine(w, cols) if full else sum(map(mul, w, cols))
             cols = push_column(cols, j, col)
             if t in switches:
@@ -412,7 +316,7 @@ class _Snapshots:
     def tail(self) -> tuple:
         """The final row's values, with no replay: each final column's full
         dot product at the last epoch, the one in force at the run's last
-        yield.  It is the row the replay ends on, since an epoch's start
+        push.  It is the row the replay ends on, since an epoch's start
         retakes the whole row and every later column is inserted at it."""
         _, ep = self.epochs[-1]
         return tuple(ep.value(*ep.bounds(ep.dot(col), col)) for col in zip(*self.final))
@@ -462,22 +366,86 @@ class SequenceRecordN:
 
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
     """The unique region symbol of a simplex point (slack ties go nonnegative)."""
-    return _start(point.coords, cap_bits).classify_once()[0]
+    return _decide(*_start(point.coords, cap_bits))[0]
 
 
 def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
          names: Sequence[str] | None = None, *, lead: int | None = None,
          allow_zero_last: bool = False) -> tuple:
-    """Run a point to at most max_len symbols and return a record's fields in
-    field order: the symbols (floors as ints with a flat history, see ``lead``
-    in ``_Snapshots``), the history's replay handle, the status, the final
-    columns as matrix rows, the refinements and the working bits."""
-    eng = _start(coords, cap_bits, names, max_len=max_len, allow_zero_last=allow_zero_last)
-    symbols = eng.run(max_len)
-    symbols = tuple(symbols if lead is None else (symbol.k for symbol in symbols))
-    matrix = mat_from_columns([c.coeffs for c in eng.cols])
-    return (symbols, _Snapshots(eng.n, symbols, eng.epochs, matrix, lead), eng.status, matrix,
-            eng.ev.refinements, eng.ev.bits)
+    """Run a point to at most max_len certified symbols and return a record's
+    fields in field order: the symbols (floors as ints with a flat history,
+    see ``lead`` in ``_Snapshots``), the history's replay handle, the status,
+    the final columns as matrix rows, the refinements and the working bits.
+
+    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  Columns
+    and every form built from them are the evaluator's carried forms, so a
+    query costs no dot product over the columns' big coefficients.  A step
+    asks only the queries that define its branch.  A certified answer holds
+    for the true value, so these facts need no query of their own:
+
+    * d_0 >= d_1 >= ... >= d_n >= 0: the domain check certifies it and both
+      steps keep it.  So q_1 = d_0 - d_1 >= 0, and d_0 >= d_n stays positive
+      after the step that certified d_n positive.
+    * A floor a comes with a <= slack/x_n < a + 1 on the whole enclosure, or
+      with slack - a*x_n an exact zero: either way 0 <= g1 < x_n.
+
+    Between refinements the steps run in batches on a window of the columns
+    (``FormEvaluator.window``): the branch rule on small integers whose
+    decisions are the evaluator's own, and the steps' weights applied to the
+    big columns once, when the batch ends.  After each batch one ordinary
+    step follows: it alone may refine, test an exact zero or end the run.  An
+    empty batch whose ordinary step did not refine says the window is too
+    narrow for the columns (partial quotients longer than its bits): the next
+    s steps are ordinary ones with no window, s doubling with each such batch
+    in a row and back to 1 after a batch that decides a step or a refinement.
+
+    For a replay of its history the run keeps, besides its symbols, only
+    ``epochs``: ``(step, epoch)`` for the evaluator's epoch at the start
+    (step 0) and after each push whose epoch is not the last one kept (step =
+    the pushes made so far).  The status says why the run stopped: an exact
+    zero last remainder, max_len, or a step whose last remainder sign or
+    branch was undecidable.  A last remainder certified negative breaks the
+    remainders' order, a fault of the kernel, and raises ``ValueError``.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    ev, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
+    n, sign = len(cols) - 1, ev.certified_sign
+    symbols: list[SymbolND] = []
+    epochs = [(0, ev.epoch)]
+    # ordinary steps left before the next window, and how many an empty one costs:
+    # a window before every step ran gauss_sequence on 600 quotients of 10**20 or
+    # of 2**60 about x1.3 slower (best of 15, 4 rounds; 2 vCPUs, CPython 3.11)
+    ahead, backoff = 0, 1
+    while True:
+        if ahead:
+            ahead -= 1
+        elif len(symbols) < max_len:
+            batch, cols = _batch(ev, cols, max_len - len(symbols))
+            ahead, backoff = (0, 1) if batch else (backoff, 2 * backoff)
+            symbols += batch
+        s = sign(cols[-1])
+        if s is Sign.NEGATIVE:
+            raise ValueError("last remainder is negative")
+        if s is Sign.ZERO or len(symbols) == max_len:
+            status = SequenceStatus.TERMINATED if s is Sign.ZERO else SequenceStatus.TRUNCATED
+            break
+        try:
+            if s is Sign.AMBIGUOUS:
+                raise PrecisionExhaustedError("last remainder sign is ambiguous")
+            symbol, inserted = _decide(ev, cols)
+        except PrecisionExhaustedError:
+            status = SequenceStatus.PRECISION_EXHAUSTED
+            break
+        cols = push_column(cols, symbol.j if type(symbol) is PairSymbol else n, inserted)
+        symbols.append(symbol)
+        if ev.epoch is not epochs[-1][1]:
+            epochs.append((len(symbols), ev.epoch))
+            ahead, backoff = 0, 1
+    symbols = tuple(symbols)
+    matrix = mat_from_columns([c.coeffs for c in cols])
+    return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
+            _Snapshots(n, symbols, epochs, matrix, lead), status, matrix, ev.refinements, ev.bits)
 
 
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:

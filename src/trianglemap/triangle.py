@@ -27,7 +27,7 @@ from .numeric import (
     SequenceStatus,
     root_powers,
 )
-from .simplex import _BuiltOnRead, _run, _start
+from .simplex import _BuiltOnRead, _decide, _run, _start
 
 _PLANAR = ("alpha", "beta")
 
@@ -64,16 +64,16 @@ class SequenceRecord:
 
 def classify(point: Point2, *, cap_bits: int | None = None) -> int:
     """The wedge index k with 1 - alpha - k*beta >= 0 > 1 - alpha - (k+1)*beta."""
-    return _start((point.alpha, point.beta), cap_bits, _PLANAR).classify_once()[0].k
+    return _decide(*_start((point.alpha, point.beta), cap_bits, _PLANAR))[0].k
 
 
 def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:
     """One application of the map: the wedge symbol and the image point."""
-    eng = _start((point.alpha, point.beta), cap_bits, _PLANAR)
-    symbol, inserted = eng.classify_once()
+    ev, cols = _start((point.alpha, point.beta), cap_bits, _PLANAR)
+    symbol, inserted = _decide(ev, cols)
     # divide on the evaluator's enclosures: refinement during classification
     # may have tightened them, and the domain check certified alpha > 0
-    ev, (_, alpha, beta) = eng.ev, eng.cols
+    _, alpha, beta = cols
     return symbol.k, Point2(ev.ratio(beta, alpha), ev.ratio(inserted, alpha))
 
 

@@ -220,13 +220,13 @@ def test_verify_identity_catches_swapped_symbol(capsys, monkeypatch, delta):
 
 def test_verify_identity_catches_a_wrong_status(capsys, monkeypatch):
     # a run that ended on a zero remainder but is recorded as cut at the cap
-    real = simplex._Engine.run
+    real = triangle._run
 
-    def run_truncated(self, max_len):
-        yield from real(self, max_len)
-        self.status = numeric.SequenceStatus.TRUNCATED
+    def run_truncated(*args, **kwargs):
+        symbols, history, _, *rest = real(*args, **kwargs)
+        return (symbols, history, numeric.SequenceStatus.TRUNCATED, *rest)
 
-    monkeypatch.setattr(simplex._Engine, "run", run_truncated)
+    monkeypatch.setattr(triangle, "_run", run_truncated)
     code, lines, _ = run(capsys, "verify", "--suite", "identity", "--cases", "10")
     assert code == 3
     # every one of these runs terminates well inside the cap
@@ -250,15 +250,15 @@ def test_audits_catch_a_wrong_floor(capsys, floor_off_by, argv, delta):
 @pytest.mark.parametrize("n", ["3", "4"])
 def test_decomp_check_catches_shifted_window(capsys, monkeypatch, n):
     # every pair symbol one window to the left: the membership rule disagrees
-    real = simplex._Engine.classify_once
+    real = simplex._decide
 
-    def classify_once(self):
-        symbol, inserted = real(self)
+    def decide(ops, cols):
+        symbol, inserted = real(ops, cols)
         if isinstance(symbol, simplex.PairSymbol):
             symbol = simplex.PairSymbol(symbol.i, symbol.j - 1)
         return symbol, inserted
 
-    monkeypatch.setattr(simplex._Engine, "classify_once", classify_once)
+    monkeypatch.setattr(simplex, "_decide", decide)
     code, lines, _ = run(capsys, "decomp-check", "--n", n)
     assert code == 3
     assert lines[0]["violations"] == 0 and lines[0]["classify_mismatches"] > 0

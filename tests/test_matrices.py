@@ -37,6 +37,8 @@ def test_inverse_is_exact():
     m = product_matrix((0, 2, 1, 3))
     assert (m @ m.inverse()) == IntMatrix.identity()
     assert (m.inverse() @ m) == IntMatrix.identity()
+    # a 1x1 matrix: each cofactor is the empty minor, whose determinant is 1
+    assert matrices.mat_inverse_unimodular(((-1,),)) == ((-1,),)
 
 
 def test_column_distances_follow_recursion():
@@ -127,6 +129,8 @@ def test_recover_terminated_any_size():
         assert recover_terminated(rec.matrix, *rec.d_history[-1][:-1]) == coords
     with pytest.raises(ValueError):
         recover_terminated(product_matrix((1,)), Fraction(1))
+    # n = 0: no coordinate to recover
+    assert matrices.recover_nd(((2,),)) == ()
 
 
 def test_apply_row_duck_typed():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from trianglemap import simplex
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError, PrecisionExhaustedError
-from trianglemap.matrices import (mat_det, mat_identity, mat_inverse_unimodular, mat_mul, push_column,
-                                  recover_nd)
+from trianglemap.matrices import (mat_det, mat_from_columns, mat_identity, mat_inverse_unimodular, mat_mul,
+                                  push_column, recover_nd)
 from trianglemap.io_formats import parse_point
 from trianglemap.numeric import BigFloat, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch, root_powers
 from trianglemap.polynomials import IntPolynomial
@@ -36,6 +36,7 @@ from trianglemap.simplex import (
     region_vertices,
     sample_rational_point,
     sequence_nd,
+    _decide,
     _last_remainders,
     _start,
     step_matrix_nd,
@@ -97,12 +98,12 @@ def test_window_j_equal_n_asks_no_query(monkeypatch, n):
     # at a point of region (1, n): the slack, each crossing test and one
     # window test for each j < n; the window q_1 - x_{n+1} = q_1 is not asked
     point = tuple(sum(col) / (n + 1) for col in zip(*region_vertices(n, PairSymbol(1, n))))
-    eng = _start(point, None)
+    ev, units = _start(point, None)
     asked = []
     real = FormEvaluator.certified_sign
     monkeypatch.setattr(FormEvaluator, "certified_sign",
                         lambda self, form: asked.append(form.coeffs) or real(self, form))
-    assert eng.classify_once()[0] == PairSymbol(1, n)
+    assert _decide(ev, units)[0] == PairSymbol(1, n)
     e = [tuple(int(i == t) for i in range(n + 1)) for t in range(n + 1)]
     q = [e[0]]
     for t in range(1, n):
@@ -739,35 +740,54 @@ def test_full_dot_products_do_not_grow_with_run_length(monkeypatch, n, k, bits, 
 # remainder histories, built on first read -----------------------------------
 
 
-def _ordinary_run(eng, max_len):
+def _ordinary_run(ev, cols, max_len, each=None):
     """The engine's run with no batch: every step an ordinary certified one,
-    so each yield sees the columns its own step pushed.  It keeps the run's
-    status and epochs as ``_Engine.run`` does, and serves as that method too."""
-    ev, n = eng.ev, eng.n
-    epoch = ev.epoch
-    eng.epochs = [(0, epoch)]
-    for step in range(max_len + 1):
-        s = ev.certified_sign(eng.cols[-1])
+    and ``each``, if given, sees the columns its own step pushed.  It returns
+    the symbols, the status, the final columns and the epochs that ``_run``
+    keeps."""
+    n = len(cols) - 1
+    symbols = []
+    epochs = [(0, ev.epoch)]
+    while True:
+        s = ev.certified_sign(cols[-1])
         if s is Sign.NEGATIVE:
             raise ValueError("last remainder is negative")
         if s is Sign.ZERO:
-            eng.status = SequenceStatus.TERMINATED
-            return
-        if step == max_len:
-            eng.status = SequenceStatus.TRUNCATED
-            return
+            return symbols, SequenceStatus.TERMINATED, cols, epochs
+        if len(symbols) == max_len:
+            return symbols, SequenceStatus.TRUNCATED, cols, epochs
         try:
             if s is Sign.AMBIGUOUS:
                 raise PrecisionExhaustedError("last remainder sign is ambiguous")
-            symbol, inserted = eng.classify_once()
+            symbol, inserted = simplex._decide(ev, cols)
         except PrecisionExhaustedError:
-            eng.status = SequenceStatus.PRECISION_EXHAUSTED
-            return
-        eng.cols = push_column(eng.cols, symbol.j if isinstance(symbol, PairSymbol) else n, inserted)
-        if ev.epoch is not epoch:
-            epoch = ev.epoch
-            eng.epochs.append((step + 1, epoch))
-        yield symbol
+            return symbols, SequenceStatus.PRECISION_EXHAUSTED, cols, epochs
+        cols = push_column(cols, symbol.j if isinstance(symbol, PairSymbol) else n, inserted)
+        symbols.append(symbol)
+        if ev.epoch is not epochs[-1][1]:
+            epochs.append((len(symbols), ev.epoch))
+        if each:
+            each(cols)
+
+
+def _unbatched(patch):
+    """Make every run's batches decide nothing, so each step is an ordinary one."""
+    patch.setattr(simplex, "_batch", lambda ev, cols, room: ([], cols))
+
+
+def _engine_state(coords, max_len, cap_bits, allow_zero_last, batched):
+    """What a run leaves, from ``_run`` or from ``_ordinary_run``: its symbols,
+    status, final columns, refinements, working bits and epochs."""
+    if batched:
+        symbols, history, status, matrix, refinements, bits = simplex._run(
+            coords, max_len, cap_bits, allow_zero_last=allow_zero_last)
+        epochs = history.epochs
+    else:
+        ev, cols = _start(coords, cap_bits, allow_zero_last=allow_zero_last)
+        symbols, status, cols, epochs = _ordinary_run(ev, cols, max_len)
+        matrix, refinements, bits = mat_from_columns([c.coeffs for c in cols]), ev.refinements, ev.bits
+    return (tuple(symbols), status, matrix, refinements, bits,
+            [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in epochs])
 
 
 def _materialized_history(coords, max_len, kind):
@@ -775,19 +795,21 @@ def _materialized_history(coords, max_len, kind):
 
     ``kind`` is "nd" (rows of every column), "planar" (the three seed columns,
     then the inserted one) or "gauss" (the current remainder)."""
-    eng = _start(coords, None, max_len=max_len, allow_zero_last=kind == "planar")
-    ev = eng.ev
+    ev, cols = _start(coords, None, allow_zero_last=kind == "planar")
     if kind == "nd":
-        hist = [tuple(ev.materialize(c) for c in eng.cols)]
+        hist = [tuple(ev.materialize(c) for c in cols)]
     elif kind == "planar":
-        hist = [ev.materialize(c) for c in eng.cols]
+        hist = [ev.materialize(c) for c in cols]
     else:
-        hist = [ev.materialize(eng.cols[1])]
-    for _ in _ordinary_run(eng, max_len):
+        hist = [ev.materialize(cols[1])]
+
+    def each(cols):
         if kind == "nd":
-            hist.append(tuple(ev.materialize(c) for c in eng.cols))
+            hist.append(tuple(ev.materialize(c) for c in cols))
         else:
-            hist.append(ev.materialize(eng.cols[2 if kind == "planar" else 1]))
+            hist.append(ev.materialize(cols[2 if kind == "planar" else 1]))
+
+    _ordinary_run(ev, cols, max_len, each)
     return tuple(hist), ev.refinements
 
 
@@ -876,14 +898,13 @@ def test_history_rows_share_shifted_values():
 
 
 def _eager_rows(coords, max_len, cap_bits, allow_zero_last):
-    """The value of every column, with the working bits, at each yield of a
+    """The value of every column, with the working bits, after each step of a
     run: what a record that collected its history while running would hold."""
-    eng = _start(coords, cap_bits, max_len=max_len, allow_zero_last=allow_zero_last)
-    ev = eng.ev
-    rows = [(tuple(map(ev.materialize, eng.cols)), ev.bits)]
-    for _ in _ordinary_run(eng, max_len):
-        rows.append((tuple(map(ev.materialize, eng.cols)), ev.bits))
-    return rows, eng.status, ev.refinements
+    ev, cols = _start(coords, cap_bits, allow_zero_last=allow_zero_last)
+    rows = [(tuple(map(ev.materialize, cols)), ev.bits)]
+    _, status, _, _ = _ordinary_run(ev, cols, max_len,
+                                    lambda cols: rows.append((tuple(map(ev.materialize, cols)), ev.bits)))
+    return rows, status, ev.refinements
 
 
 _TERMINATED, _TRUNCATED, _EXHAUSTED = (SequenceStatus.TERMINATED, SequenceStatus.TRUNCATED,
@@ -1080,18 +1101,15 @@ def test_batched_runs_equal_unbatched(monkeypatch, text, max_len, cap_bits, stat
     if n == 1:
         runs["gauss"] = lambda: gauss_sequence(parse_point(text, 64)[0], max_len, cap_bits=cap_bits)
 
-    def engine(drive):
-        eng = _start(parse_point(text, 64), cap_bits, max_len=max_len, allow_zero_last=n == 2)
-        symbols = tuple(drive(eng))
-        return (symbols, eng.status, [c.coeffs for c in eng.cols], eng.ev.refinements, eng.ev.bits,
-                [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in eng.epochs])
+    def engine(batched):
+        return _engine_state(parse_point(text, 64), max_len, cap_bits, n == 2, batched)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        _unbatched(patch)
         expected = {kind: make() for kind, make in runs.items()}
     got = {kind: make() for kind, make in runs.items()}
-    batched = engine(lambda eng: eng.run(max_len))
-    assert batched == engine(lambda eng: _ordinary_run(eng, max_len))
+    batched = engine(True)
+    assert batched == engine(False)
     symbols, got_status, _, refinements, _, _ = batched
     assert got_status is status and (refinements > 0) is refines
     if n >= 3:
@@ -1113,7 +1131,7 @@ def test_batches_decide_most_steps(monkeypatch, n):
         return sequence_nd(fixed_point_nd(n, 1, 512), length, cap_bits=2 ** 20)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        _unbatched(patch)
         expected = run()
     floors = []
     real = FormEvaluator.certified_floor
@@ -1137,9 +1155,14 @@ def test_batch_lengths_of_period_one_runs(monkeypatch, n, length, batches):
     # the period-one runs at 128 bits decide their steps in these batches: a
     # window that ended its batches early would show here first
     lengths = []
-    real = simplex._Engine._batch
-    monkeypatch.setattr(simplex._Engine, "_batch",
-                        lambda self, room: lengths.append(len(symbols := real(self, room))) or symbols)
+    real = simplex._batch
+
+    def batch(ev, cols, room):
+        symbols, cols = real(ev, cols, room)
+        lengths.append(len(symbols))
+        return symbols, cols
+
+    monkeypatch.setattr(simplex, "_batch", batch)
     if n == 2:
         rec = sequence(period_one_point(2, 128), length)
     else:
@@ -1162,7 +1185,7 @@ def test_empty_batches_back_off(monkeypatch):
     # window for twice as many steps as after the one before
     x = _continued_fraction([10 ** 20] * 60)
     with monkeypatch.context() as patch:
-        patch.setattr(simplex._Engine, "run", _ordinary_run)
+        _unbatched(patch)
         expected = gauss_sequence(x, 100)
     loads = []
     real = FormEvaluator.window
@@ -1188,18 +1211,15 @@ _HUGE_THEN_ONES = _continued_fraction([10 ** 20] * 8 + [1] * 40 + [10 ** 20] * 2
 ])
 def test_window_backoff_starts_over(monkeypatch, text, bits, max_len, loads):
     got = []
-    real = simplex._Engine._batch
-    monkeypatch.setattr(simplex._Engine, "_batch", lambda self, room: got.append(max_len - room) or real(self, room))
+    real = simplex._batch
+    monkeypatch.setattr(simplex, "_batch", lambda ev, cols, room: got.append(max_len - room) or real(ev, cols, room))
 
-    def engine(drive):
-        eng = _start(parse_point(text, bits), None, max_len=max_len)
-        symbols = tuple(drive(eng))
-        return (symbols, eng.status, [c.coeffs for c in eng.cols], eng.ev.refinements, eng.ev.bits,
-                [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in eng.epochs])
+    def engine(batched):
+        return _engine_state(parse_point(text, bits), max_len, None, False, batched)
 
-    batched = engine(lambda eng: eng.run(max_len))
+    batched = engine(True)
     assert got == loads
-    assert batched == engine(lambda eng: _ordinary_run(eng, max_len))
+    assert batched == engine(False)
 
 
 # the domain check read off the epoch -----------------------------------------
