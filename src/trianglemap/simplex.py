@@ -20,10 +20,12 @@ its branch, refining root-backed inputs on demand; ``precision-exhausted``
 means one of those was undecidable.  Between refinements the steps run in
 batches, each deciding on the leading bits of the columns' bounds with the
 same branch rule and applying the batch's weights to the columns once.
-This is the package's only sequence loop and its only domain check: the
-planar ``triangle.sequence`` (n = 2) and the continued fraction
-``triangle.gauss_sequence`` (n = 1) run through ``_run`` too, with their own
-coordinate names and records.
+This is the package's only sequence loop and the one statement of its
+domain errors: the planar ``triangle.sequence`` (n = 2) and the continued
+fraction ``triangle.gauss_sequence`` (n = 1) run through ``_run`` too, with
+their own coordinate names and records.  A rational point's remainders
+times its common denominator are integers, so classifying one decides on
+those with the same branch rule and no evaluator.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, ge, mul, sub
+from operator import add, floordiv, ge, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
                        mat_mul, mat_product, mat_step, nonneg_column, push_column)
-from .numeric import ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign, _Form, root_powers
+from .numeric import (MAX_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign, _Form,
+                      root_powers)
 
 
 # symbols ------------------------------------------------------------------
@@ -128,22 +131,13 @@ def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
 # classification and sequences ----------------------------------------------
 
 
-def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str] | None,
-                  allow_zero_last: bool) -> None:
-    """Certify 1 >= x_1 >= ... >= x_n > 0; x_n = 0 passes with allow_zero_last.
-
-    A low bound from ``FormEvaluator.gap_bounds`` above 0 is the positive
-    sign ``certified_sign`` would answer first; only a sign those bounds
-    leave open builds its form, a carried difference of the unit forms, and
-    asks.  A bound read before a refinement still holds after it: refining
-    only tightens each enclosure.  Messages name the coordinates by
-    ``names`` (default x_1, ..., x_n) and are built only when a check fails.
-    """
-    n = len(units) - 1
-    for t, low in enumerate(ev.gap_bounds()):
-        if low > 0:
-            continue
-        s = ev.certified_sign(ev.sub(units[t], units[t + 1]) if t < n else units[n])
+def _require_domain(signs: Iterable[Sign], n: int, names: Sequence[str] | None,
+                    allow_zero_last: bool) -> None:
+    """Raise for the first failed test of 1 >= x_1 >= ... >= x_n > 0, given the
+    signs of its n + 1 gaps 1 - x_1, x_t - x_{t+1} and x_n in that order; x_n = 0
+    passes with allow_zero_last.  Messages name the coordinates by ``names``
+    (default x_1, ..., x_n) and are built only when a test fails."""
+    for t, s in enumerate(signs):
         if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
             continue
         names = names or [f"x_{u}" for u in range(1, n + 1)]
@@ -158,10 +152,28 @@ def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str
         raise DegenerateInputError(msg)
 
 
+def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str] | None,
+                  allow_zero_last: bool) -> None:
+    """Certify 1 >= x_1 >= ... >= x_n > 0 on the evaluator, with
+    ``_require_domain``'s errors.
+
+    A low bound from ``FormEvaluator.gap_bounds`` above 0 is the positive
+    sign ``certified_sign`` would answer first; only a sign those bounds
+    leave open builds its form, a carried difference of the unit forms, and
+    asks.  A bound read before a refinement still holds after it: refining
+    only tightens each enclosure.
+    """
+    n = len(units) - 1
+    _require_domain((Sign.POSITIVE if low > 0 else
+                     ev.certified_sign(ev.sub(units[t], units[t + 1]) if t < n else units[n])
+                     for t, low in enumerate(ev.gap_bounds())), n, names, allow_zero_last)
+
+
 def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None = None,
            *, allow_zero_last: bool = False) -> tuple[FormEvaluator, Sequence[_Form]]:
     """The evaluator and unit forms of a point after its domain check: every
-    entry point starts here."""
+    run starts here, and so does every other entry point but an exact
+    point's classification (``_classify``)."""
     ev = FormEvaluator(coords, cap_bits=cap_bits)
     units = ev.units()
     _check_domain(ev, units, names, allow_zero_last)
@@ -176,12 +188,33 @@ def _certain(ops, form, ambiguous: str) -> Sign:
     return s
 
 
+class _Integers:
+    """``_decide``'s four queries on an exact point's scaled integers.
+
+    The columns are den, den*x_1, ..., den*x_n for the point's common
+    denominator den > 0, and every form built from them is its value times
+    den: it has that value's sign, and a quotient of two has its floor, so
+    each query is one integer operation and none is undecidable."""
+
+    sub = staticmethod(sub)
+    certified_floor = staticmethod(floordiv)
+
+    @staticmethod
+    def addmul(a: int, c: int, b: int) -> int:
+        return a + c * b
+
+    @staticmethod
+    def certified_sign(a: int) -> Sign:
+        return Sign.POSITIVE if a > 0 else Sign.NEGATIVE if a < 0 else Sign.ZERO
+
+
 def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
     """The branch rule: one step's symbol and inserted column, for every n.
 
-    ``ops`` is the evaluator over carried columns, or a batch window over its
-    forms of them: both answer ``sub``, ``addmul``, ``certified_sign`` and
-    ``certified_floor``, and an undecidable test raises
+    ``ops`` answers ``sub``, ``addmul``, ``certified_sign`` and
+    ``certified_floor`` on ``cols``: the evaluator over carried columns, a
+    batch window over its forms of them, or ``_Integers`` over an exact
+    point's scaled integers.  An undecidable test raises
     ``PrecisionExhaustedError``.  ``q[t]`` is the column form of q_t (t < n)
     scaled by the leading remainder; the last entry picks the family, the
     crossing i and then the window j over x_{i+1}, ..., x_n, x_{n+1} = 0
@@ -364,9 +397,26 @@ class SequenceRecordN:
         return self.status is SequenceStatus.TERMINATED
 
 
+def _classify(coords: Sequence[ExactNumber], cap_bits: int | None,
+              names: Sequence[str] | None = None) -> SymbolND:
+    """A point's symbol after its domain check: ``_decide`` on its scaled
+    integers when every coordinate is an int or a ``Fraction``, else on its
+    evaluator.  The integer domain test is ``_in_domain``'s, and a point it
+    refuses gets ``_require_domain``'s error; a cap above the ceiling goes to
+    the evaluator, which refuses it."""
+    exact = all(map(isinstance, coords, repeat((int, Fraction))))
+    if exact and (cap_bits is None or cap_bits <= MAX_PRECISION):
+        den, xs = _scaled(coords)
+        if not _in_domain(den, xs, False):
+            _require_domain(map(_Integers.certified_sign, map(sub, [den, *xs], [*xs, 0])),
+                            len(xs), names, False)
+        return _decide(_Integers, (den, *xs))[0]
+    return _decide(*_start(coords, cap_bits, names))[0]
+
+
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
     """The unique region symbol of a simplex point (slack ties go nonnegative)."""
-    return _decide(*_start(point.coords, cap_bits))[0]
+    return _classify(point.coords, cap_bits)
 
 
 def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
@@ -500,6 +550,12 @@ def _in_domain(den: int, xs: Sequence[int], closed: bool) -> bool:
     return all(map(ge, xs, xs[1:]))
 
 
+def _scaled(x: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """A rational point as its common denominator and its numerators over it."""
+    den = lcm(*(v.denominator for v in x))
+    return den, [v.numerator * (den // v.denominator) for v in x]
+
+
 def _member_scaled(xs: Sequence[int], q: Sequence[int], symbol: SymbolND, closed: bool) -> bool:
     """The region rule on a domain point given as numerators ``xs`` over den > 0.
 
@@ -555,8 +611,7 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     x = [Fraction(v) for v in point]
     if not x:
         raise DegenerateInputError("point needs at least one coordinate")
-    den = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (den // v.denominator) for v in x]
+    den, xs = _scaled(x)
     return (_in_domain(den, xs, closed)
             and _member_scaled(xs, list(accumulate(xs, sub, initial=den)), symbol, closed))
 
@@ -614,8 +669,10 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
     over the sample's common denominator, once the sample has passed the
     domain test (no region claims a point outside the domain).  Every
     sampled point must land in exactly one region; its region must also
-    agree with classify_nd, which decides by certified integer forms rather
-    than these inequalities.
+    agree with the branch rule ``_decide`` on the sample's integers
+    (den, den*x_1, ..., den*x_n), as ``classify_nd`` decides an exact point,
+    rather than with these inequalities.  ``Fraction``s are built only for
+    a violation's record.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -641,11 +698,11 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
             for sym in pairs:
                 if _member_scaled(xs, q, sym, False):
                     matches.append(sym)
-        x = tuple(Fraction(p, den) for p in xs)
         if len(matches) != 1:
-            violations.append((x, len(matches)))
+            violations.append((tuple(Fraction(p, den) for p in xs), len(matches)))
             continue
-        if classify_nd(PointN(x)) != matches[0]:
+        # a claimed sample passed _in_domain: its integers are _classify's
+        if _decide(_Integers, (den, *xs))[0] != matches[0]:
             mismatches += 1
     return DecompositionReport(
         n=n,

@@ -27,7 +27,7 @@ from .numeric import (
     SequenceStatus,
     root_powers,
 )
-from .simplex import _BuiltOnRead, _decide, _run, _start
+from .simplex import _BuiltOnRead, _classify, _decide, _run, _start
 
 _PLANAR = ("alpha", "beta")
 
@@ -64,7 +64,7 @@ class SequenceRecord:
 
 def classify(point: Point2, *, cap_bits: int | None = None) -> int:
     """The wedge index k with 1 - alpha - k*beta >= 0 > 1 - alpha - (k+1)*beta."""
-    return _decide(*_start((point.alpha, point.beta), cap_bits, _PLANAR))[0].k
+    return _classify((point.alpha, point.beta), cap_bits, _PLANAR).k
 
 
 def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:

@@ -7,14 +7,15 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trianglemap import simplex
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError, PrecisionExhaustedError
 from trianglemap.matrices import (mat_det, mat_from_columns, mat_identity, mat_inverse_unimodular, mat_mul,
                                   push_column, recover_nd)
 from trianglemap.io_formats import parse_point
-from trianglemap.numeric import BigFloat, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch, root_powers
+from trianglemap.numeric import (MAX_PRECISION, BigFloat, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch,
+                                root_powers)
 from trianglemap.polynomials import IntPolynomial
 from trianglemap.periodicity import (
     fixed_point_nd,
@@ -41,7 +42,7 @@ from trianglemap.simplex import (
     _start,
     step_matrix_nd,
 )
-from trianglemap.triangle import GaussRecord, Point2, gauss_sequence, sequence
+from trianglemap.triangle import GaussRecord, Point2, classify, gauss_sequence, sequence
 
 
 def F(*args) -> Fraction:
@@ -1057,6 +1058,88 @@ def test_negative_floor_is_recorded_as_it_was_pushed(floor_off_by):
     assert rec.symbols == (NonNegSymbol(-1),)
     with pytest.raises(ValueError, match="must be >= 0"):
         rec.d_history
+
+
+def test_a_wrong_floor_reaches_the_exact_classifiers(floor_off_by):
+    # exact points classify on their integers, still through simplex._decide
+    planar, point = (F(1, 2), F(1, 5)), (F(1, 2), F(1, 5), F(1, 7))
+    assert classify(Point2(*planar)) == 2
+    assert classify_nd(PointN(planar)) == NonNegSymbol(2)
+    assert classify_nd(PointN(point)) == NonNegSymbol(2)
+    floor_off_by(1)
+    assert classify(Point2(*planar)) == 3
+    assert classify_nd(PointN(planar)) == NonNegSymbol(3)
+    assert classify_nd(PointN(point)) == NonNegSymbol(3)
+
+
+# exact points decide on their integers ----------------------------------------
+
+
+def _outcome(decide):
+    """A decision's symbol, or the type and message of what it raised."""
+    try:
+        return decide()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _exact_coordinate(value: Fraction, kind: str):
+    """``value`` as an int or a bool where it is one, else as itself."""
+    if kind == "int" and value.denominator == 1:
+        return int(value)
+    if kind == "bool" and value in (0, 1):
+        return bool(value)
+    return value
+
+
+@st.composite
+def exact_points(draw):
+    """Small-denominator coordinates, often sorted, so that ties (x_1 = 1,
+    x_t = x_{t+1}, x_n = 0), negative coordinates and x_1 > 1 all come up;
+    some as ints and bools."""
+    n = draw(st.integers(1, 6))
+    den = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-den, 2 * den), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        nums.sort(reverse=True)
+    kinds = draw(st.lists(st.sampled_from(["fraction", "int", "bool"]), min_size=n, max_size=n))
+    coords = tuple(_exact_coordinate(Fraction(p, den), k) for p, k in zip(nums, kinds))
+    names = draw(st.sampled_from([None, ("alpha", "beta")])) if n == 2 else None
+    cap_bits = draw(st.sampled_from([None, 64, MAX_PRECISION, MAX_PRECISION + 1]))
+    return coords, cap_bits, names
+
+
+@given(exact_points())
+@settings(max_examples=400)
+@example(((F(1), F(1, 2), F(1, 3)), None, None))
+@example(((F(2, 3), F(1, 3), F(1, 3)), None, None))
+@example(((F(2, 3), F(1, 3), F(0)), None, None))
+@example(((F(1, 2), F(-1, 3)), None, ("alpha", "beta")))
+@example(((F(3, 2), F(1, 3), F(1, 4)), None, None))
+@example(((1, True, 1), None, None))
+@example(((True, False), None, ("alpha", "beta")))
+@example(((F(1, 2), F(1, 3), F(1, 4)), MAX_PRECISION + 1, None))
+def test_integer_classification_equals_the_evaluator(case):
+    coords, cap_bits, names = case
+    expected = _outcome(lambda: _decide(*_start(coords, cap_bits, names))[0])
+    assert _outcome(lambda: simplex._classify(coords, cap_bits, names)) == expected
+    if names is None:
+        assert _outcome(lambda: classify_nd(PointN(coords), cap_bits=cap_bits)) == expected
+    else:
+        wedge = expected.k if isinstance(expected, NonNegSymbol) else expected
+        assert _outcome(lambda: classify(Point2(*coords), cap_bits=cap_bits)) == wedge
+
+
+def test_exact_points_classify_with_no_evaluator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact point built an evaluator")
+
+    monkeypatch.setattr(simplex, "FormEvaluator", refuse)
+    assert classify_nd(PointN((F(9, 10), F(9, 10), F(1, 10)))) == PairSymbol(1, 3)
+    assert classify(Point2(1, F(1, 2))) == 0
+    assert decomposition_check(4, 200, seed=3).ok
+    with pytest.raises(DegenerateInputError, match="beta exceeds alpha"):
+        classify(Point2(F(1, 3), F(1, 2)))
 
 
 # batched steps ----------------------------------------------------------------
