@@ -84,8 +84,9 @@ WINDOW_BITS = 128
 #: the carried bound stayed within 70 bits on the benchmark's runs and on a
 #: 25,600-symbol one, so twice the window's width leaves the guard idle there.
 #: Only a window on columns that fit it uncut can decide until the guard ends its
-#: batch: 2 batches did, both at n = 5, in 250 random rationals at n = 1-5 with
-#: denominators up to 10**200 (their records were unchanged).
+#: batch, and rationals run on packed integers with no window, so only exact dyadic
+#: points have such columns: 8 batches did, at n = 3-5, in 250 random exact dyadic
+#: points at n = 1-5 with 64-664 bits (their records were unchanged).
 WEIGHT_BITS = 2 * WINDOW_BITS
 
 #: Largest carried weight bound a packing holds; past it a batch ends.
@@ -491,6 +492,11 @@ class _Epoch:
     def __init__(self, mids: list[int], rads: list[int] | None, scale: int, bits: int):
         self.mids, self.rads, self.scale, self.bits = mids, rads, scale, bits
 
+    @classmethod
+    def exact(cls, scale: int, nums: Sequence[int], bits: int) -> "_Epoch":
+        """The epoch of an exact point: the values ``nums`` over ``scale``, no radii."""
+        return cls([scale << 1, *(x << 1 for x in nums)], None, scale, bits)
+
     def dot(self, coeffs: Sequence[int]) -> int:
         """The full midpoint sum of a form: its one big-by-big dot product."""
         return sum(map(mul, coeffs, self.mids))
@@ -707,21 +713,22 @@ class FormEvaluator:
         for ``p`` their largest precision (0 with none)."""
         den = self._den
         scale = den << p
-        mids, rads = [scale << 1], [0]
-        exact = True
+        lows, rads = [], [0]
         for v in self.values:
             if isinstance(v, BigFloat):
                 f = den << (p - v.prec)
-                lo, hi = v.lo_num * f, v.hi_num * f
-                mids.append(lo + hi)
-                rads.append(hi - lo)
-                if lo != hi:
-                    exact = False
+                lo = v.lo_num * f
+                lows.append(lo)
+                rads.append(v.hi_num * f - lo)
             else:
-                mids.append(v.numerator * (den // v.denominator) << (p + 1))
+                lows.append(v.numerator * (den // v.denominator) << p)
                 rads.append(0)
-        # an exact point has no radius sum at all
-        self.epoch = _Epoch(mids, None if exact else rads, scale, self.bits)
+        if any(rads):
+            mids = [scale << 1, *(2 * lo + r for lo, r in zip(lows, rads[1:]))]
+            self.epoch = _Epoch(mids, rads, scale, self.bits)
+        else:
+            # an exact point has no radius sum at all
+            self.epoch = _Epoch.exact(scale, lows, self.bits)
 
     def _rebase(self, form: _Form) -> None:
         """Bring a form made before the last rescale to the current one: its

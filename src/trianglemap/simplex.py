@@ -17,15 +17,18 @@ reduces to the classical continued-fraction step.  The engine keeps n+1 exact
 integer columns whose dot products with (1, x_1, ..., x_n) are the remainder
 values.  A step asks only the certified sign and floor queries that define
 its branch, refining root-backed inputs on demand; ``precision-exhausted``
-means one of those was undecidable.  Between refinements the steps run in
-batches, each deciding on the leading bits of the columns' bounds with the
-same branch rule and applying the batch's weights to the columns once.
-This is the package's only sequence loop and the one statement of its
-domain errors: the planar ``triangle.sequence`` (n = 2) and the continued
-fraction ``triangle.gauss_sequence`` (n = 1) run through ``_run`` too, with
-their own coordinate names and records.  A rational point's remainders
-times its common denominator are integers, so classifying one decides on
-those with the same branch rule and no evaluator.
+means one of those was undecidable.  Between refinements the steps of an
+enclosed point run in batches, each deciding on the leading bits of the
+columns' bounds with the same branch rule and applying the batch's weights
+to the columns once.  A rational point's remainders times its common
+denominator are integers, so an exact point decides on those with the same
+branch rule and no evaluator: classifying one on the integers themselves,
+and running one on packed integer columns, each the remainder's integer
+above the column's coefficients as digits that widen as they grow.
+``_run`` is the package's only run and the one statement of its domain
+errors: the planar ``triangle.sequence`` (n = 2) and the continued fraction
+``triangle.gauss_sequence`` (n = 1) run through it too, with their own
+coordinate names and records.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
                        mat_mul, mat_product, mat_step, nonneg_column, push_column)
-from .numeric import (MAX_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign, _Form,
-                      root_powers)
+from .numeric import (MAX_PRECISION, MIN_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign,
+                      _Epoch, _Form, root_powers)
 
 
 # symbols ------------------------------------------------------------------
@@ -208,17 +211,55 @@ class _Integers:
         return Sign.POSITIVE if a > 0 else Sign.NEGATIVE if a < 0 else Sign.ZERO
 
 
+class _Packed(_Integers):
+    """``_decide``'s four queries on an exact point's packed integer columns.
+
+    A packed column is one integer: den·d_t times 2**K, plus the column's
+    n + 1 coefficients c_r as balanced ``bits``-bit digits Σ c_r·2**(bits·r),
+    with K = bits·(n + 1).  While every |c_r| < 2**(bits - 1), adding
+    off = Σ 2**(bits - 1)·2**(bits·r) makes every digit nonnegative and keeps
+    the coefficients below 2**K, so (P + off) >> K is den·d_t exactly.  A sum
+    of packed columns packs the sum of their values and coefficients, so
+    ``sub`` and ``addmul`` are ``_Integers``' own, a sign is two
+    comparisons and a floor one division, and none is undecidable; the run
+    keeps the digits wide enough (``_packed_run``).
+    """
+
+    def __init__(self, size: int, bits: int):
+        self.bits, self.size, self.shift = bits, size, bits * size
+        self.off = sum(1 << (bits * r) for r in range(size)) << (bits - 1)
+        # the least packing whose value is 1
+        self.top = (1 << self.shift) - self.off
+
+    def certified_sign(self, p: int) -> Sign:
+        return Sign.POSITIVE if p >= self.top else Sign.NEGATIVE if p < -self.off else Sign.ZERO
+
+    def certified_floor(self, a: int, b: int) -> int:
+        off, shift = self.off, self.shift
+        return ((a + off) >> shift) // ((b + off) >> shift)
+
+    def pack(self, value: int, coeffs: Sequence[int]) -> int:
+        bits = self.bits
+        return (value << self.shift) + sum(c << (bits * r) for r, c in enumerate(coeffs))
+
+    def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
+        """A packed column's value and coefficients."""
+        bits, x = self.bits, p + self.off
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        return x >> self.shift, tuple(((x >> (bits * r)) & mask) - half for r in range(self.size))
+
+
 def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
     """The branch rule: one step's symbol and inserted column, for every n.
 
     ``ops`` answers ``sub``, ``addmul``, ``certified_sign`` and
     ``certified_floor`` on ``cols``: the evaluator over carried columns, a
-    batch window over its forms of them, or ``_Integers`` over an exact
-    point's scaled integers.  An undecidable test raises
-    ``PrecisionExhaustedError``.  ``q[t]`` is the column form of q_t (t < n)
-    scaled by the leading remainder; the last entry picks the family, the
-    crossing i and then the window j over x_{i+1}, ..., x_n, x_{n+1} = 0
-    decide a pair region.  The window j = n needs no test: the crossing
+    batch window over its forms of them, ``_Integers`` over an exact
+    point's scaled integers, or ``_Packed`` over an exact run's columns.  An
+    undecidable test raises ``PrecisionExhaustedError``.  ``q[t]`` is the
+    column form of q_t (t < n) scaled by the leading remainder; the last
+    entry picks the family, the crossing i and then the window j over
+    x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.  The window j = n needs no test: the crossing
     leaves q_i > 0, or q_1 = d_0 - d_1 >= 0 at i = 1, and x_{n+1} = 0 closes it.
     """
     n = len(cols) - 1
@@ -378,9 +419,19 @@ class _BuiltOnRead:
 
 def _last_remainders(rec) -> tuple[ExactNumber, ...]:
     """The final remainders of a run record of any kind, its history read or
-    not: the values of its final columns, with no replay and no query."""
+    not: the values of its final columns, with no replay and no query.  A
+    record whose history is a plain tuple (from ``dataclasses.replace``, or
+    built with one) answers from it: its last row (n-D), its last three
+    entries (planar) or its last two after d_0 = 1 (Gauss)."""
     fields = vars(rec)
-    return fields.get("d_history", fields.get("remainders")).tail()
+    gauss = "remainders" in fields
+    history = fields["remainders" if gauss else "d_history"]
+    if isinstance(history, _Snapshots):
+        return history.tail()
+    if gauss:
+        # the flat history starts at d_1 = x, and a run of no step ends on (d_0, d_1)
+        return (Fraction(1), *history)[-2:]
+    return history[-1] if isinstance(history[-1], tuple) else history[-3:]
 
 
 @dataclass(frozen=True)
@@ -397,21 +448,32 @@ class SequenceRecordN:
         return self.status is SequenceStatus.TERMINATED
 
 
+def _exact(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None,
+           allow_zero_last: bool = False) -> tuple[int, list[int]] | None:
+    """An exact point's common denominator and its numerators over it, after
+    its domain check; None for a point the evaluator takes: one with a
+    ``BigFloat`` coordinate, or a cap above the ceiling, which the evaluator
+    refuses.  The integer domain test is ``_in_domain``'s, and a point it
+    refuses gets ``_require_domain``'s error."""
+    if ((cap_bits is not None and cap_bits > MAX_PRECISION)
+            or not all(map(isinstance, coords, repeat((int, Fraction))))):
+        return None
+    den, xs = _scaled(coords)
+    if not _in_domain(den, xs, allow_zero_last):
+        _require_domain(map(_Integers.certified_sign, map(sub, [den, *xs], [*xs, 0])),
+                        len(xs), names, allow_zero_last)
+    return den, xs
+
+
 def _classify(coords: Sequence[ExactNumber], cap_bits: int | None,
               names: Sequence[str] | None = None) -> SymbolND:
     """A point's symbol after its domain check: ``_decide`` on its scaled
-    integers when every coordinate is an int or a ``Fraction``, else on its
-    evaluator.  The integer domain test is ``_in_domain``'s, and a point it
-    refuses gets ``_require_domain``'s error; a cap above the ceiling goes to
-    the evaluator, which refuses it."""
-    exact = all(map(isinstance, coords, repeat((int, Fraction))))
-    if exact and (cap_bits is None or cap_bits <= MAX_PRECISION):
-        den, xs = _scaled(coords)
-        if not _in_domain(den, xs, False):
-            _require_domain(map(_Integers.certified_sign, map(sub, [den, *xs], [*xs, 0])),
-                            len(xs), names, False)
-        return _decide(_Integers, (den, *xs))[0]
-    return _decide(*_start(coords, cap_bits, names))[0]
+    integers when ``_exact`` takes the point, else on its evaluator."""
+    scaled = _exact(coords, cap_bits, names)
+    if scaled is None:
+        return _decide(*_start(coords, cap_bits, names))[0]
+    den, xs = scaled
+    return _decide(_Integers, (den, *xs))[0]
 
 
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
@@ -427,11 +489,42 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
     see ``lead`` in ``_Snapshots``), the history's replay handle, the status,
     the final columns as matrix rows, the refinements and the working bits.
 
-    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  Columns
-    and every form built from them are the evaluator's carried forms, so a
-    query costs no dot product over the columns' big coefficients.  A step
-    asks only the queries that define its branch.  A certified answer holds
-    for the true value, so these facts need no query of their own:
+    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  A point
+    that ``_exact`` takes runs on its packed integer columns
+    (``_packed_run``), with one exact epoch, no refinement and the least
+    working bits; any other runs on its evaluator (``_evaluator_run``).  The
+    status says why the run stopped: an exact zero last remainder, max_len,
+    or a step whose last remainder sign or branch was undecidable.  A last
+    remainder certified negative breaks the remainders' order, a fault of
+    the kernel, and raises ``ValueError``.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    scaled = _exact(coords, cap_bits, names, allow_zero_last)
+    if scaled is None:
+        ev, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
+        symbols, status, cols, epochs = _evaluator_run(ev, cols, max_len)
+        matrix = mat_from_columns([c.coeffs for c in cols])
+        refinements, bits = ev.refinements, ev.bits
+    else:
+        den, xs = scaled
+        symbols, status, matrix = _packed_run(den, xs, max_len)
+        epochs, refinements, bits = [(0, _Epoch.exact(den, xs, MIN_PRECISION))], 0, MIN_PRECISION
+    symbols = tuple(symbols)
+    return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
+            _Snapshots(len(matrix) - 1, symbols, epochs, matrix, lead), status, matrix, refinements, bits)
+
+
+def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
+                   max_len: int) -> tuple[list[SymbolND], SequenceStatus, Sequence[_Form], list[tuple]]:
+    """``_run`` on the evaluator from its unit forms ``cols``: the symbols, the
+    status, the final columns and the epochs.
+
+    Columns and every form built from them are the evaluator's carried
+    forms, so a query costs no dot product over the columns' big
+    coefficients.  A step asks only the queries that define its branch.  A
+    certified answer holds for the true value, so these facts need no query
+    of their own:
 
     * d_0 >= d_1 >= ... >= d_n >= 0: the domain check certifies it and both
       steps keep it.  So q_1 = d_0 - d_1 >= 0, and d_0 >= d_n stays positive
@@ -452,14 +545,8 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
     For a replay of its history the run keeps, besides its symbols, only
     ``epochs``: ``(step, epoch)`` for the evaluator's epoch at the start
     (step 0) and after each push whose epoch is not the last one kept (step =
-    the pushes made so far).  The status says why the run stopped: an exact
-    zero last remainder, max_len, or a step whose last remainder sign or
-    branch was undecidable.  A last remainder certified negative breaks the
-    remainders' order, a fault of the kernel, and raises ``ValueError``.
+    the pushes made so far).
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    ev, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
     n, sign = len(cols) - 1, ev.certified_sign
     symbols: list[SymbolND] = []
     epochs = [(0, ev.epoch)]
@@ -492,10 +579,69 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
         if ev.epoch is not epochs[-1][1]:
             epochs.append((len(symbols), ev.epoch))
             ahead, backoff = 0, 1
-    symbols = tuple(symbols)
-    matrix = mat_from_columns([c.coeffs for c in cols])
-    return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
-            _Snapshots(n, symbols, epochs, matrix, lead), status, matrix, ev.refinements, ev.bits)
+    return symbols, status, cols, epochs
+
+
+#: Digit width of a packed run's first columns; ``_packed_run`` doubles it as
+#: the coefficients grow.
+_PACKED_BITS = 64
+
+
+def _packed_run(den: int, xs: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
+    """``_run`` on an exact point's packed integer columns (``_Packed``), from
+    numerators ``xs`` over ``den``: the symbols, the status and the final
+    columns as matrix rows.
+
+    Every form a step builds is Σ w_t·col_t over the columns before it, so no
+    coefficient of it exceeds Σ |w_t| times theirs.  The inserted column has
+    Σ |w_t| = n + k for a floor k and i + 1 for a pair (i, j), and every
+    form the step tests has at most n.  So the run carries a bit budget, the
+    sum over its steps of bit_length(Σ |w_t|), and no coefficient exceeds
+    2**budget.  It keeps the budget below ``bits`` - 1, so that every digit
+    holds its coefficient: before a step whose tests could take the budget
+    there, and after a floor whose column would, it unpacks the columns
+    from before that step, doubles the digit width until the step fits,
+    repacks them and decides the step again.
+    """
+    n = len(xs)
+    ops = _Packed(n + 1, _PACKED_BITS)
+    cols = tuple(map(ops.pack, [den, *xs], mat_identity(n + 1)))
+    reach, budget = n.bit_length(), 0
+    symbols: list[SymbolND] = []
+    while True:
+        last = cols[-1]
+        if last < ops.top:
+            if last < -ops.off:
+                raise ValueError("last remainder is negative")
+            status = SequenceStatus.TERMINATED
+            break
+        if len(symbols) == max_len:
+            status = SequenceStatus.TRUNCATED
+            break
+        if budget + reach >= ops.bits - 1:
+            ops, cols = _widened(ops, cols, budget + reach)
+        symbol, inserted = _decide(ops, cols)
+        if type(symbol) is PairSymbol:
+            j, grow = symbol.j, (symbol.i + 1).bit_length()
+        else:
+            j, grow = n, (n + abs(symbol.k)).bit_length()
+            if budget + grow >= ops.bits - 1:
+                ops, cols = _widened(ops, cols, budget + grow)
+                symbol, inserted = _decide(ops, cols)
+        budget += grow
+        cols = push_column(cols, j, inserted)
+        symbols.append(symbol)
+    return symbols, status, mat_from_columns([ops.unpack(col)[1] for col in cols])
+
+
+def _widened(ops: _Packed, cols: Sequence[int], budget: int) -> tuple[_Packed, tuple[int, ...]]:
+    """The queries and the columns repacked at the digit width doubled until
+    ``budget`` stays below it less 1."""
+    bits = ops.bits
+    while budget >= bits - 1:
+        bits *= 2
+    wide = _Packed(ops.size, bits)
+    return wide, tuple(wide.pack(*ops.unpack(col)) for col in cols)
 
 
 def sequence_nd(point: PointN, max_len: int, *, cap_bits: int | None = None) -> SequenceRecordN:

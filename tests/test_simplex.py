@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import dataclasses
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trianglemap import simplex
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError, PrecisionExhaustedError
-from trianglemap.matrices import (mat_det, mat_from_columns, mat_identity, mat_inverse_unimodular, mat_mul,
+from trianglemap.matrices import (IntMatrix, mat_det, mat_from_columns, mat_identity, mat_inverse_unimodular, mat_mul,
                                   push_column, recover_nd)
 from trianglemap.io_formats import parse_point
 from trianglemap.numeric import (MAX_PRECISION, BigFloat, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch,
@@ -28,6 +30,7 @@ from trianglemap.simplex import (
     NonNegSymbol,
     PairSymbol,
     PointN,
+    SequenceRecordN,
     candidate_symbols,
     classify_nd,
     cylinder_vertices,
@@ -42,7 +45,7 @@ from trianglemap.simplex import (
     _start,
     step_matrix_nd,
 )
-from trianglemap.triangle import GaussRecord, Point2, classify, gauss_sequence, sequence
+from trianglemap.triangle import GaussRecord, Point2, SequenceRecord, classify, gauss_sequence, sequence
 
 
 def F(*args) -> Fraction:
@@ -1036,6 +1039,34 @@ def test_final_remainders_after_a_read(monkeypatch, kind, text, max_len):
         assert len(history) == 1
 
 
+@pytest.mark.parametrize("kind, text, max_len", [
+    ("nd", "root:-1,1,1,2,1:0,1:pow3", 120),
+    ("nd", "11/13,9/13,3/13", 40),
+    ("nd", "11/13,9/13,3/13", 0),
+    ("planar", "root:-1,1,2,1:0,1:pow2", 120),
+    ("planar", "17/19,4/19", 40),
+    ("planar", "17/19,4/19", 0),
+    ("gauss", "root:-1,1,1:0,1:pow1", 120),
+    ("gauss", "5/7", 40),
+    ("gauss", "root:-1,1,1:0,1:pow1", 0),
+    ("gauss", "5/7", 0),
+])
+def test_final_remainders_of_a_tuple_history(kind, text, max_len):
+    # dataclasses.replace and the constructor leave the history a plain tuple:
+    # the final remainders are read off it
+    coords = parse_point(text, 64)
+    rec = {"nd": lambda: sequence_nd(PointN(coords), max_len),
+           "planar": lambda: sequence(Point2(*coords), max_len),
+           "gauss": lambda: gauss_sequence(coords[0], max_len)}[kind]()
+    expected = _last_remainders(rec)
+    field = "remainders" if kind == "gauss" else "d_history"
+    copies = [dataclasses.replace(rec),
+              type(rec)(*(getattr(rec, f.name) for f in dataclasses.fields(rec)))]
+    for copied in copies:
+        assert type(vars(copied)[field]) is tuple and copied == rec
+        assert _same_values(_last_remainders(copied), expected)
+
+
 def test_negative_last_remainder_is_a_kernel_fault(floor_off_by):
     # a floor one too high leaves 1/2 - 2 * 1/3 as the last remainder: the
     # remainders' order is broken, which no precision would mend
@@ -1142,16 +1173,172 @@ def test_exact_points_classify_with_no_evaluator(monkeypatch):
         classify(Point2(F(1, 3), F(1, 2)))
 
 
+# exact points run on packed integers ------------------------------------------
+
+
+def _continued_fraction(quotients) -> Fraction:
+    """[0; a_1, a_2, ...] for the partial quotients a_t."""
+    x = Fraction(0)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    return x
+
+
+#: A prefix at n = 3 with floors of 10**20 and 10**4000 and pair steps.
+_EXACT_PREFIX = (NonNegSymbol(10 ** 20), PairSymbol(1, 3), NonNegSymbol(10 ** 4000), PairSymbol(1, 2),
+                 NonNegSymbol(2))
+_EXACT_TAIL = (F(7, 9), F(4, 9), F(1, 9))
+
+
+def _evaluator_fields(coords, max_len, lead):
+    """``_run``'s fields from the evaluator's unbatched loop, ``_ordinary_run``."""
+    ev, cols = _start(coords, None, allow_zero_last=lead == 3)
+    symbols, status, cols, epochs = _ordinary_run(ev, cols, max_len)
+    symbols = tuple(symbols)
+    matrix = mat_from_columns([c.coeffs for c in cols])
+    return (symbols if lead is None else tuple(s.k for s in symbols),
+            simplex._Snapshots(len(cols) - 1, symbols, epochs, matrix, lead), status, matrix,
+            ev.refinements, ev.bits)
+
+
+def _run_record(fields, lead):
+    """The record of ``_run``'s fields: n-D, planar (lead 3) or Gauss (lead 1)."""
+    if lead is None:
+        return SequenceRecordN(*fields)
+    symbols, history, status, matrix, refinements, bits = fields
+    if lead == 3:
+        return SequenceRecord(symbols, history, status, IntMatrix(matrix), refinements, bits)
+    return GaussRecord(symbols, history, status)
+
+
+def _epochs(history):
+    return [(t, ep.mids, ep.rads, ep.scale, ep.bits) for t, ep in history.epochs]
+
+
+def _cylinder_point(prefix, tail):
+    """The point whose run is the symbols ``prefix`` and then the run of
+    ``tail``, a point inside the domain: (1, tail) times the inverse of the
+    prefix's product, over its first entry (``cylinder_vertices``' map)."""
+    den = lcm(*(y.denominator for y in tail))
+    row = (den, *(int(y * den) for y in tail))
+    row = mat_mul((row,), mat_inverse_unimodular(product_matrix_nd(prefix, len(tail))))[0]
+    return tuple(F(c, row[0]) for c in row[1:])
+
+
+@contextlib.contextmanager
+def _long_int_text():
+    """Lift Python's cap of 4,300 digits on int/str conversion, as the CLI
+    does, for the reprs of records with quotients of 10**4000."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def exact_runs(draw):
+    """A rational point at n = 1-6 and a cut: either a point whose run starts
+    with a drawn symbol prefix, with floors of 10**20 and 10**4000 that make
+    the digits widen, or a small-denominator point with ties (x_1 = 1,
+    x_t = x_{t+1}, x_n = 0).  The cut is a max_len, or "all", "exact" (the
+    terminating step's) or "short" (one less)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        floors = st.sampled_from([k for k in (0, 1, 2, 3, 10 ** 20, 10 ** 4000) if k >= (n == 1)])
+        steps = floors.map(NonNegSymbol)
+        if n >= 3:
+            steps = steps | st.sampled_from(candidate_symbols(n))
+        prefix = draw(st.lists(steps, max_size=5))
+        # a tail strictly inside the domain, so the point is inside the cylinder
+        den = draw(st.integers(n + 1, 40))
+        nums = draw(st.lists(st.integers(1, den - 1), min_size=n, max_size=n, unique=True))
+        coords = _cylinder_point(prefix, tuple(F(p, den) for p in sorted(nums, reverse=True)))
+    else:
+        prefix = []
+        den = draw(st.integers(1, 12))
+        coords = tuple(sorted((F(draw(st.integers(0, den)), den) for _ in range(n)), reverse=True))
+    return coords, tuple(prefix), draw(st.sampled_from(["all", "exact", "short"]) | st.integers(0, 20))
+
+
+@given(exact_runs())
+@settings(max_examples=150, deadline=None)
+@example(((_continued_fraction([10 ** 20] * 3 + [10 ** 4000, 2, 10 ** 20]),), (), "all"))
+@example(((_continued_fraction([10 ** 20] * 3 + [10 ** 4000, 2, 10 ** 20]),), (), "exact"))
+@example((_cylinder_point(_EXACT_PREFIX, _EXACT_TAIL), _EXACT_PREFIX, "exact"))
+@example((_cylinder_point(_EXACT_PREFIX, _EXACT_TAIL), _EXACT_PREFIX, "short"))
+@example(((F(1), F(1, 2), F(1, 3)), (), "exact"))
+@example(((F(1), F(9, 10), F(1, 10)), (), "all"))
+@example(((F(2, 3), F(2, 3), F(1, 3), F(1, 3)), (), "all"))
+@example(((F(1, 2), F(0)), (), "all"))
+@example(((F(17, 19), F(4, 19)), (), "exact"))
+def test_exact_runs_equal_the_evaluator(case):
+    # the packed loop leaves every record as the evaluator's unbatched loop does
+    coords, prefix, cut = case
+    n = len(coords)
+    for lead in [None] + ([3] if n == 2 else [1] if n == 1 else []):
+        try:
+            length = len(_evaluator_fields(coords, 10 ** 6, lead)[0])
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError, match=f"^{exc}$"):
+                simplex._run(coords, 0, None, lead=lead, allow_zero_last=lead == 3)
+            continue
+        max_len = {"all": 10 ** 6, "exact": length, "short": max(length - 1, 0)}.get(cut, cut)
+        expected = _evaluator_fields(coords, max_len, lead)
+        got = simplex._run(coords, max_len, None, lead=lead, allow_zero_last=lead == 3)
+        assert got[0] == expected[0] and got[0][:len(prefix)] == tuple(
+            s if lead is None else s.k for s in prefix)[:len(got[0])]
+        assert got[2] is expected[2] and got[3] == expected[3] and got[4:] == expected[4:]
+        if cut == "exact":
+            assert got[2] is _TERMINATED
+        assert _epochs(got[1]) == _epochs(expected[1])
+        rec, ref = _run_record(got, lead), _run_record(expected, lead)
+        assert _same_values(_last_remainders(rec), _last_remainders(ref))
+        assert _same_values(_history(rec), _history(ref))
+        with _long_int_text():
+            assert rec == ref and repr(rec) == repr(ref)
+
+
+def test_exact_runs_build_no_evaluator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact point built an evaluator")
+
+    monkeypatch.setattr(simplex, "FormEvaluator", refuse)
+    rec = sequence_nd(PointN(_cylinder_point(_EXACT_PREFIX, _EXACT_TAIL)), 100)
+    assert rec.symbols[:len(_EXACT_PREFIX)] == _EXACT_PREFIX and rec.status is _TERMINATED
+    assert gauss_sequence(F(5, 7), 10).quotients == (1, 2, 2)
+    assert sequence(Point2(F(1, 2), F(0)), 10).status is _TERMINATED
+    with pytest.raises(DegenerateInputError, match="beta exceeds alpha"):
+        sequence(Point2(F(1, 3), F(1, 2)), 10)
+    # a cap above the ceiling goes to the evaluator, which refuses it
+    with pytest.raises(AssertionError, match="built an evaluator"):
+        sequence_nd(PointN((F(1, 2),)), 10, cap_bits=MAX_PRECISION + 1)
+
+
 # batched steps ----------------------------------------------------------------
 
 
 _BIG = 10 ** 45
 
 
+def _dyadic(*nums: int, bits: int) -> str:
+    """A ``dec:`` point of the exact dyadic values p / 2**bits for p in nums."""
+    return "dec:" + ",".join(f"0.{p * 5 ** bits:0{bits}d}" for p in nums) + f":{bits}"
+
+
+# rational rows run on packed integers, so they compare that loop with the
+# evaluator's unbatched one; dyadic rows are exact points the evaluator runs
 @pytest.mark.parametrize("text, max_len, cap_bits, status, refines", [
     ("5/7", 40, None, _TERMINATED, False),
-    # over 128 bits: the window cuts exact bounds too
     (f"{_BIG * 5 // 8 + 7}/{_BIG}", 200, None, _TERMINATED, False),
+    # over 128 bits: the window cuts exact bounds too
+    pytest.param(_dyadic(2 ** 160 * 5 // 8 + 7 ** 50, bits=160), 400, None, _TERMINATED, False,
+                 id="dyadic-1-160"),
+    pytest.param(_dyadic(*(2 ** 160 * k // 10 + e for k, e in ((9, 3 ** 90), (7, 5 ** 60), (3, 7 ** 50))),
+                         bits=160), 400, None, _TERMINATED, False, id="dyadic-3-160"),
     ("dec:0.6180339887498948482045868343656:96", 100, None, _EXHAUSTED, False),
     ("root:-1,1,1:0,1:pow1", 300, None, _TRUNCATED, True),
     ("root:-1,1,1:0,1:pow1", 400, 128, _EXHAUSTED, True),
@@ -1254,19 +1441,21 @@ def test_batch_lengths_of_period_one_runs(monkeypatch, n, length, batches):
     assert lengths == batches
 
 
-def _continued_fraction(quotients) -> Fraction:
-    """[0; a_1, a_2, ...] for the partial quotients a_t."""
-    x = Fraction(0)
-    for a in reversed(quotients):
-        x = 1 / (a + x)
-    return x
+def _decimal(x: Fraction, bits: int) -> str:
+    """A ``dec:`` point enclosing x in (0, 1) at ``bits``: its decimal digits to
+    past 2**-bits, so the enclosure is about 2**-bits wide."""
+    digits = bits // 3
+    return f"dec:0.{x.numerator * 10 ** digits // x.denominator:0{digits}d}:{bits}"
 
 
 def test_empty_batches_back_off(monkeypatch):
     # partial quotients of 10**20 do not fit a window: every batch is empty, and
     # after each one (its ordinary step does not refine) the engine skips the
-    # window for twice as many steps as after the one before
-    x = _continued_fraction([10 ** 20] * 60)
+    # window for twice as many steps as after the one before.  An exact point
+    # runs on no window, so the point is an enclosure of [0; 10**20 x 60, 2]
+    # wide enough for its first 60 quotients only: the 61st, an integer ratio
+    # of the rational, is undecidable on it
+    x = parse_point(_decimal(_continued_fraction([10 ** 20] * 60 + [2]), 8192), 64)[0]
     with monkeypatch.context() as patch:
         _unbatched(patch)
         expected = gauss_sequence(x, 100)
@@ -1274,20 +1463,21 @@ def test_empty_batches_back_off(monkeypatch):
     real = FormEvaluator.window
     monkeypatch.setattr(FormEvaluator, "window", lambda self, cols: loads.append(cols) or real(self, cols))
     rec = gauss_sequence(x, 100)
-    assert rec.quotients == (10 ** 20,) * 60 and rec.status is _TERMINATED
+    assert rec.quotients == (10 ** 20,) * 60 and rec.status is _EXHAUSTED
     assert len(loads) <= 8
     assert rec == expected and repr(rec) == repr(expected)
     assert _same_values(_history(rec), _history(expected))
 
 
-_HUGE_THEN_ONES = _continued_fraction([10 ** 20] * 8 + [1] * 40 + [10 ** 20] * 24)
+_HUGE_THEN_ONES = _continued_fraction([10 ** 20] * 8 + [1] * 40 + [10 ** 20] * 24 + [2])
 
 
 @pytest.mark.parametrize("text, bits, max_len, loads", [
-    # 8 quotients of 10**20, 40 ones and 24 more of 10**20: the batch that
-    # decides the ones starts the backoff over at the next huge quotient
-    (f"{_HUGE_THEN_ONES.numerator}/{_HUGE_THEN_ONES.denominator}", 64, 200,
-     [0, 2, 5, 10, 49, 51, 54, 59, 68]),
+    # 8 quotients of 10**20, 40 ones and 24 more of 10**20, on an enclosure as
+    # in test_empty_batches_back_off: the batch that decides the ones starts
+    # the backoff over at the next huge quotient
+    pytest.param(_decimal(_HUGE_THEN_ONES, 8192), 64, 200, [0, 2, 5, 10, 49, 51, 54, 59, 68],
+                 id="huge-then-ones-dec-8192"),
     # every quotient 10**20, on a root that refines at steps 2, 4, 8, 16 and 31:
     # each refinement starts the backoff over
     (f"root:-1,{10 ** 20},1:0,1:pow1", 256, 60, [0, 2, 4, 6, 8, 10, 13, 16, 18, 21, 26, 31, 33, 36, 41, 50]),
@@ -1303,6 +1493,8 @@ def test_window_backoff_starts_over(monkeypatch, text, bits, max_len, loads):
     batched = engine(True)
     assert got == loads
     assert batched == engine(False)
+    if text.startswith("dec:"):
+        assert len(batched[0]) == 72 and batched[1] is _EXHAUSTED
 
 
 # the domain check read off the epoch -----------------------------------------
