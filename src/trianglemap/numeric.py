@@ -20,7 +20,9 @@ product over the per-coordinate bounds.  A batch window
 (``FormEvaluator.window``) keeps the leading bits of some forms' bounds and
 answers the same queries on those small integers, where they decide; each
 window form packs its weights over the batch's start forms into one integer,
-with a carried bound on their size.
+with a carried bound on their size.  That packing, ``_Packed``, is the one an
+exact point's run decides on too: a value above balanced fixed-width digits,
+with ``_decide``'s four queries on packed integers.
 
 A ``BigFloat`` built from a root specification (``refine_root`` or
 ``root_powers``) additionally keeps a handle to the isolating-interval
@@ -78,7 +80,8 @@ REFINE_CAP_FACTOR = 32
 WINDOW_BITS = 128
 
 #: Bits per weight in a window form's packed weights: each weight is one balanced
-#: base-2**WEIGHT_BITS digit, so every |w_t| must stay below 2**(WEIGHT_BITS - 1).
+#: ``WEIGHT_BITS``-bit digit of a ``_Packed`` with no value, so every |w_t| must
+#: stay below 2**(WEIGHT_BITS - 1).
 #: A window whose columns were cut stops deciding long before its weights near
 #: 2**WINDOW_BITS, since each start column's rounding widens a form by |w_t|:
 #: the carried bound stayed within 70 bits on the benchmark's runs and on a
@@ -536,24 +539,80 @@ class _Form:
 Form = Union[Sequence[int], _Form]
 
 
+class _Packed:
+    """A packing of integer columns, with ``_decide``'s four queries on packed ones.
+
+    A packed column is one integer: a value v times 2**K above ``size``
+    coefficients c_r as balanced ``bits``-bit digits Σ c_r·2**(bits·r), with
+    K = bits·size.  While every |c_r| < 2**(bits - 1), adding
+    off = Σ 2**(bits - 1)·2**(bits·r) makes every digit nonnegative and keeps
+    them below 2**K, so (P + off) >> K is v and the digits are unique.  A sum
+    of packings packs the sum, so ``sub`` and ``addmul`` are integer
+    operations, a sign (of v) is two comparisons and a floor one division,
+    and none is undecidable.  An exact run packs den·d_t above each column's
+    coefficients (``simplex._packed_run``), with no digits (size 0) a packing
+    is its value, and a batch window packs its weights with no value.
+    """
+
+    __slots__ = ("bits", "size", "shift", "units", "off", "top")
+
+    sub = staticmethod(subtract)
+
+    def __init__(self, size: int, bits: int):
+        self.bits, self.size, self.shift = bits, size, bits * size
+        # the packings of no value over one unit coefficient each
+        self.units = tuple(1 << (bits * r) for r in range(size))
+        self.off = sum(self.units) << (bits - 1)
+        # the least packing whose value is 1
+        self.top = (1 << self.shift) - self.off
+
+    @staticmethod
+    def addmul(a: int, c: int, b: int) -> int:
+        return a + c * b
+
+    def certified_sign(self, p: int) -> Sign:
+        return Sign.POSITIVE if p >= self.top else Sign.NEGATIVE if p < -self.off else Sign.ZERO
+
+    def certified_floor(self, a: int, b: int) -> int:
+        off, shift = self.off, self.shift
+        return ((a + off) >> shift) // ((b + off) >> shift)
+
+    def pack(self, value: int, coeffs: Sequence[int]) -> int:
+        bits = self.bits
+        return (value << self.shift) + sum(c << (bits * r) for r, c in enumerate(coeffs))
+
+    def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
+        """A packed column's value and coefficients."""
+        bits, x = self.bits, p + self.off
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        return x >> self.shift, tuple(((x >> (bits * r)) & mask) - half for r in range(self.size))
+
+
+@functools.cache
+def _weight_packing(size: int) -> _Packed:
+    """The packing of a window form's weights over ``size`` start columns."""
+    return _Packed(size, WEIGHT_BITS)
+
+
 class _Window:
     """A run's columns at a batch start, cut to the top ``WINDOW_BITS`` bits of
     their bounds, with the evaluator's query methods on small integers.
 
     A window form is ``(lo, hi, packed, bound)``: bounds over the common scale
     S·2**shift, the form's weights w_t over the start columns packed into one
-    integer Σ w_t·2**(WEIGHT_BITS·t), and a carried bound on every |w_t| (1 on
-    a start column).  A start column's bounds are the evaluator's, shifted
-    right with ``lo`` rounded down and ``hi`` up; ``sub`` and ``addmul``
-    combine bounds by interval arithmetic, packed weights linearly and bounds
-    as ``a + b`` and ``a + |c|·b``.  So a window form's bounds contain the
-    evaluator's own for the form Σ w_t·col_t: its radius sum is at most
-    Σ |w_t| times the columns' (the triangle inequality), and the shift rounds
-    outward.  A sign or floor decided here is therefore the one the evaluator
-    would answer at this epoch from its first bounds, with no refinement and no
-    exact-zero test.  Any other case reads AMBIGUOUS from ``certified_sign``,
-    or raises ``PrecisionExhaustedError`` from ``certified_floor``: the window
-    has no bits to refine, and leaves the test to the evaluator.  ``sub`` and
+    integer Σ w_t·2**(WEIGHT_BITS·t) (``_weight_packing``), and a carried
+    bound on every |w_t| (1 on a start column).  A start column's bounds are
+    the evaluator's, shifted right with ``lo`` rounded down and ``hi`` up;
+    ``sub`` and ``addmul`` combine bounds by interval arithmetic, packed
+    weights linearly and bounds as ``a + b`` and ``a + |c|·b``.  So a window
+    form's bounds contain the evaluator's own for the form Σ w_t·col_t: its
+    radius sum is at most Σ |w_t| times the columns' (the triangle
+    inequality), and the shift rounds outward.  A sign or floor decided here
+    is therefore the one the evaluator would answer at this epoch from its
+    first bounds, with no refinement and no exact-zero test.  Any other case
+    reads AMBIGUOUS from ``certified_sign``, or raises
+    ``PrecisionExhaustedError`` from ``certified_floor``: the window has no
+    bits to refine, and leaves the test to the evaluator.  ``sub`` and
     ``addmul`` raise it too where the new bound would pass what a packing
     holds, so a batch ends there as at an undecided test.
     """
@@ -607,37 +666,18 @@ class _Window:
         once and applied to the start columns' coefficients and midpoint sums.
         A start column's packing gives back that column itself."""
         start, ep = self.start, self.epoch
-        size = len(start)
-        known = dict(zip(_unit_packings(size), start))
+        packing = _weight_packing(len(start))
+        known = dict(zip(packing.units, start))
         rows = list(zip(*(col.coeffs + (col.mid,) for col in start)))
         cols = []
         for form in forms:
             col = known.get(form[2])
             if col is None:
-                w = _unpack(form[2], size)
+                w = packing.unpack(form[2])[1]
                 *coeffs, mid = [sum(map(mul, w, row)) for row in rows]
                 col = _Form(tuple(coeffs), mid, ep)
             cols.append(col)
         return cols
-
-
-@functools.cache
-def _unit_packings(size: int) -> tuple[int, ...]:
-    """The packed weights of the start columns 0, ..., size - 1."""
-    return tuple(1 << (WEIGHT_BITS * t) for t in range(size))
-
-
-def _unpack(packed: int, size: int) -> tuple[int, ...]:
-    """The weights of a packing over ``size`` start columns: its balanced
-    base-2**WEIGHT_BITS digits, unique as every |w_t| < 2**(WEIGHT_BITS - 1).
-    Adding 2**(WEIGHT_BITS - 1) to every digit makes each one nonnegative."""
-    half, mask = 1 << (WEIGHT_BITS - 1), (1 << WEIGHT_BITS) - 1
-    x = packed + (sum(_unit_packings(size)) << (WEIGHT_BITS - 1))
-    weights = []
-    for _ in range(size):
-        weights.append((x & mask) - half)
-        x >>= WEIGHT_BITS
-    return tuple(weights)
 
 
 class FormEvaluator:
@@ -779,7 +819,7 @@ class FormEvaluator:
         bounds = [self._int_bounds(col) for col in cols]
         top = max(max(hi, -lo) for lo, hi in bounds)
         shift = max(top.bit_length() - WINDOW_BITS, 0)
-        units = _unit_packings(len(cols))
+        units = _weight_packing(len(cols)).units
         forms = [(lo >> shift, -(-hi >> shift), u, 1) for (lo, hi), u in zip(bounds, units)]
         return _Window(cols, self.epoch), forms
 
@@ -790,10 +830,6 @@ class FormEvaluator:
             return ep.bounds(ep.dot(form), form)
         if form.tag is not ep:
             self._rebase(form)
-        if ep.rads is None:
-            # on an exact point a bound is one shift
-            m = form.mid >> 1
-            return m, m
         return ep.bounds(form.mid, form.coeffs)
 
     def eval_bounds(self, coeffs: Form) -> tuple[Fraction, Fraction]:

@@ -23,8 +23,9 @@ columns' bounds with the same branch rule and applying the batch's weights
 to the columns once.  A rational point's remainders times its common
 denominator are integers, so an exact point decides on those with the same
 branch rule and no evaluator: classifying one on the integers themselves,
-and running one on packed integer columns, each the remainder's integer
-above the column's coefficients as digits that widen as they grow.
+and running one on packed integer columns (``numeric._Packed``), each the
+remainder's integer above the column's coefficients as digits that widen as
+they grow.
 ``_run`` is the package's only run and the one statement of its domain
 errors: the planar ``triangle.sequence`` (n = 2) and the continued fraction
 ``triangle.gauss_sequence`` (n = 1) run through it too, with their own
@@ -39,14 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, floordiv, ge, mul, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
                        mat_mul, mat_product, mat_step, nonneg_column, push_column)
 from .numeric import (MAX_PRECISION, MIN_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign,
-                      _Epoch, _Form, root_powers)
+                      _Epoch, _Form, _Packed, root_powers)
 
 
 # symbols ------------------------------------------------------------------
@@ -191,73 +192,16 @@ def _certain(ops, form, ambiguous: str) -> Sign:
     return s
 
 
-class _Integers:
-    """``_decide``'s four queries on an exact point's scaled integers.
-
-    The columns are den, den*x_1, ..., den*x_n for the point's common
-    denominator den > 0, and every form built from them is its value times
-    den: it has that value's sign, and a quotient of two has its floor, so
-    each query is one integer operation and none is undecidable."""
-
-    sub = staticmethod(sub)
-    certified_floor = staticmethod(floordiv)
-
-    @staticmethod
-    def addmul(a: int, c: int, b: int) -> int:
-        return a + c * b
-
-    @staticmethod
-    def certified_sign(a: int) -> Sign:
-        return Sign.POSITIVE if a > 0 else Sign.NEGATIVE if a < 0 else Sign.ZERO
-
-
-class _Packed(_Integers):
-    """``_decide``'s four queries on an exact point's packed integer columns.
-
-    A packed column is one integer: den·d_t times 2**K, plus the column's
-    n + 1 coefficients c_r as balanced ``bits``-bit digits Σ c_r·2**(bits·r),
-    with K = bits·(n + 1).  While every |c_r| < 2**(bits - 1), adding
-    off = Σ 2**(bits - 1)·2**(bits·r) makes every digit nonnegative and keeps
-    the coefficients below 2**K, so (P + off) >> K is den·d_t exactly.  A sum
-    of packed columns packs the sum of their values and coefficients, so
-    ``sub`` and ``addmul`` are ``_Integers``' own, a sign is two
-    comparisons and a floor one division, and none is undecidable; the run
-    keeps the digits wide enough (``_packed_run``).
-    """
-
-    def __init__(self, size: int, bits: int):
-        self.bits, self.size, self.shift = bits, size, bits * size
-        self.off = sum(1 << (bits * r) for r in range(size)) << (bits - 1)
-        # the least packing whose value is 1
-        self.top = (1 << self.shift) - self.off
-
-    def certified_sign(self, p: int) -> Sign:
-        return Sign.POSITIVE if p >= self.top else Sign.NEGATIVE if p < -self.off else Sign.ZERO
-
-    def certified_floor(self, a: int, b: int) -> int:
-        off, shift = self.off, self.shift
-        return ((a + off) >> shift) // ((b + off) >> shift)
-
-    def pack(self, value: int, coeffs: Sequence[int]) -> int:
-        bits = self.bits
-        return (value << self.shift) + sum(c << (bits * r) for r, c in enumerate(coeffs))
-
-    def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
-        """A packed column's value and coefficients."""
-        bits, x = self.bits, p + self.off
-        mask, half = (1 << bits) - 1, 1 << (bits - 1)
-        return x >> self.shift, tuple(((x >> (bits * r)) & mask) - half for r in range(self.size))
-
-
 def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
     """The branch rule: one step's symbol and inserted column, for every n.
 
     ``ops`` answers ``sub``, ``addmul``, ``certified_sign`` and
     ``certified_floor`` on ``cols``: the evaluator over carried columns, a
-    batch window over its forms of them, ``_Integers`` over an exact
-    point's scaled integers, or ``_Packed`` over an exact run's columns.  An
-    undecidable test raises ``PrecisionExhaustedError``.  ``q[t]`` is the
-    column form of q_t (t < n) scaled by the leading remainder; the last
+    batch window over its forms of them, or a ``numeric._Packed`` over an
+    exact run's packed columns, or with no digits (``_NO_DIGITS``) over an
+    exact point's scaled integers.  An undecidable test raises
+    ``PrecisionExhaustedError``.  ``q[t]`` is the column form of q_t (t < n)
+    scaled by the leading remainder; the last
     entry picks the family, the crossing i and then the window j over
     x_{i+1}, ..., x_n, x_{n+1} = 0 decide a pair region.  The window j = n needs no test: the crossing
     leaves q_i > 0, or q_1 = d_0 - d_1 >= 0 at i = 1, and x_{n+1} = 0 closes it.
@@ -460,7 +404,7 @@ def _exact(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
         return None
     den, xs = _scaled(coords)
     if not _in_domain(den, xs, allow_zero_last):
-        _require_domain(map(_Integers.certified_sign, map(sub, [den, *xs], [*xs, 0])),
+        _require_domain(map(_NO_DIGITS.certified_sign, map(sub, [den, *xs], [*xs, 0])),
                         len(xs), names, allow_zero_last)
     return den, xs
 
@@ -473,7 +417,7 @@ def _classify(coords: Sequence[ExactNumber], cap_bits: int | None,
     if scaled is None:
         return _decide(*_start(coords, cap_bits, names))[0]
     den, xs = scaled
-    return _decide(_Integers, (den, *xs))[0]
+    return _decide(_NO_DIGITS, (den, *xs))[0]
 
 
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
@@ -551,8 +495,9 @@ def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
     symbols: list[SymbolND] = []
     epochs = [(0, ev.epoch)]
     # ordinary steps left before the next window, and how many an empty one costs:
-    # a window before every step ran gauss_sequence on 600 quotients of 10**20 or
-    # of 2**60 about x1.3 slower (best of 15, 4 rounds; 2 vCPUs, CPython 3.11)
+    # a window before every step ran gauss_sequence on enclosures of 600 quotients
+    # of 10**20 (2**17 bits) or of 2**60 (2**16 bits) x1.3-1.6 slower, and on mixed
+    # huge and unit quotients level (best of 7, 4 rounds; 2 vCPUs, CPython 3.11)
     ahead, backoff = 0, 1
     while True:
         if ahead:
@@ -586,6 +531,10 @@ def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
 #: the coefficients grow.
 _PACKED_BITS = 64
 
+#: ``_decide``'s queries on an exact point's scaled integers den, den*x_1, ...,
+#: den*x_n: a packing with no digits, whose columns are those integers.
+_NO_DIGITS = _Packed(0, _PACKED_BITS)
+
 
 def _packed_run(den: int, xs: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
     """``_run`` on an exact point's packed integer columns (``_Packed``), from
@@ -611,7 +560,7 @@ def _packed_run(den: int, xs: Sequence[int], max_len: int) -> tuple[list[SymbolN
     while True:
         last = cols[-1]
         if last < ops.top:
-            if last < -ops.off:
+            if ops.certified_sign(last) is Sign.NEGATIVE:
                 raise ValueError("last remainder is negative")
             status = SequenceStatus.TERMINATED
             break
@@ -848,7 +797,7 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
             violations.append((tuple(Fraction(p, den) for p in xs), len(matches)))
             continue
         # a claimed sample passed _in_domain: its integers are _classify's
-        if _decide(_Integers, (den, *xs))[0] != matches[0]:
+        if _decide(_NO_DIGITS, (den, *xs))[0] != matches[0]:
             mismatches += 1
     return DecompositionReport(
         n=n,

@@ -22,7 +22,7 @@ from trianglemap.numeric import (
 from trianglemap.periodicity import (detect_period, eliminant_from_portion, fixed_point_poly,
                                      rational_termination_check)
 from trianglemap.polynomials import IntPolynomial, divides
-from trianglemap.simplex import MAX_AUDIT_DIMENSION, PointN, decomposition_check
+from trianglemap.simplex import MAX_AUDIT_DIMENSION, PointN, _NO_DIGITS, decomposition_check
 
 GOLDEN = RootSpec(IntPolynomial((-1, 1, 1)), Fraction(0), Fraction(1))
 CUBIC1 = RootSpec(IntPolynomial((-1, 1, 1, 1)), Fraction(0), Fraction(1))
@@ -944,7 +944,8 @@ def test_window_decisions_are_the_evaluators(case, window_ops):
         else:
             pairs.append((win.addmul(wx, c, wy), ev.addmul(x, c, y)))
         mirrors.append(mirror)
-    assert [(numeric._unpack(w[2], size), w[3]) for w, _ in pairs] == mirrors
+    packing = numeric._Packed(size, numeric.WEIGHT_BITS)
+    assert [(packing.unpack(w[2])[1], w[3]) for w, _ in pairs] == mirrors
     before = ev.refinements
     assert [(col.coeffs, col.mid) for col in win.columns([w for w, _ in pairs])] == \
         [(form.coeffs, form.mid) for _, form in pairs]
@@ -967,18 +968,44 @@ def test_window_decisions_are_the_evaluators(case, window_ops):
     assert ev.refinements == before
 
 
-_weights = st.one_of(st.integers(-_WEIGHT_LIMIT, _WEIGHT_LIMIT), st.integers(-3, 3),
-                     st.sampled_from([_WEIGHT_LIMIT, -_WEIGHT_LIMIT, _WEIGHT_LIMIT - 1, 1 - _WEIGHT_LIMIT]))
+@st.composite
+def packings(draw):
+    """A digit width, a value and 0-6 coefficients that fit balanced digits of that width."""
+    bits = draw(st.sampled_from([64, numeric.WEIGHT_BITS]))
+    edge = 2 ** (bits - 1) - 1
+    digits = st.one_of(st.integers(-edge, edge), st.integers(-3, 3), st.sampled_from([edge, -edge]))
+    value = draw(st.one_of(st.integers(), st.integers(-2, 2), st.sampled_from([2 ** 300, -2 ** 300])))
+    return bits, value, draw(st.lists(digits, max_size=6))
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(_weights, min_size=n + 1, max_size=n + 1)))
-@example([_WEIGHT_LIMIT, -_WEIGHT_LIMIT])
-@example([-_WEIGHT_LIMIT] * 6)
-@example([_WEIGHT_LIMIT, 0, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, -1, _WEIGHT_LIMIT])
-def test_packed_weights_round_trip(weights):
-    # Σ w_t·2**(F·t) decodes to its weights whenever every |w_t| fits the packing
-    packed = sum(w << (numeric.WEIGHT_BITS * t) for t, w in enumerate(weights))
-    assert numeric._unpack(packed, len(weights)) == tuple(weights)
+@given(packings())
+@example((numeric.WEIGHT_BITS, 0, [_WEIGHT_LIMIT, -_WEIGHT_LIMIT]))
+@example((numeric.WEIGHT_BITS, -1, [-_WEIGHT_LIMIT] * 6))
+@example((numeric.WEIGHT_BITS, 1, [_WEIGHT_LIMIT, 0, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, -1, _WEIGHT_LIMIT]))
+@example((64, 0, [2 ** 63 - 1] * 6))
+@example((64, 5, []))
+def test_packing_round_trip(case):
+    # a value above balanced digits unpacks to itself and its digits whenever
+    # every |c_r| fits them, and its packing has the value's sign
+    bits, value, coeffs = case
+    packing = numeric._Packed(len(coeffs), bits)
+    packed = packing.pack(value, coeffs)
+    assert packing.unpack(packed) == (value, tuple(coeffs))
+    assert packing.certified_sign(packed) is sign_of(value)
+
+
+@given(st.integers(), st.integers(), st.integers())
+@example(-7, 2, -3)
+@example(0, -1, 0)
+def test_no_digit_packing_is_integer_arithmetic(a, b, c):
+    # with no digits a packed column is its integer, and each query is Python's own
+    ops = _NO_DIGITS
+    assert (ops.shift, ops.off, ops.top) == (0, 0, 1)
+    assert ops.sub(a, b) == a - b
+    assert ops.addmul(a, c, b) == a + c * b
+    assert ops.certified_sign(a) is sign_of(a)
+    if b:
+        assert ops.certified_floor(a, b) == a // b
 
 
 def test_window_ops_raise_at_the_first_bound_past_the_packing():
@@ -990,7 +1017,8 @@ def test_window_ops_raise_at_the_first_bound_past_the_packing():
     low = win.addmul(w1, 1 - _WEIGHT_LIMIT, wx)
     edge = win.sub(win.addmul(w1, _WEIGHT_LIMIT - 2, wx), wx)
     assert [f[3] for f in (top, low, edge)] == [_WEIGHT_LIMIT] * 3
-    assert [numeric._unpack(f[2], 2) for f in (top, low, edge)] == \
+    packing = numeric._Packed(2, numeric.WEIGHT_BITS)
+    assert [packing.unpack(f[2])[1] for f in (top, low, edge)] == \
         [(1, _WEIGHT_LIMIT - 1), (1, 1 - _WEIGHT_LIMIT), (1, _WEIGHT_LIMIT - 3)]
     assert [(col.coeffs, col.mid) for col in win.columns([top, low, edge])] == \
         [(f.coeffs, f.mid) for f in (ev.addmul(one, _WEIGHT_LIMIT - 1, x), ev.addmul(one, 1 - _WEIGHT_LIMIT, x),
@@ -1005,7 +1033,7 @@ def test_window_ops_raise_at_the_first_bound_past_the_packing():
     for _ in range(numeric.WEIGHT_BITS - 2):
         form = win.addmul(form, 1, form)
     assert form[3] == 2 ** (numeric.WEIGHT_BITS - 2)
-    assert numeric._unpack(form[2], 2) == (2 ** (numeric.WEIGHT_BITS - 2), 0)
+    assert packing.unpack(form[2])[1] == (2 ** (numeric.WEIGHT_BITS - 2), 0)
     with pytest.raises(PrecisionExhaustedError, match="outgrow their packing"):
         win.addmul(form, 1, form)
 
