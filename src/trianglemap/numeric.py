@@ -49,7 +49,7 @@ import math
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, sub as subtract
+from operator import mul, sub as subtract
 from typing import Sequence, Union
 
 from . import polynomials
@@ -552,6 +552,7 @@ class _Packed:
     and none is undecidable.  An exact run packs den·d_t above each column's
     coefficients (``simplex._packed_run``), with no digits (size 0) a packing
     is its value, and a batch window packs its weights with no value.
+    ``ratio`` divides two values, as ``FormEvaluator.ratio`` divides forms.
     """
 
     __slots__ = ("bits", "size", "shift", "units", "off", "top")
@@ -580,6 +581,10 @@ class _Packed:
     def pack(self, value: int, coeffs: Sequence[int]) -> int:
         bits = self.bits
         return (value << self.shift) + sum(c << (bits * r) for r, c in enumerate(coeffs))
+
+    def ratio(self, num: int, den: int) -> Fraction:
+        """The ratio of two packings' values."""
+        return Fraction(self.unpack(num)[0], self.unpack(den)[0])
 
     def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
         """A packed column's value and coefficients."""
@@ -780,18 +785,6 @@ class FormEvaluator:
         """The unit forms 1, v1, ..., vn, whose midpoint sums are the epoch's own."""
         ep = self.epoch
         return [_Form(u, m, ep) for u, m in zip(mat_identity(len(ep.mids)), ep.mids)]
-
-    def gap_bounds(self) -> list[int]:
-        """The low bounds times S of the domain forms 1 - x_1, x_t - x_{t+1} and
-        x_n, read off the epoch (x_{n+1} = 0): the integers ``certified_sign``
-        first compares with 0 on ``sub(units[t], units[t + 1])`` and ``units[n]``."""
-        ep = self.epoch
-        mids = ep.mids
-        gaps = map(subtract, mids, [*mids[1:], 0])
-        if ep.rads is None:
-            return [m >> 1 for m in gaps]
-        rads = ep.rads
-        return [(m - r) >> 1 for m, r in zip(gaps, map(add, rads, [*rads[1:], 0]))]
 
     def sub(self, a: _Form, b: _Form) -> _Form:
         """The form a - b, carrying its midpoint sum."""

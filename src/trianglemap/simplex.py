@@ -22,12 +22,12 @@ enclosed point run in batches, each deciding on the leading bits of the
 columns' bounds with the same branch rule and applying the batch's weights
 to the columns once.  A rational point's remainders times its common
 denominator are integers, so an exact point decides on those with the same
-branch rule and no evaluator: classifying one on the integers themselves,
-and running one on packed integer columns (``numeric._Packed``), each the
-remainder's integer above the column's coefficients as digits that widen as
-they grow.
-``_run`` is the package's only run and the one statement of its domain
-errors: the planar ``triangle.sequence`` (n = 2) and the continued fraction
+branch rule and no evaluator: classifying or stepping one on the integers
+themselves, and running one on packed integer columns (``numeric._Packed``),
+each the remainder's integer above the column's coefficients as digits that
+widen as they grow.  ``_start`` alone picks a point's kernel, after the one
+domain check.  ``_run`` is the package's only run: the planar
+``triangle.sequence`` (n = 2) and the continued fraction
 ``triangle.gauss_sequence`` (n = 1) run through it too, with their own
 coordinate names and records.
 """
@@ -156,32 +156,33 @@ def _require_domain(signs: Iterable[Sign], n: int, names: Sequence[str] | None,
         raise DegenerateInputError(msg)
 
 
-def _check_domain(ev: FormEvaluator, units: Sequence[_Form], names: Sequence[str] | None,
-                  allow_zero_last: bool) -> None:
-    """Certify 1 >= x_1 >= ... >= x_n > 0 on the evaluator, with
-    ``_require_domain``'s errors.
-
-    A low bound from ``FormEvaluator.gap_bounds`` above 0 is the positive
-    sign ``certified_sign`` would answer first; only a sign those bounds
-    leave open builds its form, a carried difference of the unit forms, and
-    asks.  A bound read before a refinement still holds after it: refining
-    only tightens each enclosure.
-    """
-    n = len(units) - 1
-    _require_domain((Sign.POSITIVE if low > 0 else
-                     ev.certified_sign(ev.sub(units[t], units[t + 1]) if t < n else units[n])
-                     for t, low in enumerate(ev.gap_bounds())), n, names, allow_zero_last)
+def _check_domain(ops, cols: Sequence, names: Sequence[str] | None, allow_zero_last: bool) -> None:
+    """Certify 1 >= x_1 >= ... >= x_n > 0 on a point's start columns, with
+    ``_require_domain``'s errors: ``ops`` asks the sign of d_0 - d_1, ...,
+    d_{n-1} - d_n and d_n in that order, up to the first that fails."""
+    n = len(cols) - 1
+    _require_domain((ops.certified_sign(ops.sub(cols[t], cols[t + 1]) if t < n else cols[n])
+                     for t in range(n + 1)), n, names, allow_zero_last)
 
 
 def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None = None,
-           *, allow_zero_last: bool = False) -> tuple[FormEvaluator, Sequence[_Form]]:
-    """The evaluator and unit forms of a point after its domain check: every
-    run starts here, and so does every other entry point but an exact
-    point's classification (``_classify``)."""
-    ev = FormEvaluator(coords, cap_bits=cap_bits)
-    units = ev.units()
-    _check_domain(ev, units, names, allow_zero_last)
-    return ev, units
+           *, allow_zero_last: bool = False) -> tuple:
+    """A point's queries and start columns after its domain check, for every
+    run, classification and step.  A point of ``int``s and ``Fraction``s with
+    a cap within the ceiling starts on its scaled integers, ``(_NO_DIGITS,
+    (den, den*x_1, ..., den*x_n))``, with ``_in_domain`` as its check's fast
+    path; any other on its evaluator and unit forms."""
+    if ((cap_bits is None or cap_bits <= MAX_PRECISION)
+            and all(map(isinstance, coords, repeat((int, Fraction))))):
+        den, xs = _scaled(coords)
+        ops, cols = _NO_DIGITS, (den, *xs)
+        if _in_domain(den, xs, allow_zero_last):
+            return ops, cols
+    else:
+        ops = FormEvaluator(coords, cap_bits=cap_bits)
+        cols = ops.units()
+    _check_domain(ops, cols, names, allow_zero_last)
+    return ops, cols
 
 
 def _certain(ops, form, ambiguous: str) -> Sign:
@@ -392,32 +393,10 @@ class SequenceRecordN:
         return self.status is SequenceStatus.TERMINATED
 
 
-def _exact(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None,
-           allow_zero_last: bool = False) -> tuple[int, list[int]] | None:
-    """An exact point's common denominator and its numerators over it, after
-    its domain check; None for a point the evaluator takes: one with a
-    ``BigFloat`` coordinate, or a cap above the ceiling, which the evaluator
-    refuses.  The integer domain test is ``_in_domain``'s, and a point it
-    refuses gets ``_require_domain``'s error."""
-    if ((cap_bits is not None and cap_bits > MAX_PRECISION)
-            or not all(map(isinstance, coords, repeat((int, Fraction))))):
-        return None
-    den, xs = _scaled(coords)
-    if not _in_domain(den, xs, allow_zero_last):
-        _require_domain(map(_NO_DIGITS.certified_sign, map(sub, [den, *xs], [*xs, 0])),
-                        len(xs), names, allow_zero_last)
-    return den, xs
-
-
 def _classify(coords: Sequence[ExactNumber], cap_bits: int | None,
               names: Sequence[str] | None = None) -> SymbolND:
-    """A point's symbol after its domain check: ``_decide`` on its scaled
-    integers when ``_exact`` takes the point, else on its evaluator."""
-    scaled = _exact(coords, cap_bits, names)
-    if scaled is None:
-        return _decide(*_start(coords, cap_bits, names))[0]
-    den, xs = scaled
-    return _decide(_NO_DIGITS, (den, *xs))[0]
+    """A point's symbol: ``_decide`` on whatever ``_start`` picks for it."""
+    return _decide(*_start(coords, cap_bits, names))[0]
 
 
 def classify_nd(point: PointN, *, cap_bits: int | None = None) -> SymbolND:
@@ -433,27 +412,25 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
     see ``lead`` in ``_Snapshots``), the history's replay handle, the status,
     the final columns as matrix rows, the refinements and the working bits.
 
-    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  A point
-    that ``_exact`` takes runs on its packed integer columns
-    (``_packed_run``), with one exact epoch, no refinement and the least
-    working bits; any other runs on its evaluator (``_evaluator_run``).  The
-    status says why the run stopped: an exact zero last remainder, max_len,
-    or a step whose last remainder sign or branch was undecidable.  A last
-    remainder certified negative breaks the remainders' order, a fault of
-    the kernel, and raises ``ValueError``.
+    Column t is the form of the remainder d_t, and x_t = d_t/d_0.  The run
+    takes the kernel ``_start`` picks: a point on its scaled integers runs on
+    packed integer columns (``_packed_run``), with one exact epoch, no
+    refinement and the least working bits; any other runs on its evaluator
+    (``_evaluator_run``).  The status says why the run stopped: an exact zero
+    last remainder, max_len, or a step whose last remainder sign or branch was
+    undecidable.  A last remainder certified negative breaks the remainders'
+    order, a fault of the kernel, and raises ``ValueError``.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    scaled = _exact(coords, cap_bits, names, allow_zero_last)
-    if scaled is None:
-        ev, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
-        symbols, status, cols, epochs = _evaluator_run(ev, cols, max_len)
-        matrix = mat_from_columns([c.coeffs for c in cols])
-        refinements, bits = ev.refinements, ev.bits
+    ops, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
+    if ops is _NO_DIGITS:
+        symbols, status, matrix = _packed_run(cols, max_len)
+        epochs, refinements, bits = [(0, _Epoch.exact(cols[0], cols[1:], MIN_PRECISION))], 0, MIN_PRECISION
     else:
-        den, xs = scaled
-        symbols, status, matrix = _packed_run(den, xs, max_len)
-        epochs, refinements, bits = [(0, _Epoch.exact(den, xs, MIN_PRECISION))], 0, MIN_PRECISION
+        symbols, status, cols, epochs = _evaluator_run(ops, cols, max_len)
+        matrix = mat_from_columns([c.coeffs for c in cols])
+        refinements, bits = ops.refinements, ops.bits
     symbols = tuple(symbols)
     return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
             _Snapshots(len(matrix) - 1, symbols, epochs, matrix, lead), status, matrix, refinements, bits)
@@ -536,25 +513,25 @@ _PACKED_BITS = 64
 _NO_DIGITS = _Packed(0, _PACKED_BITS)
 
 
-def _packed_run(den: int, xs: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
+def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
     """``_run`` on an exact point's packed integer columns (``_Packed``), from
-    numerators ``xs`` over ``den``: the symbols, the status and the final
-    columns as matrix rows.
+    its scaled integers ``start`` = (den, den*x_1, ..., den*x_n): the symbols,
+    the status and the final columns as matrix rows.
 
     Every form a step builds is Σ w_t·col_t over the columns before it, so no
     coefficient of it exceeds Σ |w_t| times theirs.  The inserted column has
     Σ |w_t| = n + k for a floor k and i + 1 for a pair (i, j), and every
     form the step tests has at most n.  So the run carries a bit budget, the
     sum over its steps of bit_length(Σ |w_t|), and no coefficient exceeds
-    2**budget.  It keeps the budget below ``bits`` - 1, so that every digit
-    holds its coefficient: before a step whose tests could take the budget
-    there, and after a floor whose column would, it unpacks the columns
-    from before that step, doubles the digit width until the step fits,
-    repacks them and decides the step again.
+    2**budget.  With reach = bit_length(n), ``budget + reach < bits - 1``
+    holds at the start of every step, so each digit holds its coefficient: a
+    step decides, and if its growth would break that for the next step, the
+    columns from before it are repacked at the digit width doubled until it
+    fits, and the step decides again.
     """
-    n = len(xs)
+    n = len(start) - 1
     ops = _Packed(n + 1, _PACKED_BITS)
-    cols = tuple(map(ops.pack, [den, *xs], mat_identity(n + 1)))
+    cols = tuple(map(ops.pack, start, mat_identity(n + 1)))
     reach, budget = n.bit_length(), 0
     symbols: list[SymbolND] = []
     while True:
@@ -567,16 +544,14 @@ def _packed_run(den: int, xs: Sequence[int], max_len: int) -> tuple[list[SymbolN
         if len(symbols) == max_len:
             status = SequenceStatus.TRUNCATED
             break
-        if budget + reach >= ops.bits - 1:
-            ops, cols = _widened(ops, cols, budget + reach)
         symbol, inserted = _decide(ops, cols)
         if type(symbol) is PairSymbol:
             j, grow = symbol.j, (symbol.i + 1).bit_length()
         else:
             j, grow = n, (n + abs(symbol.k)).bit_length()
-            if budget + grow >= ops.bits - 1:
-                ops, cols = _widened(ops, cols, budget + grow)
-                symbol, inserted = _decide(ops, cols)
+        if budget + grow + reach >= ops.bits - 1:
+            ops, cols = _widened(ops, cols, budget + grow + reach)
+            symbol, inserted = _decide(ops, cols)
         budget += grow
         cols = push_column(cols, j, inserted)
         symbols.append(symbol)
@@ -796,7 +771,7 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
         if len(matches) != 1:
             violations.append((tuple(Fraction(p, den) for p in xs), len(matches)))
             continue
-        # a claimed sample passed _in_domain: its integers are _classify's
+        # a claimed sample passed _in_domain: its integers are the ones _start gives _classify
         if _decide(_NO_DIGITS, (den, *xs))[0] != matches[0]:
             mismatches += 1
     return DecompositionReport(

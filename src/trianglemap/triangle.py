@@ -12,8 +12,10 @@ the current remainders.  All branch decisions are certified sign and floor
 queries on those integer forms, so the only rounding error in play is the
 width of the input enclosures times an integer norm; root-backed inputs
 refine themselves on demand when a decision would otherwise be ambiguous.
-The domain check is the simplex one over the names (alpha, beta) and (x,);
-this module keeps the planar points and records.
+The domain check and the choice between a point's integers and its
+evaluator are the simplex ones (``simplex._start``), over the names (alpha,
+beta) and (x,): an exact point classifies, steps and runs on its integers.
+This module keeps the planar points and records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .numeric import (
     SequenceStatus,
     root_powers,
 )
-from .simplex import _BuiltOnRead, _classify, _decide, _run, _start
+from . import simplex
+from .simplex import _BuiltOnRead, _classify, _run, _start
 
 _PLANAR = ("alpha", "beta")
 
@@ -69,12 +72,12 @@ def classify(point: Point2, *, cap_bits: int | None = None) -> int:
 
 def step(point: Point2, *, cap_bits: int | None = None) -> tuple[int, Point2]:
     """One application of the map: the wedge symbol and the image point."""
-    ev, cols = _start((point.alpha, point.beta), cap_bits, _PLANAR)
-    symbol, inserted = _decide(ev, cols)
-    # divide on the evaluator's enclosures: refinement during classification
-    # may have tightened them, and the domain check certified alpha > 0
+    ops, cols = _start((point.alpha, point.beta), cap_bits, _PLANAR)
+    symbol, inserted = simplex._decide(ops, cols)
+    # divide on the queries that decided: an evaluator may have refined, and
+    # the domain check certified alpha > 0
     _, alpha, beta = cols
-    return symbol.k, Point2(ev.ratio(beta, alpha), ev.ratio(inserted, alpha))
+    return symbol.k, Point2(ops.ratio(beta, alpha), ops.ratio(inserted, alpha))
 
 
 def sequence(point: Point2, max_len: int, *, cap_bits: int | None = None) -> SequenceRecord:

@@ -45,11 +45,21 @@ from trianglemap.simplex import (
     _start,
     step_matrix_nd,
 )
-from trianglemap.triangle import GaussRecord, Point2, SequenceRecord, classify, gauss_sequence, sequence
+from trianglemap.triangle import GaussRecord, Point2, SequenceRecord, classify, gauss_sequence, sequence, step
 
 
 def F(*args) -> Fraction:
     return Fraction(*args)
+
+
+def _evaluator_start(coords, cap_bits, names=None, *, allow_zero_last=False):
+    """The evaluator and unit forms of any point, an exact one too, after the
+    domain check: the evaluator's side of the oracles for exact points, which
+    ``simplex._start`` sends to their integers."""
+    ev = FormEvaluator(coords, cap_bits=cap_bits)
+    units = ev.units()
+    simplex._check_domain(ev, units, names, allow_zero_last)
+    return ev, units
 
 
 def test_symbols_display():
@@ -102,7 +112,7 @@ def test_window_j_equal_n_asks_no_query(monkeypatch, n):
     # at a point of region (1, n): the slack, each crossing test and one
     # window test for each j < n; the window q_1 - x_{n+1} = q_1 is not asked
     point = tuple(sum(col) / (n + 1) for col in zip(*region_vertices(n, PairSymbol(1, n))))
-    ev, units = _start(point, None)
+    ev, units = _evaluator_start(point, None)
     asked = []
     real = FormEvaluator.certified_sign
     monkeypatch.setattr(FormEvaluator, "certified_sign",
@@ -787,7 +797,7 @@ def _engine_state(coords, max_len, cap_bits, allow_zero_last, batched):
             coords, max_len, cap_bits, allow_zero_last=allow_zero_last)
         epochs = history.epochs
     else:
-        ev, cols = _start(coords, cap_bits, allow_zero_last=allow_zero_last)
+        ev, cols = _evaluator_start(coords, cap_bits, allow_zero_last=allow_zero_last)
         symbols, status, cols, epochs = _ordinary_run(ev, cols, max_len)
         matrix, refinements, bits = mat_from_columns([c.coeffs for c in cols]), ev.refinements, ev.bits
     return (tuple(symbols), status, matrix, refinements, bits,
@@ -799,7 +809,7 @@ def _materialized_history(coords, max_len, kind):
 
     ``kind`` is "nd" (rows of every column), "planar" (the three seed columns,
     then the inserted one) or "gauss" (the current remainder)."""
-    ev, cols = _start(coords, None, allow_zero_last=kind == "planar")
+    ev, cols = _evaluator_start(coords, None, allow_zero_last=kind == "planar")
     if kind == "nd":
         hist = [tuple(ev.materialize(c) for c in cols)]
     elif kind == "planar":
@@ -904,7 +914,7 @@ def test_history_rows_share_shifted_values():
 def _eager_rows(coords, max_len, cap_bits, allow_zero_last):
     """The value of every column, with the working bits, after each step of a
     run: what a record that collected its history while running would hold."""
-    ev, cols = _start(coords, cap_bits, allow_zero_last=allow_zero_last)
+    ev, cols = _evaluator_start(coords, cap_bits, allow_zero_last=allow_zero_last)
     rows = [(tuple(map(ev.materialize, cols)), ev.bits)]
     _, status, _, _ = _ordinary_run(ev, cols, max_len,
                                     lambda cols: rows.append((tuple(map(ev.materialize, cols)), ev.bits)))
@@ -1092,15 +1102,21 @@ def test_negative_floor_is_recorded_as_it_was_pushed(floor_off_by):
 
 
 def test_a_wrong_floor_reaches_the_exact_classifiers(floor_off_by):
-    # exact points classify on their integers, still through simplex._decide
+    # exact points classify and step on their integers, still through
+    # simplex._decide; a root-backed point steps on its evaluator through it too
     planar, point = (F(1, 2), F(1, 5)), (F(1, 2), F(1, 5), F(1, 7))
+    root = Point2(*parse_point("root:-1,1,1,1:0,1:pow2", 64))
     assert classify(Point2(*planar)) == 2
     assert classify_nd(PointN(planar)) == NonNegSymbol(2)
     assert classify_nd(PointN(point)) == NonNegSymbol(2)
+    assert step(Point2(*planar)) == (2, Point2(F(2, 5), F(1, 5)))
+    assert step(root)[0] == 1
     floor_off_by(1)
     assert classify(Point2(*planar)) == 3
     assert classify_nd(PointN(planar)) == NonNegSymbol(3)
     assert classify_nd(PointN(point)) == NonNegSymbol(3)
+    assert step(Point2(*planar)) == (3, Point2(F(2, 5), F(-1, 5)))
+    assert step(root)[0] == 2
 
 
 # exact points decide on their integers ----------------------------------------
@@ -1124,11 +1140,11 @@ def _exact_coordinate(value: Fraction, kind: str):
 
 
 @st.composite
-def exact_points(draw):
-    """Small-denominator coordinates, often sorted, so that ties (x_1 = 1,
-    x_t = x_{t+1}, x_n = 0), negative coordinates and x_1 > 1 all come up;
-    some as ints and bools."""
-    n = draw(st.integers(1, 6))
+def exact_points(draw, dims=st.integers(1, 6)):
+    """Small-denominator coordinates in ``dims`` dimensions, often sorted, so
+    that ties (x_1 = 1, x_t = x_{t+1}, x_n = 0), negative coordinates and
+    x_1 > 1 all come up; some as ints and bools."""
+    n = draw(dims)
     den = draw(st.integers(1, 12))
     nums = draw(st.lists(st.integers(-den, 2 * den), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -1152,7 +1168,7 @@ def exact_points(draw):
 @example(((F(1, 2), F(1, 3), F(1, 4)), MAX_PRECISION + 1, None))
 def test_integer_classification_equals_the_evaluator(case):
     coords, cap_bits, names = case
-    expected = _outcome(lambda: _decide(*_start(coords, cap_bits, names))[0])
+    expected = _outcome(lambda: _decide(*_evaluator_start(coords, cap_bits, names))[0])
     assert _outcome(lambda: simplex._classify(coords, cap_bits, names)) == expected
     if names is None:
         assert _outcome(lambda: classify_nd(PointN(coords), cap_bits=cap_bits)) == expected
@@ -1171,6 +1187,49 @@ def test_exact_points_classify_with_no_evaluator(monkeypatch):
     assert decomposition_check(4, 200, seed=3).ok
     with pytest.raises(DegenerateInputError, match="beta exceeds alpha"):
         classify(Point2(F(1, 3), F(1, 2)))
+
+
+def _evaluator_step(coords, cap_bits):
+    """``triangle.step`` on the evaluator: ``_decide`` and ``ev.ratio``."""
+    ev, cols = _evaluator_start(coords, cap_bits, ("alpha", "beta"))
+    symbol, inserted = _decide(ev, cols)
+    _, alpha, beta = cols
+    return symbol.k, Point2(ev.ratio(beta, alpha), ev.ratio(inserted, alpha))
+
+
+@given(exact_points(st.just(2)))
+@settings(max_examples=300)
+@example(((F(1, 2), F(1, 3)), None, None))
+@example(((1, F(1, 2)), None, None))
+@example(((True, True), None, None))
+@example(((F(2, 3), F(1, 3)), None, None))
+@example(((F(1, 2), F(1, 2)), None, None))
+@example(((F(1, 2), F(0)), None, None))
+@example(((F(1, 3), F(1, 2)), None, None))
+@example(((F(3, 2), F(1, 2)), None, None))
+@example(((F(1, 2), F(1, 3)), MAX_PRECISION + 1, None))
+def test_exact_steps_equal_the_evaluator(case):
+    # the symbol, the image with its coordinates' types, or the error
+    coords, cap_bits, _ = case
+    expected = _outcome(lambda: _evaluator_step(coords, cap_bits))
+    got = _outcome(lambda: step(Point2(*coords), cap_bits=cap_bits))
+    assert got == expected
+    if isinstance(expected[1], Point2):
+        assert (type(got[1].alpha), type(got[1].beta)) == (Fraction, Fraction)
+
+
+def test_exact_steps_build_no_evaluator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact point built an evaluator")
+
+    monkeypatch.setattr(simplex, "FormEvaluator", refuse)
+    assert step(Point2(F(1, 2), F(1, 3))) == (1, Point2(F(2, 3), F(1, 3)))
+    assert step(Point2(1, 1)) == (0, Point2(F(1), F(0)))
+    with pytest.raises(DegenerateInputError, match="beta exceeds alpha"):
+        step(Point2(F(1, 3), F(1, 2)))
+    # a cap above the ceiling goes to the evaluator, which refuses it
+    with pytest.raises(AssertionError, match="built an evaluator"):
+        step(Point2(F(1, 2), F(1, 3)), cap_bits=MAX_PRECISION + 1)
 
 
 # exact points run on packed integers ------------------------------------------
@@ -1192,7 +1251,7 @@ _EXACT_TAIL = (F(7, 9), F(4, 9), F(1, 9))
 
 def _evaluator_fields(coords, max_len, lead):
     """``_run``'s fields from the evaluator's unbatched loop, ``_ordinary_run``."""
-    ev, cols = _start(coords, None, allow_zero_last=lead == 3)
+    ev, cols = _evaluator_start(coords, None, allow_zero_last=lead == 3)
     symbols, status, cols, epochs = _ordinary_run(ev, cols, max_len)
     symbols = tuple(symbols)
     matrix = mat_from_columns([c.coeffs for c in cols])
@@ -1318,7 +1377,21 @@ def test_exact_runs_build_no_evaluator(monkeypatch):
         sequence_nd(PointN((F(1, 2),)), 10, cap_bits=MAX_PRECISION + 1)
 
 
-# batched steps ----------------------------------------------------------------
+def test_packed_run_widens_before_a_test_could_reach_the_digit_edge(monkeypatch):
+    # a step's tests weigh up to n columns, hence the margin reach = bit_length(n)
+    # in _packed_run's invariant.  A search over short symbol sequences found no
+    # tested coefficient above 2**budget, so no record shows the margin: pin
+    # where the run widens instead.  A first floor with bit_length(n + k) = 61
+    # at n = 3 takes budget + reach to 63 = bits - 1, so the run widens and
+    # decides that step again before the next
+    events = []
+    decide, widened = simplex._decide, simplex._widened
+    monkeypatch.setattr(simplex, "_decide", lambda *a: events.append("decide") or decide(*a))
+    monkeypatch.setattr(simplex, "_widened", lambda *a: events.append(a[0].bits) or widened(*a))
+    prefix = (NonNegSymbol(2 ** 61 - 4),)
+    symbols = simplex._run(_cylinder_point(prefix, _EXACT_TAIL), 3, None)[0]
+    assert symbols[:1] == prefix
+    assert events == ["decide", 64, "decide", "decide", "decide"]
 
 
 _BIG = 10 ** 45
@@ -1497,7 +1570,7 @@ def test_window_backoff_starts_over(monkeypatch, text, bits, max_len, loads):
         assert len(batched[0]) == 72 and batched[1] is _EXHAUSTED
 
 
-# the domain check read off the epoch -----------------------------------------
+# the domain check -------------------------------------------------------------
 
 
 def _check_domain_asking_every_sign(ev, units, names, allow_zero_last) -> None:
@@ -1647,24 +1720,38 @@ def test_domain_check_matches_asking_every_sign_on_random_points(case):
 @pytest.mark.parametrize("coords", [
     (F(1, 2), F(1, 3), F(1, 5)),
     (F(99, 100), F(1, 2), F(1, 3), F(1, 4), F(1, 1000)),
-    tuple(BigFloat.from_fraction(F(c, 8), 64) for c in (7, 4, 1)),
-], ids=["n3", "n5", "dyadic"])
+    (F(1), F(1, 2), F(1, 2)),
+], ids=["n3", "n5", "ties"])
 def test_exact_domain_point_starts_with_no_sign_query(monkeypatch, coords):
+    # an exact point starts on its integers: no evaluator, so no evaluator query
     asked = []
     real = FormEvaluator.certified_sign
     monkeypatch.setattr(FormEvaluator, "certified_sign",
                         lambda self, form: asked.append(form) or real(self, form))
-    _start(coords, None)
+    ops, cols = _start(coords, None)
+    den, xs = simplex._scaled(coords)
+    assert ops is simplex._NO_DIGITS and cols == (den, *xs)
     assert asked == []
 
 
-def test_domain_ties_still_ask_their_sign(monkeypatch):
+@pytest.mark.parametrize("coords", [
+    tuple(BigFloat.from_fraction(F(c, 8), 64) for c in (7, 4, 1)),
+    # dyadic ties are exact zeros: x_1 = 1 and x_2 = x_3 ask their signs like the rest
+    tuple(BigFloat.from_fraction(F(c, 8), 64) for c in (8, 4, 4)),
+    "dec:0.9,0.7,0.30000000000000000000001:64",
+    "root:-1,1,1,2,1:0,1:pow3",
+], ids=["dyadic", "dyadic-ties", "dec", "root"])
+def test_enclosed_point_asks_its_gap_signs_in_order(monkeypatch, coords):
+    if isinstance(coords, str):
+        coords = parse_point(coords, 64)
     asked = []
     real = FormEvaluator.certified_sign
     monkeypatch.setattr(FormEvaluator, "certified_sign",
                         lambda self, form: asked.append(form.coeffs) or real(self, form))
-    _start((F(1), F(1, 2), F(1, 2)), None)
-    assert asked == [(1, -1, 0, 0), (0, 0, 1, -1)]
+    ops, _ = _start(coords, None)
+    assert type(ops) is FormEvaluator
+    e = mat_identity(len(coords) + 1)
+    assert asked == [*(tuple(a - b for a, b in zip(u, v)) for u, v in zip(e, e[1:])), e[-1]]
 
 
 # symbols served from tables ---------------------------------------------------
