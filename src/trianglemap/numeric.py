@@ -553,16 +553,18 @@ class _Packed:
     coefficients (``simplex._packed_run``), with no digits (size 0) a packing
     is its value, and a batch window packs its weights with no value.
     ``ratio`` divides two values, as ``FormEvaluator.ratio`` divides forms.
+    Packings are made through ``_packing``, once per size and width.
     """
 
-    __slots__ = ("bits", "size", "shift", "units", "off", "top")
+    __slots__ = ("bits", "size", "shift", "shifts", "units", "off", "top")
 
     sub = staticmethod(subtract)
 
     def __init__(self, size: int, bits: int):
         self.bits, self.size, self.shift = bits, size, bits * size
+        self.shifts = tuple(range(0, self.shift, bits))
         # the packings of no value over one unit coefficient each
-        self.units = tuple(1 << (bits * r) for r in range(size))
+        self.units = tuple(1 << s for s in self.shifts)
         self.off = sum(self.units) << (bits - 1)
         # the least packing whose value is 1
         self.top = (1 << self.shift) - self.off
@@ -579,8 +581,7 @@ class _Packed:
         return ((a + off) >> shift) // ((b + off) >> shift)
 
     def pack(self, value: int, coeffs: Sequence[int]) -> int:
-        bits = self.bits
-        return (value << self.shift) + sum(c << (bits * r) for r, c in enumerate(coeffs))
+        return (value << self.shift) + sum(c << s for c, s in zip(coeffs, self.shifts))
 
     def ratio(self, num: int, den: int) -> Fraction:
         """The ratio of two packings' values."""
@@ -590,13 +591,14 @@ class _Packed:
         """A packed column's value and coefficients."""
         bits, x = self.bits, p + self.off
         mask, half = (1 << bits) - 1, 1 << (bits - 1)
-        return x >> self.shift, tuple(((x >> (bits * r)) & mask) - half for r in range(self.size))
+        return x >> self.shift, tuple([((x >> s) & mask) - half for s in self.shifts])
 
 
-@functools.cache
-def _weight_packing(size: int) -> _Packed:
-    """The packing of a window form's weights over ``size`` start columns."""
-    return _Packed(size, WEIGHT_BITS)
+#: The packing of ``size`` columns at ``bits`` bits a digit, made once per pair:
+#: a window's weights (``WEIGHT_BITS``), an exact run's columns at each width it
+#: widens to, and ``simplex._NO_DIGITS``.  Bounded, so a process that runs many
+#: shapes keeps only the units of the latest ones.
+_packing = functools.lru_cache(maxsize=128)(_Packed)
 
 
 class _Window:
@@ -605,7 +607,7 @@ class _Window:
 
     A window form is ``(lo, hi, packed, bound)``: bounds over the common scale
     S·2**shift, the form's weights w_t over the start columns packed into one
-    integer Σ w_t·2**(WEIGHT_BITS·t) (``_weight_packing``), and a carried
+    integer Σ w_t·2**(WEIGHT_BITS·t) (``_packing``), and a carried
     bound on every |w_t| (1 on a start column).  A start column's bounds are
     the evaluator's, shifted right with ``lo`` rounded down and ``hi`` up;
     ``sub`` and ``addmul`` combine bounds by interval arithmetic, packed
@@ -671,7 +673,7 @@ class _Window:
         once and applied to the start columns' coefficients and midpoint sums.
         A start column's packing gives back that column itself."""
         start, ep = self.start, self.epoch
-        packing = _weight_packing(len(start))
+        packing = _packing(len(start), WEIGHT_BITS)
         known = dict(zip(packing.units, start))
         rows = list(zip(*(col.coeffs + (col.mid,) for col in start)))
         cols = []
@@ -812,7 +814,7 @@ class FormEvaluator:
         bounds = [self._int_bounds(col) for col in cols]
         top = max(max(hi, -lo) for lo, hi in bounds)
         shift = max(top.bit_length() - WINDOW_BITS, 0)
-        units = _weight_packing(len(cols)).units
+        units = _packing(len(cols), WEIGHT_BITS).units
         forms = [(lo >> shift, -(-hi >> shift), u, 1) for (lo, hi), u in zip(bounds, units)]
         return _Window(cols, self.epoch), forms
 

@@ -25,8 +25,9 @@ denominator are integers, so an exact point decides on those with the same
 branch rule and no evaluator: classifying or stepping one on the integers
 themselves, and running one on packed integer columns (``numeric._Packed``),
 each the remainder's integer above the column's coefficients as digits that
-widen as they grow.  ``_start`` alone picks a point's kernel, after the one
-domain check.  ``_run`` is the package's only run: the planar
+widen as their product bound grows, with one cached packing per shape and
+width (``numeric._packing``).  ``_start`` alone picks a point's kernel, after
+the one domain check.  ``_run`` is the package's only run: the planar
 ``triangle.sequence`` (n = 2) and the continued fraction
 ``triangle.gauss_sequence`` (n = 1) run through it too, with their own
 coordinate names and records.
@@ -47,7 +48,7 @@ from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
                        mat_mul, mat_product, mat_step, nonneg_column, push_column)
 from .numeric import (MAX_PRECISION, MIN_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign,
-                      _Epoch, _Form, _Packed, root_powers)
+                      _Epoch, _Form, _Packed, _packing, root_powers)
 
 
 # symbols ------------------------------------------------------------------
@@ -510,7 +511,7 @@ _PACKED_BITS = 64
 
 #: ``_decide``'s queries on an exact point's scaled integers den, den*x_1, ...,
 #: den*x_n: a packing with no digits, whose columns are those integers.
-_NO_DIGITS = _Packed(0, _PACKED_BITS)
+_NO_DIGITS = _packing(0, _PACKED_BITS)
 
 
 def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
@@ -521,18 +522,22 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
     Every form a step builds is Σ w_t·col_t over the columns before it, so no
     coefficient of it exceeds Σ |w_t| times theirs.  The inserted column has
     Σ |w_t| = n + k for a floor k and i + 1 for a pair (i, j), and every
-    form the step tests has at most n.  So the run carries a bit budget, the
-    sum over its steps of bit_length(Σ |w_t|), and no coefficient exceeds
-    2**budget.  With reach = bit_length(n), ``budget + reach < bits - 1``
-    holds at the start of every step, so each digit holds its coefficient: a
+    form the step tests has at most n.  So the run carries a bound, the
+    product over its steps of Σ |w_t|, that no coefficient exceeds.  With
+    reach = bit_length(n), ``bound << reach < 2**(bits - 1)`` holds at the
+    start of every step, so each digit holds every tested coefficient: a
     step decides, and if its growth would break that for the next step, the
     columns from before it are repacked at the digit width doubled until it
-    fits, and the step decides again.
+    fits, and the step decides again.  The packings come from ``_packing``,
+    so a run of a shape met before builds none, and the start columns are
+    each integer shifted above its unit digit.
     """
     n = len(start) - 1
-    ops = _Packed(n + 1, _PACKED_BITS)
-    cols = tuple(map(ops.pack, start, mat_identity(n + 1)))
-    reach, budget = n.bit_length(), 0
+    ops = _packing(n + 1, _PACKED_BITS)
+    cols = tuple([(v << ops.shift) + u for v, u in zip(start, ops.units)])
+    # bound << reach < 2**(bits - 1) is bound < room
+    reach, bound = n.bit_length(), 1
+    room = 1 << (ops.bits - 1 - reach)
     symbols: list[SymbolND] = []
     while True:
         last = cols[-1]
@@ -546,25 +551,26 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
             break
         symbol, inserted = _decide(ops, cols)
         if type(symbol) is PairSymbol:
-            j, grow = symbol.j, (symbol.i + 1).bit_length()
+            j, grow = symbol.j, symbol.i + 1
         else:
-            j, grow = n, (n + abs(symbol.k)).bit_length()
-        if budget + grow + reach >= ops.bits - 1:
-            ops, cols = _widened(ops, cols, budget + grow + reach)
+            j, grow = n, n + symbol.k
+        bound *= grow
+        if bound >= room:
+            ops, cols = _widened(ops, cols, bound << reach)
+            room = 1 << (ops.bits - 1 - reach)
             symbol, inserted = _decide(ops, cols)
-        budget += grow
         cols = push_column(cols, j, inserted)
         symbols.append(symbol)
     return symbols, status, mat_from_columns([ops.unpack(col)[1] for col in cols])
 
 
-def _widened(ops: _Packed, cols: Sequence[int], budget: int) -> tuple[_Packed, tuple[int, ...]]:
+def _widened(ops: _Packed, cols: Sequence[int], top: int) -> tuple[_Packed, tuple[int, ...]]:
     """The queries and the columns repacked at the digit width doubled until
-    ``budget`` stays below it less 1."""
+    ``top`` stays below 2**(bits - 1)."""
     bits = ops.bits
-    while budget >= bits - 1:
+    while top.bit_length() >= bits:
         bits *= 2
-    wide = _Packed(ops.size, bits)
+    wide = _packing(ops.size, bits)
     return wide, tuple(wide.pack(*ops.unpack(col)) for col in cols)
 
 

@@ -408,6 +408,16 @@ def test_exact_zero_on_a_collapsed_enclosure_beside_a_rational():
     assert ev.exact_zero((0, 2, -1)) is False
 
 
+def test_exact_zero_of_a_form_on_the_rational_coordinate_alone():
+    # a root coordinate with coefficient 0 adds no monomial: the form is its
+    # rational constant, zero exactly when that sum is
+    ev = FormEvaluator([Fraction(2, 7), refine_root(GOLDEN, 64)])
+    assert ev.exact_zero((-2, 7, 0)) is True
+    assert ev.exact_zero((0, 0, 0)) is True
+    assert ev.exact_zero((-1, 7, 0)) is False
+    assert ev.exact_zero((1, 0, 0)) is False
+
+
 def test_even_power_of_a_root_straddling_zero():
     # the root 2**-100 stays inside a cell around 0 at 64 bits, so r**2 has
     # lower bound 0, not the smaller of the squared ends

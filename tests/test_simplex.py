@@ -11,7 +11,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trianglemap import simplex
+from trianglemap import numeric, simplex
 from trianglemap.errors import DegenerateInputError, NotYetConvergedError, PrecisionExhaustedError
 from trianglemap.matrices import (IntMatrix, mat_det, mat_from_columns, mat_identity, mat_inverse_unimodular, mat_mul,
                                   push_column, recover_nd)
@@ -1379,19 +1379,96 @@ def test_exact_runs_build_no_evaluator(monkeypatch):
 
 def test_packed_run_widens_before_a_test_could_reach_the_digit_edge(monkeypatch):
     # a step's tests weigh up to n columns, hence the margin reach = bit_length(n)
-    # in _packed_run's invariant.  A search over short symbol sequences found no
-    # tested coefficient above 2**budget, so no record shows the margin: pin
-    # where the run widens instead.  A first floor with bit_length(n + k) = 61
-    # at n = 3 takes budget + reach to 63 = bits - 1, so the run widens and
-    # decides that step again before the next
-    events = []
+    # in _packed_run's invariant bound << reach < 2**(bits - 1).  In 3,000
+    # random exact runs at n = 1-6 no tested coefficient exceeded the bound, so
+    # no record shows the margin: pin where the run widens instead.  At n = 3 a
+    # first floor with n + k = 2**61 takes bound << reach to 2**63, so the run
+    # widens and decides that step again before the next; one with
+    # n + k = 2**61 - 1 fits, and the next step's growth widens
     decide, widened = simplex._decide, simplex._widened
-    monkeypatch.setattr(simplex, "_decide", lambda *a: events.append("decide") or decide(*a))
-    monkeypatch.setattr(simplex, "_widened", lambda *a: events.append(a[0].bits) or widened(*a))
-    prefix = (NonNegSymbol(2 ** 61 - 4),)
-    symbols = simplex._run(_cylinder_point(prefix, _EXACT_TAIL), 3, None)[0]
-    assert symbols[:1] == prefix
-    assert events == ["decide", 64, "decide", "decide", "decide"]
+    rows = [
+        (2 ** 61 - 3, ["decide", 64, "decide", "decide", "decide"]),
+        (2 ** 61 - 4, ["decide", "decide", 64, "decide", "decide"]),
+    ]
+    for k, expected in rows:
+        events = []
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_decide", lambda *a: events.append("decide") or decide(*a))
+            patch.setattr(simplex, "_widened", lambda *a: events.append(a[0].bits) or widened(*a))
+            prefix = (NonNegSymbol(k),)
+            symbols = simplex._run(_cylinder_point(prefix, _EXACT_TAIL), 3, None)[0]
+        assert symbols[:1] == prefix
+        assert events == expected, k
+
+
+@st.composite
+def narrow_digit_points(draw):
+    """An exact point at n = 1-6 inside the domain and a max_len: ints and
+    Fractions with denominators up to 10**30, with ties (x_1 = 1, x_t = x_{t+1}).
+    The first branch draws uniform numerators over a large denominator, with
+    one tie at most and a long cut: at 8-bit digits most of its runs widen
+    three to six times."""
+    n = draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) < 3:
+        rng = draw(st.randoms(use_true_random=True))
+        den = rng.randint(10 ** 9, 10 ** 30)
+        nums = [rng.randint(1, den) for _ in range(n)]
+        ties = {rng.randrange(n)} if rng.random() < 0.25 else set()
+        max_len = rng.choice([400, rng.randint(0, 200)])
+    else:
+        den = draw(st.integers(1, 12))
+        nums = draw(st.lists(st.integers(1, den), min_size=n, max_size=n))
+        ties = draw(st.sets(st.integers(0, n - 1)))
+        max_len = draw(st.integers(0, 40))
+    nums.sort(reverse=True)
+    for t in sorted(ties):
+        nums[t] = nums[t - 1] if t else den
+    whole = draw(st.booleans())
+    return tuple(p // den if whole and p == den else F(p, den) for p in nums), max_len
+
+
+@given(narrow_digit_points())
+@settings(max_examples=150, deadline=None)
+@example(((_continued_fraction([10 ** 20] * 3 + [10 ** 4000, 2, 10 ** 20]),), 400))
+@example((_cylinder_point(_EXACT_PREFIX, _EXACT_TAIL), 400))
+@example(((1, 1, F(1, 3), F(1, 3), F(1, 3), F(1, 3)), 400))
+def test_narrow_digit_runs_equal_the_default_width_and_the_oracle(case):
+    # at 8-bit digits most runs widen several times, each time repacking the
+    # columns and deciding the step again: the record is the default width's,
+    # and every step is the Fraction region rule's with the step matrix's update
+    coords, max_len = case
+    n, point = len(coords), PointN(coords)
+    expected = sequence_nd(point, max_len)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_PACKED_BITS", 8)
+        got = sequence_nd(point, max_len)
+    assert (got.symbols, got.status, got.matrix, got.d_history) == \
+        (expected.symbols, expected.status, expected.matrix, expected.d_history)
+    rows = got.d_history
+    assert rows[0] == (1, *coords) and got.matrix == product_matrix_nd(got.symbols, n)
+    for row, symbol, after in zip(rows, got.symbols, rows[1:]):
+        assert _fraction_membership(tuple(d / row[0] for d in row[1:]), symbol), (row, symbol)
+        assert mat_mul((row,), step_matrix_nd(symbol, n))[0] == after
+    assert len(rows) == len(got.symbols) + 1
+    if rows[-1][-1] == 0:
+        assert got.status is _TERMINATED
+    else:
+        assert got.status is _TRUNCATED and len(got.symbols) == max_len
+
+
+def test_a_second_exact_run_of_one_shape_builds_no_packing(monkeypatch):
+    # a run's packings, at its first digit width and each it widens to, are
+    # made once per shape and width
+    point = PointN(_cylinder_point(_EXACT_PREFIX, _EXACT_TAIL))
+    first = sequence_nd(point, 100)
+
+    def refuse(self, *args):
+        raise AssertionError("a run built a packing")
+
+    monkeypatch.setattr(numeric._Packed, "__init__", refuse)
+    again = sequence_nd(point, 100)
+    assert again.symbols == first.symbols and again.matrix == first.matrix
+    assert again.status is first.status is _TERMINATED
 
 
 _BIG = 10 ** 45
