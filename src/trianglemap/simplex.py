@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, ge, mul, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, ge, index, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
@@ -528,7 +528,9 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
     start of every step, so each digit holds every tested coefficient: a
     step decides, and if its growth would break that for the next step, the
     columns from before it are repacked at the digit width doubled until it
-    fits, and the step decides again.  The packings come from ``_packing``,
+    fits.  The decision stands, since every coefficient it tested fitted the
+    old digits, so only the inserted column is built again, from the
+    repacked columns by the push rule.  The packings come from ``_packing``,
     so a run of a shape met before builds none, and the start columns are
     each integer shifted above its unit digit.
     """
@@ -558,7 +560,7 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
         if bound >= room:
             ops, cols = _widened(ops, cols, bound << reach)
             room = 1 << (ops.bits - 1 - reach)
-            symbol, inserted = _decide(ops, cols)
+            inserted = sum(map(mul, _push_rule(symbol, n)[1], cols))
         cols = push_column(cols, j, inserted)
         symbols.append(symbol)
     return symbols, status, mat_from_columns([ops.unpack(col)[1] for col in cols])
@@ -632,46 +634,51 @@ def _scaled(x: Sequence[int | Fraction]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in x]
 
 
-def _member_scaled(xs: Sequence[int], q: Sequence[int], symbol: SymbolND, closed: bool) -> bool:
-    """The region rule on a domain point given as numerators ``xs`` over den > 0.
+def _members_scaled(xs: Sequence[int], q: Sequence[int], symbols: Iterable[SymbolND],
+                    closed: bool) -> list[SymbolND]:
+    """The symbols among ``symbols`` whose region holds a domain point given
+    as numerators ``xs`` over den > 0, in their order: the region rule, tested
+    on every symbol in one scan.
 
     The point must pass ``_in_domain`` with the same ``closed``: this tests
-    the region's own inequalities only.  ``q`` is the chain q_0, ..., q_n
-    scaled by den: ``q[t]`` is den less the first t numerators, so ``q[0]``
-    is den and ``q[n - 1]`` the slack.  Scaling by the positive den keeps
-    every inequality, so each test is an integer comparison.
+    the regions' own inequalities only.  A symbol that names no region holds
+    no point.  ``q`` is the chain q_0, ..., q_n scaled by den: ``q[t]`` is
+    den less the first t numerators, so ``q[0]`` is den and ``q[n - 1]`` the
+    slack.  Scaling by the positive den keeps every inequality, so each test
+    is an integer comparison.
     """
     n = len(xs)
     last = xs[n - 1]
-    if not _names_region(symbol, n):
-        return False
     slack = q[n - 1]
-    if isinstance(symbol, NonNegSymbol):
-        hi = slack - symbol.k * last
-        lo_next = hi - last
-        return hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0))
-    i, j = symbol.i, symbol.j
-    qi = q[i]
-    qi1 = q[i + 1]
-    xj = xs[j - 1]
-    xj1 = xs[j] if j < n else 0
-    if closed:
-        return slack <= 0 and qi >= 0 and qi1 <= 0 and xj >= qi >= xj1
-    # half-open convention: the fan owns slack == 0; the crossing index is
-    # the first t with q_{t+1} <= 0, so q_i == 0 is admitted only at i == 1;
-    # the window is strict on the right against real coordinates and closed
-    # against the virtual endpoint x_{n+1} = 0.
-    if slack >= 0:
-        return False
-    if qi < 0 or (qi == 0 and i > 1):
-        return False
-    if qi1 > 0:
-        return False
-    if xj < qi:
-        return False
-    if j < n and qi <= xj1:
-        return False
-    return True
+    # the fan owns slack == 0: a pair region needs a negative slack, or a zero
+    # one in its closure
+    pair_slack = slack < 0 or (closed and slack == 0)
+    members = []
+    for symbol in symbols:
+        if type(symbol) is NonNegSymbol:
+            hi = slack - symbol.k * last
+            lo_next = hi - last
+            if hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0)) and _names_region(symbol, n):
+                members.append(symbol)
+            continue
+        if not (pair_slack and _names_region(symbol, n)):
+            continue
+        i, j = symbol.i, symbol.j
+        qi = q[i]
+        xj1 = xs[j] if j < n else 0
+        if q[i + 1] > 0 or xs[j - 1] < qi:
+            continue
+        if closed:
+            held = qi >= 0 and qi >= xj1
+        else:
+            # half-open convention: the crossing index is the first t with
+            # q_{t+1} <= 0, so q_i == 0 is admitted only at i == 1; the window
+            # is strict on the right against real coordinates and closed
+            # against the virtual endpoint x_{n+1} = 0.
+            held = (qi > 0 or (qi == 0 and i == 1)) and (j == n or qi > xj1)
+        if held:
+            members.append(symbol)
+    return members
 
 
 def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bool = False) -> bool:
@@ -689,7 +696,7 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
         raise DegenerateInputError("point needs at least one coordinate")
     den, xs = _scaled(x)
     return (_in_domain(den, xs, closed)
-            and _member_scaled(xs, list(accumulate(xs, sub, initial=den)), symbol, closed))
+            and bool(_members_scaled(xs, list(accumulate(xs, sub, initial=den)), (symbol,), closed)))
 
 
 def candidate_symbols(n: int) -> list[SymbolND]:
@@ -697,20 +704,44 @@ def candidate_symbols(n: int) -> list[SymbolND]:
     return [PairSymbol(i, j) for i in range(1, n - 1) for j in range(i + 1, n + 1)]
 
 
+def _below(getrandbits: Callable[[int], int], width: int) -> int:
+    """A uniform draw from [0, width), width >= 1, on ``getrandbits``: k-bit
+    draws, k = width.bit_length(), until one falls below width.  This is
+    CPython's ``Random._randbelow_with_getrandbits`` (3.10-3.13), so lo plus
+    this draw is ``randint(lo, lo + width - 1)``, and leaves the generator in
+    the same state."""
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
 def _sample_scaled(rng: random.Random, n: int, max_denominator: int) -> tuple[int, list[int]]:
-    """The draws behind one sampled point: its denominator and its numerators."""
-    if max_denominator < n + 1:
+    """The draws behind one sampled point: its denominator, uniform over
+    n + 1..max_denominator, and n numerators, each uniform over 1..den, in
+    descending order.  Each draw is ``rng.randint``'s over the same range,
+    made by ``_below`` on ``rng.getrandbits``, so a seed gives the same
+    points on every supported CPython.  ``max_denominator`` must be an
+    integer (``operator.index``)."""
+    hi = index(max_denominator)
+    if hi < n + 1:
         raise ValueError("denominator bound too small to sample the simplex")
-    den = rng.randint(n + 1, max_denominator)
-    return den, sorted((rng.randint(1, den) for _ in range(n)), reverse=True)
+    bits = rng.getrandbits
+    den = n + 1 + _below(bits, hi - n)
+    return den, sorted([1 + _below(bits, den) for _ in range(n)], reverse=True)
 
 
 def sample_rational_point(rng: random.Random, n: int, max_denominator: int) -> tuple[Fraction, ...]:
     """One random rational point with 1 >= x_1 >= ... >= x_n > 0.
 
-    The top facet x_1 = 1 is included: the subdivision covers it (such
-    points sit in a pair region whose inserted value is zero), so the
-    coverage audit should exercise it too.
+    Its denominator is drawn uniformly from n + 1..max_denominator and its
+    numerators uniformly from 1..den, each as ``rng.randint`` would draw it
+    (``_sample_scaled``), so a seed gives the same points on CPython
+    3.10-3.13; ``max_denominator`` must be an integer.  The top facet
+    x_1 = 1 is included: the subdivision covers it (such points sit in a
+    pair region whose inserted value is zero), so the coverage audit should
+    exercise it too.
     """
     den, nums = _sample_scaled(rng, n, max_denominator)
     return tuple(Fraction(p, den) for p in nums)
@@ -730,8 +761,8 @@ class DecompositionReport:
 
 #: Largest dimension ``decomposition_check`` audits: each sample is tested
 #: against all n(n - 1)/2 - 1 pair symbols, so at n = 1,000 building them took
-#: 0.7 s and 95 MB and each sample 0.27 s more, and one sample at n = 2,000 took
-#: 3.7 s and 336 MB (2 vCPUs, CPython 3.11).
+#: 0.5 s and 81 MB and each sample's one scan over them 0.11 s more, and one
+#: sample at n = 2,000 took 2.8 s and 276 MB (2 vCPUs, CPython 3.11).
 MAX_AUDIT_DIMENSION = 1000
 
 
@@ -739,11 +770,13 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
                         max_denominator: int = 10000) -> DecompositionReport:
     """Sample rational points and count how many regions claim each one.
 
-    Membership is tested directly from the defining inequalities for the
-    floor-determined nonnegative index (plus its neighbours, which must
-    fail) and for every pair symbol exhaustively, in integer arithmetic
-    over the sample's common denominator, once the sample has passed the
-    domain test (no region claims a point outside the domain).  Every
+    Membership is tested directly from the defining inequalities, in one
+    scan (``_members_scaled``) over the floor-determined nonnegative index
+    (plus its neighbours, which must fail) and every pair symbol
+    exhaustively, in integer arithmetic over the sample's common
+    denominator, once the sample has passed the domain test (no region
+    claims a point outside the domain).  The samples are
+    ``sample_rational_point``'s, seeded by ``seed``.  Every
     sampled point must land in exactly one region; its region must also
     agree with the branch rule ``_decide`` on the sample's integers
     (den, den*x_1, ..., den*x_n), as ``classify_nd`` decides an exact point,
@@ -766,14 +799,11 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
         if _in_domain(den, xs, False):
             q = list(accumulate(xs, sub, initial=den))
             slack = q[n - 1]
+            cands: Iterable[SymbolND] = pairs
             if slack >= 0:
                 k = slack // xs[n - 1]
-                for cand in map(_nonneg, (k - 1, k, k + 1)):
-                    if _member_scaled(xs, q, cand, False):
-                        matches.append(cand)
-            for sym in pairs:
-                if _member_scaled(xs, q, sym, False):
-                    matches.append(sym)
+                cands = (_nonneg(k - 1), _nonneg(k), _nonneg(k + 1), *pairs)
+            matches = _members_scaled(xs, q, cands, False)
         if len(matches) != 1:
             violations.append((tuple(Fraction(p, den) for p in xs), len(matches)))
             continue

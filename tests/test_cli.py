@@ -266,10 +266,10 @@ def test_decomp_check_catches_shifted_window(capsys, monkeypatch, n):
 
 def test_decomp_check_catches_a_doubly_claimed_point(capsys, monkeypatch):
     # the pair region (1,2) also claims every point of the other regions
-    real = simplex._member_scaled
+    real = simplex._members_scaled
     extra = simplex.PairSymbol(1, 2)
-    monkeypatch.setattr(simplex, "_member_scaled",
-                        lambda xs, q, symbol, closed: real(xs, q, symbol, closed) or symbol == extra)
+    monkeypatch.setattr(simplex, "_members_scaled",
+                        lambda xs, q, symbols, closed: [*real(xs, q, symbols, closed), extra])
     code, lines, _ = run(capsys, "decomp-check", "--n", "3", "--samples", "50")
     assert code == 3
     assert lines[0]["violations"] >= 1 and lines[0]["ok"] is False

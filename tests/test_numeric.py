@@ -241,6 +241,8 @@ def test_form_evaluator_cap_limits_refinement():
      "dimension above the 1000-dimension ceiling"),
     (lambda: decomposition_check(3, 1, max_denominator=3), ValueError,
      "denominator bound too small"),
+    (lambda: decomposition_check(3, 1, max_denominator=10000.0), TypeError,
+     "cannot be interpreted as an integer"),
     (lambda: eliminant_from_portion(((1, 0), (0, 1)), 2), ValueError,
      "portion matrix has the wrong shape"),
     (lambda: eliminant_from_portion(((-2, -2), (0, -2)), 1), InconsistentInputError,
@@ -249,7 +251,7 @@ def test_form_evaluator_cap_limits_refinement():
         "too-many-powers", "power-zero", "matrix-not-unit", "float-coefficient", "polynomial-text",
         "divisor-zero", "float-seed", "fixed-point-dimension", "fixed-point-symbol",
         "no-repetitions", "empty-point", "decomposition-dimension", "decomposition-ceiling",
-        "sample-denominator", "portion-shape",
+        "sample-denominator", "float-sample-denominator", "portion-shape",
         "constant-eliminant"])
 def test_inputs_refused(make, error, match):
     with pytest.raises(error, match=match):

@@ -720,6 +720,33 @@ def test_sampler_draws_are_pinned():
     assert drawn == [tuple(F(p, q) for p, q in point) for point in _SAMPLER_PIN]
 
 
+@st.composite
+def sampler_bounds(draw):
+    """A seed, a dimension n = 0-8 and a denominator bound m = n + 1..10**30."""
+    n = draw(st.integers(0, 8))
+    return draw(st.integers(0, 2 ** 64)), n, draw(st.integers(n + 1, 10 ** 30))
+
+
+@given(sampler_bounds())
+@example((1, 3, 4))
+@example((2, 0, 1))
+@example((3, 2, 2 + 2 ** 10))
+@example((4, 2, 2 + 2 ** 10 + 1))
+@example((5, 8, 8 + 2 ** 64))
+@example((6, 8, 8 + 2 ** 64 + 1))
+@example((7, 5, 2 ** 64))
+def test_sampler_draws_equal_randint(case):
+    # the sampler draws on getrandbits, as randint does: the same denominator and
+    # numerators, and the generator left in the same state.  Width 1 (m = n + 1)
+    # still draws a bit, and widths 2**k and 2**k + 1 are the edges of a k-bit draw
+    seed, n, m = case
+    a, b = random.Random(seed), random.Random(seed)
+    den = b.randint(n + 1, m)
+    nums = sorted((b.randint(1, den) for _ in range(n)), reverse=True)
+    assert simplex._sample_scaled(a, n, m) == (den, nums)
+    assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("n, k, bits, lengths", [
     (2, 2, 512, (100, 200)),
     (3, 1, 512, (100, 200)),
@@ -1383,12 +1410,12 @@ def test_packed_run_widens_before_a_test_could_reach_the_digit_edge(monkeypatch)
     # random exact runs at n = 1-6 no tested coefficient exceeded the bound, so
     # no record shows the margin: pin where the run widens instead.  At n = 3 a
     # first floor with n + k = 2**61 takes bound << reach to 2**63, so the run
-    # widens and decides that step again before the next; one with
+    # widens after deciding that step, without deciding it again; one with
     # n + k = 2**61 - 1 fits, and the next step's growth widens
     decide, widened = simplex._decide, simplex._widened
     rows = [
-        (2 ** 61 - 3, ["decide", 64, "decide", "decide", "decide"]),
-        (2 ** 61 - 4, ["decide", "decide", 64, "decide", "decide"]),
+        (2 ** 61 - 3, ["decide", 64, "decide", "decide"]),
+        (2 ** 61 - 4, ["decide", "decide", 64, "decide"]),
     ]
     for k, expected in rows:
         events = []
@@ -1434,7 +1461,7 @@ def narrow_digit_points(draw):
 @example(((1, 1, F(1, 3), F(1, 3), F(1, 3), F(1, 3)), 400))
 def test_narrow_digit_runs_equal_the_default_width_and_the_oracle(case):
     # at 8-bit digits most runs widen several times, each time repacking the
-    # columns and deciding the step again: the record is the default width's,
+    # columns and rebuilding the step's inserted column: the record is the default width's,
     # and every step is the Fraction region rule's with the step matrix's update
     coords, max_len = case
     n, point = len(coords), PointN(coords)
@@ -1863,7 +1890,7 @@ def _member_scaled_with_domain_test(xs, q, symbol, closed) -> bool:
     for t in range(n - 1):
         if xs[t] < xs[t + 1]:
             return False
-    return simplex._member_scaled(xs, q, symbol, closed)
+    return bool(simplex._members_scaled(xs, q, (symbol,), closed))
 
 
 def _region_membership_per_candidate(point, symbol, *, closed=False) -> bool:
