@@ -136,13 +136,15 @@ def product_matrix_nd(symbols: Iterable[SymbolND], n: int) -> Matrix:
 # classification and sequences ----------------------------------------------
 
 
-def _require_domain(signs: Iterable[Sign], n: int, names: Sequence[str] | None,
-                    allow_zero_last: bool) -> None:
-    """Raise for the first failed test of 1 >= x_1 >= ... >= x_n > 0, given the
-    signs of its n + 1 gaps 1 - x_1, x_t - x_{t+1} and x_n in that order; x_n = 0
-    passes with allow_zero_last.  Messages name the coordinates by ``names``
-    (default x_1, ..., x_n) and are built only when a test fails."""
-    for t, s in enumerate(signs):
+def _check_domain(ops, cols: Sequence, names: Sequence[str] | None, allow_zero_last: bool) -> None:
+    """Certify 1 >= x_1 >= ... >= x_n > 0 on a point's start columns: ``ops``
+    asks the sign of each gap d_0 - d_1, ..., d_{n-1} - d_n and d_n in that
+    order, and the first that fails raises; x_n = 0 passes with
+    allow_zero_last.  Messages name the coordinates by ``names`` (default
+    x_1, ..., x_n) and are built only when a test fails."""
+    n = len(cols) - 1
+    for t in range(n + 1):
+        s = ops.certified_sign(ops.sub(cols[t], cols[t + 1]) if t < n else cols[n])
         if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
             continue
         names = names or [f"x_{u}" for u in range(1, n + 1)]
@@ -155,15 +157,6 @@ def _require_domain(signs: Iterable[Sign], n: int, names: Sequence[str] | None,
         if s is Sign.AMBIGUOUS:
             raise PrecisionExhaustedError(f"cannot certify domain: {msg}")
         raise DegenerateInputError(msg)
-
-
-def _check_domain(ops, cols: Sequence, names: Sequence[str] | None, allow_zero_last: bool) -> None:
-    """Certify 1 >= x_1 >= ... >= x_n > 0 on a point's start columns, with
-    ``_require_domain``'s errors: ``ops`` asks the sign of d_0 - d_1, ...,
-    d_{n-1} - d_n and d_n in that order, up to the first that fails."""
-    n = len(cols) - 1
-    _require_domain((ops.certified_sign(ops.sub(cols[t], cols[t + 1]) if t < n else cols[n])
-                     for t in range(n + 1)), n, names, allow_zero_last)
 
 
 def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[str] | None = None,
@@ -417,30 +410,36 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
     takes the kernel ``_start`` picks: a point on its scaled integers runs on
     packed integer columns (``_packed_run``), with one exact epoch, no
     refinement and the least working bits; any other runs on its evaluator
-    (``_evaluator_run``).  The status says why the run stopped: an exact zero
-    last remainder, max_len, or a step whose last remainder sign or branch was
-    undecidable.  A last remainder certified negative breaks the remainders'
-    order, a fault of the kernel, and raises ``ValueError``.
+    (``_evaluator_run``).  Each loop stops at the first step it does not take
+    and returns the last remainder's certified sign, and the run's ending is
+    stated here alone: a negative sign breaks the remainders' order, a kernel
+    fault that raises ``ValueError``; zero is ``terminated``; max_len symbols
+    are ``truncated-at-max-length`` whatever the sign; anything else (an
+    undecidable sign or branch) is ``precision-exhausted``.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     ops, cols = _start(coords, cap_bits, names, allow_zero_last=allow_zero_last)
     if ops is _NO_DIGITS:
-        symbols, status, matrix = _packed_run(cols, max_len)
+        symbols, last, matrix = _packed_run(cols, max_len)
         epochs, refinements, bits = [(0, _Epoch.exact(cols[0], cols[1:], MIN_PRECISION))], 0, MIN_PRECISION
     else:
-        symbols, status, cols, epochs = _evaluator_run(ops, cols, max_len)
+        symbols, last, cols, epochs = _evaluator_run(ops, cols, max_len)
         matrix = mat_from_columns([c.coeffs for c in cols])
         refinements, bits = ops.refinements, ops.bits
+    if last is Sign.NEGATIVE:
+        raise ValueError("last remainder is negative")
+    status = (SequenceStatus.TERMINATED if last is Sign.ZERO else SequenceStatus.TRUNCATED
+              if len(symbols) == max_len else SequenceStatus.PRECISION_EXHAUSTED)
     symbols = tuple(symbols)
     return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
             _Snapshots(len(matrix) - 1, symbols, epochs, matrix, lead), status, matrix, refinements, bits)
 
 
 def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
-                   max_len: int) -> tuple[list[SymbolND], SequenceStatus, Sequence[_Form], list[tuple]]:
+                   max_len: int) -> tuple[list[SymbolND], Sign, Sequence[_Form], list[tuple]]:
     """``_run`` on the evaluator from its unit forms ``cols``: the symbols, the
-    status, the final columns and the epochs.
+    last remainder's certified sign, the final columns and the epochs.
 
     Columns and every form built from them are the evaluator's carried
     forms, so a query costs no dot product over the columns' big
@@ -458,7 +457,9 @@ def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
     (``FormEvaluator.window``): the branch rule on small integers whose
     decisions are the evaluator's own, and the steps' weights applied to the
     big columns once, when the batch ends.  After each batch one ordinary
-    step follows: it alone may refine, test an exact zero or end the run.  An
+    step follows: it alone may refine, test an exact zero or end the run, at
+    a last remainder not certified positive, at max_len or at an undecidable
+    branch (``_decide`` raises).  An
     empty batch whose ordinary step did not refine says the window is too
     narrow for the columns (partial quotients longer than its bits): the next
     s steps are ordinary ones with no window, s doubling with each such batch
@@ -485,24 +486,18 @@ def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
             ahead, backoff = (0, 1) if batch else (backoff, 2 * backoff)
             symbols += batch
         s = sign(cols[-1])
-        if s is Sign.NEGATIVE:
-            raise ValueError("last remainder is negative")
-        if s is Sign.ZERO or len(symbols) == max_len:
-            status = SequenceStatus.TERMINATED if s is Sign.ZERO else SequenceStatus.TRUNCATED
+        if s is not Sign.POSITIVE or len(symbols) == max_len:
             break
         try:
-            if s is Sign.AMBIGUOUS:
-                raise PrecisionExhaustedError("last remainder sign is ambiguous")
             symbol, inserted = _decide(ev, cols)
         except PrecisionExhaustedError:
-            status = SequenceStatus.PRECISION_EXHAUSTED
             break
         cols = push_column(cols, symbol.j if type(symbol) is PairSymbol else n, inserted)
         symbols.append(symbol)
         if ev.epoch is not epochs[-1][1]:
             epochs.append((len(symbols), ev.epoch))
             ahead, backoff = 0, 1
-    return symbols, status, cols, epochs
+    return symbols, s, cols, epochs
 
 
 #: Digit width of a packed run's first columns; ``_packed_run`` doubles it as
@@ -514,10 +509,11 @@ _PACKED_BITS = 64
 _NO_DIGITS = _packing(0, _PACKED_BITS)
 
 
-def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], SequenceStatus, Matrix]:
+def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Sign, Matrix]:
     """``_run`` on an exact point's packed integer columns (``_Packed``), from
     its scaled integers ``start`` = (den, den*x_1, ..., den*x_n): the symbols,
-    the status and the final columns as matrix rows.
+    the last remainder's sign, asked once after the last step (every exact
+    branch decides), and the final columns as matrix rows.
 
     Every form a step builds is Σ w_t·col_t over the columns before it, so no
     coefficient of it exceeds Σ |w_t| times theirs.  The inserted column has
@@ -541,16 +537,7 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
     reach, bound = n.bit_length(), 1
     room = 1 << (ops.bits - 1 - reach)
     symbols: list[SymbolND] = []
-    while True:
-        last = cols[-1]
-        if last < ops.top:
-            if ops.certified_sign(last) is Sign.NEGATIVE:
-                raise ValueError("last remainder is negative")
-            status = SequenceStatus.TERMINATED
-            break
-        if len(symbols) == max_len:
-            status = SequenceStatus.TRUNCATED
-            break
+    while not (cols[-1] < ops.top or len(symbols) == max_len):
         symbol, inserted = _decide(ops, cols)
         if type(symbol) is PairSymbol:
             j, grow = symbol.j, symbol.i + 1
@@ -563,7 +550,7 @@ def _packed_run(start: Sequence[int], max_len: int) -> tuple[list[SymbolND], Seq
             inserted = sum(map(mul, _push_rule(symbol, n)[1], cols))
         cols = push_column(cols, j, inserted)
         symbols.append(symbol)
-    return symbols, status, mat_from_columns([ops.unpack(col)[1] for col in cols])
+    return symbols, ops.certified_sign(cols[-1]), mat_from_columns([ops.unpack(col)[1] for col in cols])
 
 
 def _widened(ops: _Packed, cols: Sequence[int], top: int) -> tuple[_Packed, tuple[int, ...]]:
@@ -640,12 +627,12 @@ def _members_scaled(xs: Sequence[int], q: Sequence[int], symbols: Iterable[Symbo
     as numerators ``xs`` over den > 0, in their order: the region rule, tested
     on every symbol in one scan.
 
-    The point must pass ``_in_domain`` with the same ``closed``: this tests
-    the regions' own inequalities only.  A symbol that names no region holds
-    no point.  ``q`` is the chain q_0, ..., q_n scaled by den: ``q[t]`` is
-    den less the first t numerators, so ``q[0]`` is den and ``q[n - 1]`` the
-    slack.  Scaling by the positive den keeps every inequality, so each test
-    is an integer comparison.
+    The point must pass ``_in_domain`` with the same ``closed``, and each
+    symbol must name a region (``_names_region``): this tests the regions'
+    own inequalities only.  ``q`` is the chain q_0, ..., q_n scaled by den:
+    ``q[t]`` is den less the first t numerators, so ``q[0]`` is den and
+    ``q[n - 1]`` the slack.  Scaling by the positive den keeps every
+    inequality, so each test is an integer comparison.
     """
     n = len(xs)
     last = xs[n - 1]
@@ -658,10 +645,10 @@ def _members_scaled(xs: Sequence[int], q: Sequence[int], symbols: Iterable[Symbo
         if type(symbol) is NonNegSymbol:
             hi = slack - symbol.k * last
             lo_next = hi - last
-            if hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0)) and _names_region(symbol, n):
+            if hi >= 0 and (lo_next < 0 or (closed and lo_next <= 0)):
                 members.append(symbol)
             continue
-        if not (pair_slack and _names_region(symbol, n)):
+        if not pair_slack:
             continue
         i, j = symbol.i, symbol.j
         qi = q[i]
@@ -689,13 +676,13 @@ def region_membership(point: Sequence[Fraction], symbol: SymbolND, *, closed: bo
     closure, which is what region vertices satisfy.  The inequalities are
     tested in integer arithmetic over the point's common denominator.  A
     symbol that names no region (k < 0, k = 0 at n = 1, or a pair outside
-    ``candidate_symbols(n)``) has no members, open or closed.
+    ``candidate_symbols(n)``) has no members, open or closed (``_names_region``).
     """
     x = [Fraction(v) for v in point]
     if not x:
         raise DegenerateInputError("point needs at least one coordinate")
     den, xs = _scaled(x)
-    return (_in_domain(den, xs, closed)
+    return (_names_region(symbol, len(xs)) and _in_domain(den, xs, closed)
             and bool(_members_scaled(xs, list(accumulate(xs, sub, initial=den)), (symbol,), closed)))
 
 
@@ -775,7 +762,9 @@ def decomposition_check(n: int, samples: int, *, seed: int = 0,
     (plus its neighbours, which must fail) and every pair symbol
     exhaustively, in integer arithmetic over the sample's common
     denominator, once the sample has passed the domain test (no region
-    claims a point outside the domain).  The samples are
+    claims a point outside the domain).  No candidate is checked for naming
+    a region: k - 1 = -1 would need a negative slack, k = 0 at n = 1 would
+    need x_1 > 1, and every pair comes from ``candidate_symbols``.  The samples are
     ``sample_rational_point``'s, seeded by ``seed``.  Every
     sampled point must land in exactly one region; its region must also
     agree with the branch rule ``_decide`` on the sample's integers

@@ -1106,14 +1106,36 @@ def test_final_remainders_of_a_tuple_history(kind, text, max_len):
 
 def test_negative_last_remainder_is_a_kernel_fault(floor_off_by):
     # a floor one too high leaves 1/2 - 2 * 1/3 as the last remainder: the
-    # remainders' order is broken, which no precision would mend
-    point = PointN((F(1, 2), F(1, 3)))
-    assert sequence_nd(point, 10).symbols[0] == NonNegSymbol(1)
+    # remainders' order is broken, which no precision would mend.  The exact
+    # point runs on packed integers, its enclosed neighbours on the evaluator,
+    # whose loop hands the negative sign to the run's one ending
+    points = [PointN((F(1, 2), F(1, 3))),
+              PointN(parse_point("dec:0.5,0.3333333333333333333:256", 64)),
+              PointN(parse_point("root:-1,1,1,1:0,1:pow2", 64))]
+    for point in points:
+        assert sequence_nd(point, 10).symbols[0] == NonNegSymbol(1)
     floor_off_by(1)
     # found before the next step, and at the end of a run as well
-    for max_len in (10, 1):
-        with pytest.raises(ValueError, match="last remainder is negative"):
-            sequence_nd(point, max_len)
+    for point in points:
+        for max_len in (10, 1):
+            with pytest.raises(ValueError, match="last remainder is negative"):
+                sequence_nd(point, max_len)
+
+
+def test_a_run_at_max_len_is_truncated_whatever_its_last_sign():
+    # the boundary point gets the symbol 2, and the last remainder after it
+    # touches zero at one end of its enclosure, which cannot refine: that
+    # undecided sign ends a run of 2 as precision-exhausted, but a run of 1
+    # reaches max_len first
+    x = parse_point("dec:0.499999999999999999999999999999:64", 64)
+    assert gauss_sequence(x[0], 1).quotients == (2,)
+    for run in (lambda max_len: gauss_sequence(x[0], max_len),
+                lambda max_len: sequence_nd(PointN(x), max_len)):
+        truncated, exhausted = run(1), run(2)
+        assert truncated.status is SequenceStatus.TRUNCATED
+        assert exhausted.status is SequenceStatus.PRECISION_EXHAUSTED
+        # the same one step ends both runs
+        assert dataclasses.replace(exhausted, status=truncated.status) == truncated
 
 
 def test_negative_floor_is_recorded_as_it_was_pushed(floor_off_by):
@@ -1882,8 +1904,11 @@ def test_floor_symbols_past_the_table():
 
 
 def _member_scaled_with_domain_test(xs, q, symbol, closed) -> bool:
-    """The region rule with the domain test inside it, run for every candidate."""
+    """The region rule with the domain test and the check that the symbol
+    names a region inside it, run for every candidate."""
     n = len(xs)
+    if not simplex._names_region(symbol, n):
+        return False
     last = xs[n - 1]
     if xs[0] > q[0] or last < 0 or (last == 0 and not closed):
         return False
