@@ -47,8 +47,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import DegenerateInputError, PrecisionExhaustedError
 from .matrices import (Column, Matrix, mat_from_columns, mat_identity, mat_inverse_unimodular,
                        mat_mul, mat_product, mat_step, nonneg_column, push_column)
-from .numeric import (MAX_PRECISION, MIN_PRECISION, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign,
-                      _Epoch, _Form, _Packed, _packing, root_powers)
+from .numeric import (AMBIGUOUS, MAX_PRECISION, MIN_PRECISION, NEGATIVE, POSITIVE, PRECISION_EXHAUSTED, TERMINATED,
+                      TRUNCATED, ZERO, ExactNumber, FormEvaluator, RootSpec, SequenceStatus, Sign, _Epoch, _Form,
+                      _Packed, _packing, root_powers)
 
 
 # symbols ------------------------------------------------------------------
@@ -145,7 +146,7 @@ def _check_domain(ops, cols: Sequence, names: Sequence[str] | None, allow_zero_l
     n = len(cols) - 1
     for t in range(n + 1):
         s = ops.certified_sign(ops.sub(cols[t], cols[t + 1]) if t < n else cols[n])
-        if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):
+        if s is POSITIVE or (s is ZERO and (t < n or allow_zero_last)):
             continue
         names = names or [f"x_{u}" for u in range(1, n + 1)]
         if t == 0:
@@ -153,8 +154,8 @@ def _check_domain(ops, cols: Sequence, names: Sequence[str] | None, allow_zero_l
         elif t < n:
             msg = f"{names[t]} exceeds {names[t - 1]}"
         else:
-            msg = f"{names[-1]} {'must be positive' if s is Sign.ZERO else 'is negative'}"
-        if s is Sign.AMBIGUOUS:
+            msg = f"{names[-1]} {'must be positive' if s is ZERO else 'is negative'}"
+        if s is AMBIGUOUS:
             raise PrecisionExhaustedError(f"cannot certify domain: {msg}")
         raise DegenerateInputError(msg)
 
@@ -182,7 +183,7 @@ def _start(coords: Sequence[ExactNumber], cap_bits: int | None, names: Sequence[
 def _certain(ops, form, ambiguous: str) -> Sign:
     """The certified sign of a form; raises with message ``ambiguous`` if undecidable."""
     s = ops.certified_sign(form)
-    if s is Sign.AMBIGUOUS:
+    if s is AMBIGUOUS:
         raise PrecisionExhaustedError(ambiguous)
     return s
 
@@ -212,15 +213,15 @@ def _decide(ops, cols: Sequence) -> tuple[SymbolND, object]:
         for col in cols[1:n]:
             q.append(ops.sub(q[-1], col))
         slack = q[n - 1]
-    if n < 3 or _certain(ops, slack, "slack sign is ambiguous") is not Sign.NEGATIVE:
+    if n < 3 or _certain(ops, slack, "slack sign is ambiguous") is not NEGATIVE:
         a = ops.certified_floor(slack, cols[n])
         return _nonneg(a), ops.addmul(slack, -a, cols[n])
     i = 1
-    while i < n - 2 and _certain(ops, q[i + 1], "slack sign is ambiguous") is Sign.POSITIVE:
+    while i < n - 2 and _certain(ops, q[i + 1], "slack sign is ambiguous") is POSITIVE:
         i += 1
     for j in range(i + 1, n):
         # the window form q_i - x_{j+1}, strict against real coordinates
-        if _certain(ops, ops.sub(q[i], cols[j + 1]), "pair window test is ambiguous") is Sign.POSITIVE:
+        if _certain(ops, ops.sub(q[i], cols[j + 1]), "pair window test is ambiguous") is POSITIVE:
             break
     else:
         j = n
@@ -238,7 +239,7 @@ def _batch(ev: FormEvaluator, cols: Sequence[_Form], room: int) -> tuple[list[Sy
     symbols: list[SymbolND] = []
     try:
         for _ in range(room):
-            if sign(wcols[-1]) is not Sign.POSITIVE:
+            if sign(wcols[-1]) is not POSITIVE:
                 break
             symbol, inserted = decide(win, wcols)
             wcols = push_column(wcols, symbol.j if type(symbol) is PairSymbol else n, inserted)
@@ -384,7 +385,7 @@ class SequenceRecordN:
 
     @property
     def terminated(self) -> bool:
-        return self.status is SequenceStatus.TERMINATED
+        return self.status is TERMINATED
 
 
 def _classify(coords: Sequence[ExactNumber], cap_bits: int | None,
@@ -427,10 +428,9 @@ def _run(coords: Sequence[ExactNumber], max_len: int, cap_bits: int | None,
         symbols, last, cols, epochs = _evaluator_run(ops, cols, max_len)
         matrix = mat_from_columns([c.coeffs for c in cols])
         refinements, bits = ops.refinements, ops.bits
-    if last is Sign.NEGATIVE:
+    if last is NEGATIVE:
         raise ValueError("last remainder is negative")
-    status = (SequenceStatus.TERMINATED if last is Sign.ZERO else SequenceStatus.TRUNCATED
-              if len(symbols) == max_len else SequenceStatus.PRECISION_EXHAUSTED)
+    status = TERMINATED if last is ZERO else TRUNCATED if len(symbols) == max_len else PRECISION_EXHAUSTED
     symbols = tuple(symbols)
     return (symbols if lead is None else tuple(symbol.k for symbol in symbols),
             _Snapshots(len(matrix) - 1, symbols, epochs, matrix, lead), status, matrix, refinements, bits)
@@ -486,7 +486,7 @@ def _evaluator_run(ev: FormEvaluator, cols: Sequence[_Form],
             ahead, backoff = (0, 1) if batch else (backoff, 2 * backoff)
             symbols += batch
         s = sign(cols[-1])
-        if s is not Sign.POSITIVE or len(symbols) == max_len:
+        if s is not POSITIVE or len(symbols) == max_len:
             break
         try:
             symbol, inserted = _decide(ev, cols)

@@ -27,6 +27,7 @@ from .numeric import (
     ExactNumber,
     RootSpec,
     SequenceStatus,
+    TERMINATED,
     root_powers,
 )
 from . import simplex
@@ -62,7 +63,7 @@ class SequenceRecord:
 
     @property
     def terminated(self) -> bool:
-        return self.status is SequenceStatus.TERMINATED
+        return self.status is TERMINATED
 
 
 def classify(point: Point2, *, cap_bits: int | None = None) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import sys
 from fractions import Fraction
 
@@ -58,6 +59,17 @@ def test_classify(capsys):
     code, lines, _ = run(capsys, "classify", "--point", "1/2,1/3")
     assert code == 0
     assert lines[0] == {"symbol": "1", "dimension": 2}
+
+
+def test_module_run_exits_with_the_code_of_main(capsys, monkeypatch):
+    # python -m trianglemap.cli: the __main__ guard passes main's code to sys.exit.
+    # runpy warns when the module is already imported, so it runs a fresh copy
+    monkeypatch.delitem(sys.modules, "trianglemap.cli")
+    monkeypatch.setattr(sys, "argv", ["trianglemap.cli", "classify", "--point", "1/2,1/3"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("trianglemap.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == '{"dimension": 2, "symbol": "1"}\n'
 
 
 def test_recover_terminated_exact(capsys):

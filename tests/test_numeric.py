@@ -1,10 +1,12 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from trianglemap import numeric
+from trianglemap import numeric, simplex, triangle
 from trianglemap.errors import DegenerateInputError, InconsistentInputError, PrecisionExhaustedError
 from trianglemap.matrices import IntMatrix, mat_identity
 from trianglemap.numeric import (
@@ -12,6 +14,7 @@ from trianglemap.numeric import (
     BigFloat,
     FormEvaluator,
     RootSpec,
+    SequenceStatus,
     Sign,
     _RootEnclosure,
     _RootPower,
@@ -98,6 +101,31 @@ def test_sign_of_never_refines():
     assert sign_of(Fraction(5, 7)) is Sign.POSITIVE
     assert sign_of(Fraction(-5, 7)) is Sign.NEGATIVE
     assert sign_of(Fraction(0)) is Sign.ZERO
+
+
+def test_sign_and_status_constants_are_their_members():
+    assert issubclass(Sign, str) and issubclass(SequenceStatus, str)
+    assert [(m.name, m.value) for m in Sign] == [
+        ("NEGATIVE", "negative"), ("ZERO", "zero"), ("POSITIVE", "positive"), ("AMBIGUOUS", "ambiguous")]
+    assert [(m.name, m.value) for m in SequenceStatus] == [
+        ("TERMINATED", "terminated"), ("TRUNCATED", "truncated-at-max-length"),
+        ("PRECISION_EXHAUSTED", "precision-exhausted")]
+    for member in (*Sign, *SequenceStatus):
+        assert getattr(numeric, member.name) is member
+
+
+def test_kernels_and_run_loops_read_no_enum_class_attribute():
+    # on CPython 3.10 and 3.11 a read such as Sign.POSITIVE runs EnumType.__getattr__,
+    # so function bodies here compare with and return numeric's module constants
+    reads = set()
+    for module in (numeric, simplex, triangle):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads.update(f"{module.__name__}:{node.lineno} {node.value.id}.{node.attr}"
+                             for stmt in fn.body for node in ast.walk(stmt)
+                             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                             and node.value.id in ("Sign", "SequenceStatus"))
+    assert not reads, sorted(reads)
 
 
 def test_root_spec_requires_sign_change():
@@ -996,6 +1024,7 @@ def packings(draw):
 @example((numeric.WEIGHT_BITS, 1, [_WEIGHT_LIMIT, 0, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, -1, _WEIGHT_LIMIT]))
 @example((64, 0, [2 ** 63 - 1] * 6))
 @example((64, 5, []))
+@example((64, 1, []))  # with no digits, 1 is the packing top itself
 def test_packing_round_trip(case):
     # a value above balanced digits unpacks to itself and its digits whenever
     # every |c_r| fits them, and its packing has the value's sign

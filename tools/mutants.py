@@ -41,27 +41,40 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+NUMERIC = "src/trianglemap/numeric.py"
 SIMPLEX = "src/trianglemap/simplex.py"
 
 MUTANTS = (
     Mutant("negative last remainder passes", SIMPLEX,
-           '    if last is Sign.NEGATIVE:\n        raise ValueError("last remainder is negative")\n', "",
+           '    if last is NEGATIVE:\n        raise ValueError("last remainder is negative")\n', "",
            ("tests/test_simplex.py",)),
     Mutant("undecided last sign at max_len is precision-exhausted", SIMPLEX,
-           "if len(symbols) == max_len else SequenceStatus.PRECISION_EXHAUSTED",
-           "if len(symbols) == max_len and last is Sign.POSITIVE else SequenceStatus.PRECISION_EXHAUSTED",
+           "if len(symbols) == max_len else PRECISION_EXHAUSTED",
+           "if len(symbols) == max_len and last is POSITIVE else PRECISION_EXHAUSTED",
            ("tests/test_simplex.py",)),
     Mutant("evaluator loop runs past max_len", SIMPLEX,
-           "if s is not Sign.POSITIVE or len(symbols) == max_len:",
-           "if s is not Sign.POSITIVE:",
+           "if s is not POSITIVE or len(symbols) == max_len:",
+           "if s is not POSITIVE:",
            ("tests/test_simplex.py",)),
     Mutant("membership asks no region name", SIMPLEX,
            "return (_names_region(symbol, len(xs)) and _in_domain(den, xs, closed)",
            "return (_in_domain(den, xs, closed)",
            ("tests/test_simplex.py",)),
     Mutant("domain check fails a zero gap before x_n", SIMPLEX,
-           "if s is Sign.POSITIVE or (s is Sign.ZERO and (t < n or allow_zero_last)):",
-           "if s is Sign.POSITIVE or (s is Sign.ZERO and t == n and allow_zero_last):",
+           "if s is POSITIVE or (s is ZERO and (t < n or allow_zero_last)):",
+           "if s is POSITIVE or (s is ZERO and t == n and allow_zero_last):",
+           ("tests/test_simplex.py",)),
+    Mutant("zero slack goes to the pair family", SIMPLEX,
+           '"slack sign is ambiguous") is not NEGATIVE:',
+           '"slack sign is ambiguous") is POSITIVE:',
+           ("tests/test_simplex.py",)),
+    Mutant("packed sign reads a value of 1 at top as zero", NUMERIC,
+           "return POSITIVE if p >= self.top else",
+           "return POSITIVE if p > self.top else",
+           ("tests/test_numeric.py",)),
+    Mutant("window reads zero on a straddle", NUMERIC,
+           "return ZERO if lo == hi else AMBIGUOUS",
+           "return ZERO",
            ("tests/test_simplex.py",)),
 )
 
